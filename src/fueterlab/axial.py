@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .clifford import join_signed, split_terms, tokenize
+
 TRIG_NONE = ""
 TRIG_COS = "cos"
 TRIG_SIN = "sin"
@@ -341,13 +343,9 @@ def _term_sort_key(item):
 
 
 def format_axial(expr: AxialExpr) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
+    terms = []
     for (a, b, p, g, t), q in sorted(expr.terms.items(), key=_term_sort_key):
-        neg = q < 0
-        mag = -q if neg else q
-        factors = [str(mag)]
+        factors = [str(abs(q))]
         if a == 1:
             factors.append("x0")
         elif a:
@@ -362,12 +360,8 @@ def format_axial(expr: AxialExpr) -> str:
             factors.append("E")
         if t:
             factors.append(t)
-        body = "*".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+        terms.append((q < 0, "*".join(factors)))
+    return join_signed(terms)
 
 
 _AXIAL_TOKEN_RE = re.compile(
@@ -385,63 +379,25 @@ _AXIAL_TOKEN_RE = re.compile(
 
 def parse_axial(text: str) -> AxialExpr:
     """Round-trip parser for the axial term grammar."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        mo = _AXIAL_TOKEN_RE.match(text, pos)
-        if mo is None or mo.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = mo.end()
-        tokens.append((mo.lastgroup, mo.group(mo.lastgroup)))
-
     terms: dict = {}
-    sign = 1
-    cur = None  # (q, a, b, p, g, t)
-
-    def flush():
-        nonlocal cur, sign
-        if cur is not None:
-            q, a, b, p, g, t = cur
-            key = (a, b, p, g, t)
-            terms[key] = terms.get(key, 0) + q
-        cur = None
-        sign = 1
-
-    def ensure():
-        nonlocal cur
-        if cur is None:
-            cur = [Fraction(sign), 0, 0, 0, 0, TRIG_NONE]
-
-    for kind, tok in tokens:
-        if kind == "op":
-            if tok == "*":
-                continue
-            flush()
-            if tok == "-":
-                sign = -sign
-        elif kind == "rat":
-            ensure()
-            cur[0] *= Fraction(tok)
-        elif kind == "x0":
-            ensure()
-            cur[1] += int(tok[3:]) if "^" in tok else 1
-        elif kind == "r":
-            ensure()
-            cur[2] += int(tok[2:]) if "^" in tok else 1
-        elif kind == "q":
-            ensure()
-            cur[3] += int(tok[3:])
-        elif kind == "exp":
-            ensure()
-            cur[4] += 1
-        elif kind == "trig":
-            ensure()
-            if cur[5]:
+    for sign, factors in split_terms(tokenize(text, _AXIAL_TOKEN_RE)):
+        q, a, b, p, g, t = Fraction(sign), 0, 0, 0, 0, TRIG_NONE
+        for kind, tok in factors:
+            if kind == "rat":
+                q *= Fraction(tok)
+            elif kind == "x0":
+                a += int(tok[3:]) if "^" in tok else 1
+            elif kind == "r":
+                b += int(tok[2:]) if "^" in tok else 1
+            elif kind == "q":
+                p += int(tok[3:])
+            elif kind == "exp":
+                g += 1
+            elif t:  # the only kind left is trig
                 raise AlgebraClosureError("two trig factors in one term")
-            cur[5] = tok
-    flush()
+            else:
+                t = tok
+        terms[(a, b, p, g, t)] = terms.get((a, b, p, g, t), 0) + q
     return AxialExpr(terms)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_DIMENSION = 16
@@ -121,6 +120,8 @@ class Multivector:
         for mask, val in (coeffs or {}).items():
             if not 0 <= mask < (1 << m):
                 raise ValueError(f"blade mask {mask} invalid for m={m}")
+            if exact and type(val) is float:
+                raise MixedVariantError(f"float coefficient {val!r} in exact multivector; convert explicitly")
             v = conv(val)
             if v:
                 clean[mask] = v
@@ -279,30 +280,6 @@ def norm_sq(a: Multivector):
     return a.norm_sq()
 
 
-@dataclass(frozen=True)
-class Paravector:
-    """Point x0 + x1 e_1 + ... + xm e_m of R^{m+1} inside the algebra."""
-
-    x0: object
-    xs: tuple
-
-    @property
-    def m(self) -> int:
-        return len(self.xs)
-
-    def r_sq(self):
-        return sum(x * x for x in self.xs)
-
-    def r(self) -> float:
-        return math.sqrt(float(self.r_sq()))
-
-    def to_multivector(self, exact: bool = True) -> Multivector:
-        coeffs = {0: self.x0}
-        for j, x in enumerate(self.xs):
-            coeffs[1 << j] = x
-        return Multivector(self.m, coeffs, exact)
-
-
 # --- text form -------------------------------------------------------------
 #
 # Multivectors render as coefficient*blade terms sorted by mask, e.g.
@@ -328,40 +305,43 @@ def _format_value(v) -> str:
     return s.replace("e", "E")
 
 
-def format_multivector(a: Multivector) -> str:
-    if not a.coeffs:
-        return "0"
+def join_signed(terms) -> str:
+    """Join (negative, magnitude text) pairs as `a - b + c`; '0' when empty."""
     parts = []
-    for mask in sorted(a.coeffs):
-        v = a.coeffs[mask]
-        neg = v < 0
-        mag = -v if neg else v
-        body = _format_value(mag)
+    for neg, body in terms:
+        if parts:
+            parts.append(("- " if neg else "+ ") + body)
+        else:
+            parts.append(("-" if neg else "") + body)
+    return " ".join(parts) or "0"
+
+
+def format_multivector(a: Multivector) -> str:
+    terms = []
+    for mask, v in sorted(a.coeffs.items()):
+        body = _format_value(abs(v))
         if mask:
             body += "*" + blade_label(mask, a.m)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+        terms.append((v < 0, body))
+    return join_signed(terms)
 
 
-def _tokenize(text: str):
+def tokenize(text: str, token_re) -> list:
+    """Split text into (group name, lexeme) pairs with a named-group regex."""
     pos = 0
     tokens = []
     while pos < len(text):
-        mo = _TOKEN_RE.match(text, pos)
+        mo = token_re.match(text, pos)
         if mo is None or mo.end() == pos:
             if text[pos:].strip():
                 raise ValueError(f"cannot tokenize {text[pos:]!r}")
             break
         pos = mo.end()
-        kind = mo.lastgroup
-        tokens.append((kind, mo.group(kind)))
+        tokens.append((mo.lastgroup, mo.group(mo.lastgroup)))
     return tokens
 
 
-def _split_terms(tokens):
+def split_terms(tokens):
     """Group tokens into (sign, factors) runs at top-level +/-."""
     terms = []
     sign = 1
@@ -383,10 +363,18 @@ def _split_terms(tokens):
     return terms
 
 
+def apply_blade(tok: str, m: int, mask: int, value):
+    """Right-multiply the blade token `tok` onto value * e_mask; returns (mask, value)."""
+    body = tok[1:]
+    idx = [int(s) for s in body.split("_")] if "_" in body or m > 9 else [int(c) for c in body]
+    sign, mask = blade_product(mask, mask_from_indices(idx, m))
+    return mask, (-value if sign < 0 else value)
+
+
 def parse_multivector(text: str, m: int, exact: bool = True) -> Multivector:
     """Parse the `c*e{indices}` grammar produced by `format_multivector`."""
     coeffs: dict = {}
-    for sign, factors in _split_terms(_tokenize(text)):
+    for sign, factors in split_terms(tokenize(text, _TOKEN_RE)):
         value = Fraction(sign) if exact else float(sign)
         mask = 0
         for kind, tok in factors:
@@ -397,12 +385,7 @@ def parse_multivector(text: str, m: int, exact: bool = True) -> Multivector:
                     raise MixedVariantError(f"float literal {tok!r} in exact multivector")
                 value = value * float(tok)
             elif kind == "blade":
-                body = tok[1:]
-                idx = [int(s) for s in body.split("_")] if "_" in body or m > 9 else [int(c) for c in body]
-                sgn, bm = blade_product(mask, mask_from_indices(idx, m))
-                if sgn < 0:
-                    value = -value
-                mask = bm
+                mask, value = apply_blade(tok, m, mask, value)
             else:
                 raise ValueError(f"unexpected token {tok!r} in multivector")
         coeffs[mask] = coeffs.get(mask, 0) + value

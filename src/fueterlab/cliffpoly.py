@@ -21,12 +21,13 @@ from fractions import Fraction
 from .clifford import (
     DimensionMismatchError,
     Multivector,
+    apply_blade,
     blade_label,
-    blade_product,
     gp,
-    mask_from_indices,
+    join_signed,
+    split_terms,
+    tokenize,
     _format_value,
-    _split_terms,
 )
 
 DEFAULT_DEGREE_CAP = 64
@@ -402,28 +403,21 @@ def _format_monomial(exps) -> str:
 
 
 def format_poly(p: CliffPoly) -> str:
-    if not p.terms:
-        return "0"
     flat = []
     for exps, coeff in p.terms.items():
         for mask, v in coeff.coeffs.items():
             flat.append((exps, mask, v))
     flat.sort(key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]), t[1]))
-    parts = []
+    terms = []
     for exps, mask, v in flat:
-        neg = v < 0
-        mag = -v if neg else v
-        body = _format_value(mag)
+        body = _format_value(abs(v))
         mono = _format_monomial(exps)
         if mono:
             body += "*" + mono
         if mask:
             body += "*" + blade_label(mask, p.m)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+        terms.append((v < 0, body))
+    return join_signed(terms)
 
 
 _VAR_TOKEN = "var"
@@ -433,7 +427,7 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 def parse_poly(text: str, m: int) -> CliffPoly:
     """Round-trip parser for the polynomial grammar."""
     terms: dict = {}
-    for sign, factors in _split_terms(_tokenize_poly(text)):
+    for sign, factors in split_terms(tokenize(text, _POLY_TOKEN_RE)):
         value = Fraction(sign)
         exps = [0] * (m + 1)
         mask = 0
@@ -447,12 +441,7 @@ def parse_poly(text: str, m: int) -> CliffPoly:
                     raise ValueError(f"variable x{j} invalid for m={m}")
                 exps[j] += int(mo.group(2) or 1)
             elif kind == "blade":
-                body = tok[1:]
-                idx = [int(s) for s in body.split("_")] if "_" in body or m > 9 else [int(c) for c in body]
-                sgn, mask2 = blade_product(mask, mask_from_indices(idx, m))
-                if sgn < 0:
-                    value = -value
-                mask = mask2
+                mask, value = apply_blade(tok, m, mask, value)
             else:
                 raise ValueError(f"unexpected token {tok!r} in polynomial")
         key = tuple(exps)
@@ -471,18 +460,3 @@ _POLY_TOKEN_RE = re.compile(
     r")"
 )
 
-
-def _tokenize_poly(text: str):
-    token_re = _POLY_TOKEN_RE
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        mo = token_re.match(text, pos)
-        if mo is None or mo.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = mo.end()
-        kind = mo.lastgroup
-        tokens.append((kind, mo.group(kind)))
-    return tokens

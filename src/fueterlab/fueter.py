@@ -44,7 +44,6 @@ from .cliffpoly import (
     is_homogeneous_monogenic,
     laplacian,
     poly_mul,
-    radius_sq_poly,
     sample_p0,
     sample_p1,
     vector_power,
@@ -226,10 +225,8 @@ def vekua_ok(pair: AxialPair) -> bool:
 
 # --- closed forms ------------------------------------------------------------
 
-CLOSED_FORM_IDS = (
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7",
-    "ex1_full", "ex2_full", "prop2_m3_A", "prop2_m3_B",
-)
+RADIAL_FORM_IDS = ("e1", "e2", "e3", "e4", "e5", "e6", "e7")
+CLOSED_FORM_IDS = RADIAL_FORM_IDS + ("ex1_full", "ex2_full", "prop2_m3_A", "prop2_m3_B")
 
 
 def _trig_sum(base: str, pairs) -> AxialExpr:
@@ -248,32 +245,24 @@ def closed_form(ident: str, n: int | None = None, m: int | None = None, k: int |
     pair of the iz and 1/z transforms for given (m, k); prop2_m3_A/B are
     the two components of the m = 3 Gaussian extension.
     """
+    if ident in RADIAL_FORM_IDS and (n is None or n < 0):
+        raise ValueError(f"{ident} needs n >= 0")
     if ident == "e1":
         # (1/r d/dr)^n r = (-1)^(n+1) (2n-3)!! r^(1-2n), asserted for n >= 1
-        if n is None or n < 1:
+        if n < 1:
             raise ValueError("e1 is asserted only for n >= 1")
         return AxialExpr.term(Fraction((-1) ** (n + 1) * double_factorial(2 * n - 3)), b=1 - 2 * n)
     if ident == "e2":
-        if n is None or n < 0:
-            raise ValueError("e2 needs n >= 0")
         return AxialExpr.term(Fraction((-1) ** n * 2 ** n * math.factorial(n)), a=1, p=n + 1)
     if ident == "e3":
-        if n is None or n < 0:
-            raise ValueError("e3 needs n >= 0")
         return AxialExpr.term(Fraction((-1) ** n * 2 ** n * math.factorial(n)), b=1, p=n + 1)
     if ident == "e4":
-        if n is None or n < 0:
-            raise ValueError("e4 needs n >= 0")
         return AxialExpr.term(Fraction((-1) ** n), g=1)
     if ident in ("e5", "e6"):
         # empty sum at n = 0; the identity itself is asserted from n >= 1
-        if n is None or n < 0:
-            raise ValueError(f"{ident} needs n >= 0")
         base = TRIG_COS if ident == "e5" else TRIG_SIN
         return _trig_sum(base, ((Fraction(coeff_a(n, nu)), nu, nu - 2 * n) for nu in range(1, n + 1)))
     if ident == "e7":
-        if n is None or n < 0:
-            raise ValueError("e7 needs n >= 0")
         return _trig_sum(TRIG_SIN, ((Fraction(coeff_a(n + 1, nu + 1)), nu, nu - 2 * n) for nu in range(n + 1)))
     if ident == "ex1_full":
         if m is None or k is None:
@@ -325,10 +314,15 @@ def pole_pair(m: int) -> AxialPair:
     return AxialPair(m, 0, AxialExpr.term(1, a=1, p=p), AxialExpr.term(-1, b=1, p=p), sample_p0(m))
 
 
-def entire_remainder_pair(m: int) -> AxialPair:
-    """Transform of exp(z^2/2)/z minus its pole, normalized; entire by design."""
+def normalized_gauss_fund_pair(m: int) -> AxialPair:
+    """Transform of exp(z^2/2)/z scaled so that its pole is `pole_pair(m)`."""
     c = Fraction((-1) ** ((m - 1) // 2) * double_factorial(m - 1) ** 2)
-    return gauss_fund_pair(m).scaled(Fraction(1, c)) - pole_pair(m)
+    return gauss_fund_pair(m).scaled(Fraction(1, c))
+
+
+def entire_remainder_pair(m: int) -> AxialPair:
+    """Normalized transform of exp(z^2/2)/z minus its pole; entire by design."""
+    return normalized_gauss_fund_pair(m) - pole_pair(m)
 
 
 # --- polynomial routes for z^n seeds ------------------------------------------
@@ -353,34 +347,18 @@ def axial_to_poly(pair: AxialPair) -> CliffPoly:
     """Rewrite a polynomial-image pair as a polynomial in (x0, x1..xm).
 
     Requires A with even nonnegative r powers and B with odd positive r
-    powers, no Q/exp/trig factors; substitutes r^2 -> x1^2+...+xm^2 and
-    w r^(2s+1) -> x_ (x1^2+...+xm^2)^s, then multiplies by pk.
+    powers, no Q/exp/trig factors; since x_^2 = -r^2, both r^(2s) and
+    w r^(2s+1) are (-1)^s x_^b.  The result is multiplied by pk.
     """
     if pair.pk is None:
         raise ValueError("axial_to_poly needs a concrete P_k")
     m = pair.m
-    r2 = radius_sq_poly(m)
-    x_ = CliffPoly.vector_variable(m)
-
-    def check(expr: AxialExpr, parity: int, label: str):
-        for (a, b, p, g, t), _ in expr.terms.items():
+    out = CliffPoly.zero(m)
+    for expr, parity, label in ((pair.A, 0, "A"), (pair.B, 1, "B")):
+        for (a, b, p, g, t), q in expr.terms.items():
             if p or g or t or b < 0 or b % 2 != parity:
                 raise ValueError(f"{label} component outside the polynomial image")
-
-    check(pair.A, 0, "A")
-    check(pair.B, 1, "B")
-
-    def r2_power(s: int) -> CliffPoly:
-        out = CliffPoly.one(m)
-        for _ in range(s):
-            out = poly_mul(out, r2)
-        return out
-
-    out = CliffPoly.zero(m)
-    for (a, b, _, _, _), q in pair.A.terms.items():
-        out = out + r2_power(b // 2).shift_x0(a).scale(q)
-    for (a, b, _, _, _), q in pair.B.terms.items():
-        out = out + poly_mul(r2_power((b - 1) // 2), x_).shift_x0(a).scale(q)
+            out = out + vector_power(m, b).scale(q * (-1) ** (b // 2)).shift_x0(a)
     return poly_mul(out, pair.pk)
 
 

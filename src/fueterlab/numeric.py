@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,13 +22,11 @@ from .clifford import Multivector
 from .fueter import (
     AxialPair,
     EvenDimensionError,
-    double_factorial,
     entire_remainder_pair,
     gauss_ck_pair,
     gauss_fund_pair,
+    normalized_gauss_fund_pair,
 )
-
-THREADS_ENV = "FUETER_LAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -200,11 +196,6 @@ def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
     return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
 
 
-def ck_gauss_closed(pt: EvalPoint, m: int) -> Multivector:
-    """Closed-form route: the scaled Gaussian transform evaluated axially."""
-    return eval_axial(gauss_ck_pair(m), pt)
-
-
 def ck_gauss_restriction(x0: float, m: int) -> float:
     """Value of the Gaussian extension on the x_ = 0 axis (odd m only)."""
     if m < 1 or m % 2 == 0:
@@ -255,19 +246,16 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
     cfg = cfg or FDConfig()
     h = cfg.step(pt)
     m = pt.m
+    coords = (pt.x0, *pt.xs)
+
+    def shifted(j, step):
+        c = list(coords)
+        c[j] += step
+        return f(c[0], tuple(c[1:]))
+
     total = None
     for j in range(m + 1):
-        if j == 0:
-            plus = f(pt.x0 + h, pt.xs)
-            minus = f(pt.x0 - h, pt.xs)
-        else:
-            xs_p = list(pt.xs)
-            xs_m = list(pt.xs)
-            xs_p[j - 1] += h
-            xs_m[j - 1] -= h
-            plus = f(pt.x0, tuple(xs_p))
-            minus = f(pt.x0, tuple(xs_m))
-        deriv = (plus - minus).scale(1.0 / (2.0 * h))
+        deriv = (shifted(j, h) - shifted(j, -h)).scale(1.0 / (2.0 * h))
         if j > 0:
             ej = Multivector.basis(m, j, exact=False)
             deriv = ej * deriv if side == "left" else deriv * ej
@@ -299,14 +287,6 @@ def lin_range(lo: float, hi: float, count: int) -> list:
     return vals
 
 
-def _scan_workers() -> int:
-    try:
-        cap = int(os.environ.get(THREADS_ENV, "1"))
-    except ValueError:
-        cap = 1
-    return max(1, cap)
-
-
 def decay_scan(
     pair: AxialPair,
     K: float,
@@ -314,12 +294,12 @@ def decay_scan(
     r_max: float,
     nx0: int = 101,
     nr: int = 101,
-    workers: int | None = None,
 ) -> DecayReport:
     """Sup of |F(x)| exp(r^2/2) over {|x0| <= K} x {r_min <= r <= r_max}.
 
     The direction of x_ is irrelevant for the magnitude of an axial
-    function, so the grid lives on the ray x_ = r e_1.
+    function, so the grid lives on the ray x_ = r e_1.  A NaN value
+    raises ValueError naming its grid point.
     """
     if not (0 < r_min < r_max) or K <= 0:
         raise ValueError("need 0 < r_min < r_max and K > 0")
@@ -334,15 +314,11 @@ def decay_scan(
             val = eval_axial(pair, pt).norm() * math.exp(r * r / 2.0)
             if val > best[0]:
                 best = (val, x0, r)
+            elif math.isnan(val):
+                raise ValueError(f"decay scan hit NaN at (x0={x0!r}, r={r!r})")
         return best
 
-    n_workers = min(workers if workers is not None else _scan_workers(), len(x0_vals))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(row_max, x0_vals))
-    else:
-        results = [row_max(x0) for x0 in x0_vals]
-    sup, ax0, ar = max(results)
+    sup, ax0, ar = max(row_max(x0) for x0 in x0_vals)
     return DecayReport(K, r_min, r_max, nx0, nr, sup, ax0, ar)
 
 
@@ -363,11 +339,7 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
         raise ValueError("radii must be positive")
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
-    if subtract_pole:
-        pair = entire_remainder_pair(m)
-    else:
-        c = Fraction((-1) ** ((m - 1) // 2) * double_factorial(m - 1) ** 2)
-        pair = gauss_fund_pair(m).scaled(Fraction(1, c))
+    pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
     a0 = pair.A.restrict_x0()
     b0 = pair.B.restrict_x0()
     values = []
@@ -404,6 +376,12 @@ def sample_header(m: int) -> list:
     )
 
 
+def sample_row(pair: AxialPair, pt: EvalPoint) -> list:
+    """One CSV row: the point, r, then the grade-0 and grade-1 parts and the norm."""
+    val = eval_axial(pair, pt)
+    return [pt.x0, *pt.xs, pt.r, float(val[0]), *(float(val[1 << j]) for j in range(pair.m)), val.norm()]
+
+
 def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     """Row-major grid of axial values along x_ = r e_1; grades 0 and 1 only."""
     pair = sample_pair(target, m)
@@ -413,14 +391,7 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
         for r in r_vals:
             if r <= 0:
                 raise EvalDomainError("sample region requires r > 0")
-            pt = EvalPoint(float(x0), (float(r),) + zeros)
-            val = eval_axial(pair, pt)
-            row = [pt.x0, *pt.xs, pt.r]
-            row.append(float(val[0]))
-            for j in range(1, m + 1):
-                row.append(float(val[1 << (j - 1)]))
-            row.append(val.norm())
-            rows.append(row)
+            rows.append(sample_row(pair, EvalPoint(float(x0), (float(r),) + zeros)))
     return rows
 
 
@@ -455,13 +426,5 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """Recompute every row of a sample CSV; True iff all values match bit-exactly."""
     m, header, rows = read_sample_csv(path)
     pair = sample_pair(target, m)
-    mismatches = 0
-    for row in rows:
-        pt = EvalPoint(row[0], tuple(row[1 : m + 1]))
-        val = eval_axial(pair, pt)
-        expect = [pt.r, float(val[0])]
-        expect += [float(val[1 << (j - 1)]) for j in range(1, m + 1)]
-        expect.append(val.norm())
-        if row[m + 1 :] != expect:
-            mismatches += 1
+    mismatches = sum(row != sample_row(pair, EvalPoint(row[0], tuple(row[1 : m + 1]))) for row in rows)
     return mismatches == 0, len(rows)

@@ -1,17 +1,20 @@
-"""Identity and property suites behind `fueterlab verify`.
+"""Identity and property checks behind `fueterlab verify`, as one table.
 
-Each suite returns a list of CheckResult records, one per identity
-family, with the count of failing instances in the detail field and the
-measured error for numeric checks.  All randomness flows from an explicit
-seed, so runs are reproducible.
+`CHECKS` maps each suite to its checks in run order.  An exact check is a
+generator of `(instance, ok)` pairs that `tally` folds into one
+CheckResult with the instance count and the first failing instance; a
+measured check returns its CheckResults directly, with the measured error
+for numeric checks.  Each suite draws from one random.Random seeded
+explicitly, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import sampling
@@ -60,8 +63,21 @@ from .numeric import (
     verify_sample_csv,
 )
 
-SUITE_NAMES = ("core", "operators", "examples", "hermite", "gauss", "gauss_fund", "all")
 DEFAULT_SEED = 20090429
+# dimensions each suite runs when none is given; None: the suite takes none
+SUITE_MS = {
+    "core": None,
+    "operators": None,
+    "examples": (3, 5, 7),
+    "hermite": (1, 2, 3, 4, 5, 7),
+    "gauss": (3, 5, 7),
+    "gauss_fund": (3, 5, 7),
+}
+SUITE_NAMES = (*SUITE_MS, "all")
+CORE_CASES = 200
+OPERATOR_CASES = 50
+Z_MAX = 10
+HERMITE_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -78,11 +94,51 @@ class CheckResult:
         return f"{self.id} {status} {err}{tail}"
 
 
-def _exact(check_id: str, failures: list, total: int) -> CheckResult:
+@dataclass(frozen=True)
+class Context:
+    """What a check may use: the suite's random stream, its dimensions, a CSV to re-verify."""
+
+    rng: random.Random
+    ms: tuple | None
+    csv_from: object = None
+
+
+# suite -> its checks in run order, each a function from Context to a list of CheckResults
+CHECKS: dict = {suite: [] for suite in SUITE_MS}
+
+
+def tally(check_id: str, pairs) -> CheckResult:
+    """One verdict from a stream of (instance, ok) pairs."""
+    total = 0
+    failures = []
+    for instance, ok in pairs:
+        total += 1
+        if not ok:
+            failures.append(instance)
     detail = f"{total - len(failures)}/{total}"
     if failures:
-        detail += " first_failure=" + str(failures[0])
+        detail += f" first_failure={failures[0]}"
     return CheckResult(check_id, not failures, 0.0, detail)
+
+
+def exact(suite: str, check_id: str):
+    """Register a generator of (instance, ok) pairs as one tallied check."""
+
+    def register(pairs):
+        CHECKS[suite].append(lambda ctx: [tally(check_id, pairs(ctx))])
+        return pairs
+
+    return register
+
+
+def measured(suite: str):
+    """Register a function that returns its CheckResults itself; none to skip."""
+
+    def register(fn):
+        CHECKS[suite].append(fn)
+        return fn
+
+    return register
 
 
 def _numeric(check_id: str, err: float, tol: float, extra: str = "") -> CheckResult:
@@ -92,246 +148,206 @@ def _numeric(check_id: str, err: float, tol: float, extra: str = "") -> CheckRes
     return CheckResult(check_id, err <= tol, err, detail)
 
 
+def _random_point(rng: random.Random, m: int, r_lo: float) -> EvalPoint:
+    """x0 in [-1, 1], r in [r_lo, 2], x_ along a Gaussian-random direction."""
+    x0 = rng.uniform(-1, 1)
+    r = rng.uniform(r_lo, 2.0)
+    direction = [rng.gauss(0, 1) for _ in range(m)]
+    norm = math.sqrt(sum(d * d for d in direction)) or 1.0
+    return EvalPoint(x0, tuple(r * d / norm for d in direction))
+
+
 # --- core -----------------------------------------------------------------
 
 
-def suite_core(rng_seed: int = DEFAULT_SEED, cases: int = 200) -> list:
-    rng = random.Random(rng_seed)
-    out = []
-
-    failures = []
-    total = 0
+@exact("core", "core.blade_sign_oracle")
+def _blade_sign_oracle(ctx):
     for m in range(1, 5):
-        for ma in range(1 << m):
-            for mb in range(1 << m):
-                total += 1
-                sign, mask = blade_product(ma, mb)
-                nsign, idx = blade_product_naive(indices_from_mask(ma), indices_from_mask(mb))
-                if (sign, indices_from_mask(mask)) != (nsign, idx):
-                    failures.append((m, ma, mb))
-    out.append(_exact("core.blade_sign_oracle", failures, total))
+        for ma, mb in product(range(1 << m), repeat=2):
+            sign, mask = blade_product(ma, mb)
+            naive = blade_product_naive(indices_from_mask(ma), indices_from_mask(mb))
+            yield (m, ma, mb), (sign, indices_from_mask(mask)) == naive
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 6)
-        a = sampling.random_multivector(rng, m)
-        b = sampling.random_multivector(rng, m)
-        c = sampling.random_multivector(rng, m)
-        if (a * b) * c != a * (b * c):
-            failures.append(i)
-    out.append(_exact("core.associativity", failures, cases))
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 6)
-        u = sampling.random_vector(rng, m)
-        v = sampling.random_vector(rng, m)
+@exact("core", "core.associativity")
+def _associativity(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 6)
+        a, b, c = (sampling.random_multivector(ctx.rng, m) for _ in range(3))
+        yield i, (a * b) * c == a * (b * c)
+
+
+@exact("core", "core.vector_products")
+def _vector_products(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 6)
+        u = sampling.random_vector(ctx.rng, m)
+        v = sampling.random_vector(ctx.rng, m)
         dot = sum(u[1 << j] * v[1 << j] for j in range(m))
-        if u * v + v * u != Multivector.scalar(m, -2 * dot):
-            failures.append(i)
-        if v * v != Multivector.scalar(m, -v.norm_sq()):
-            failures.append(i)
-    out.append(_exact("core.vector_products", failures, cases))
+        yield i, u * v + v * u == Multivector.scalar(m, -2 * dot) and v * v == Multivector.scalar(m, -v.norm_sq())
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 6)
-        a = sampling.random_multivector(rng, m)
-        b = sampling.random_multivector(rng, m)
-        if (a * b).conjugate() != b.conjugate() * a.conjugate():
-            failures.append(i)
-    out.append(_exact("core.conjugation_antihom", failures, cases))
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 6)
-        a = sampling.random_multivector(rng, m)
+@exact("core", "core.conjugation_antihom")
+def _conjugation_antihom(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 6)
+        a = sampling.random_multivector(ctx.rng, m)
+        b = sampling.random_multivector(ctx.rng, m)
+        yield i, (a * b).conjugate() == b.conjugate() * a.conjugate()
+
+
+@exact("core", "core.norm_and_grades")
+def _norm_and_grades(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 6)
+        a = sampling.random_multivector(ctx.rng, m)
         direct = sum((v * v for v in a.coeffs.values()), Fraction(0))
-        if a.norm_sq() != direct or (a * a.conjugate()).grade(0) != Multivector.scalar(m, direct):
-            failures.append(i)
-        total_mv = Multivector.zero(m)
-        for k in range(m + 1):
-            total_mv = total_mv + a.grade(k)
-        if total_mv != a:
-            failures.append(i)
-    out.append(_exact("core.norm_and_grades", failures, cases))
+        graded = sum((a.grade(k) for k in range(m + 1)), Multivector.zero(m))
+        yield i, (
+            a.norm_sq() == direct
+            and (a * a.conjugate()).grade(0) == Multivector.scalar(m, direct)
+            and graded == a
+        )
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 5)
-        p = sampling.random_poly(rng, m, max_degree=3, with_x0=False)
-        if dirac(dirac(p)) != -laplacian(p, include_x0=False):
-            failures.append(i)
-    out.append(_exact("core.fact1", failures, cases))
 
-    failures = []
-    for i in range(cases):
-        m = rng.randint(1, 5)
-        p = sampling.random_poly(rng, m, max_degree=3, with_x0=True)
+@exact("core", "core.fact1")
+def _fact1(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 5)
+        p = sampling.random_poly(ctx.rng, m, max_degree=3, with_x0=False)
+        yield i, dirac(dirac(p)) == -laplacian(p, include_x0=False)
+
+
+@exact("core", "core.fact2")
+def _fact2(ctx):
+    for i in range(CORE_CASES):
+        m = ctx.rng.randint(1, 5)
+        p = sampling.random_poly(ctx.rng, m, max_degree=3, with_x0=True)
         lap = laplacian(p, include_x0=True)
-        if cr_apply(cr_conj_apply(p)) != lap or cr_conj_apply(cr_apply(p)) != lap:
-            failures.append(i)
-    out.append(_exact("core.fact2", failures, cases))
-
-    return out
+        yield i, cr_apply(cr_conj_apply(p)) == lap and cr_conj_apply(cr_apply(p)) == lap
 
 
 # --- operators -------------------------------------------------------------
 
 
-def suite_operators(rng_seed: int = DEFAULT_SEED, cases: int = 50) -> list:
-    rng = random.Random(rng_seed)
-    out = []
+@exact("operators", "op.order0_and_commute")
+def _order0_and_commute(ctx):
+    for i in range(OPERATOR_CASES):
+        f = sampling.random_axial(ctx.rng)
+        yield i, d_lower(0, f) == f and d_upper(0, f) == f and f.diff("x0").diff("r") == f.diff("r").diff("x0")
 
-    failures = []
-    for i in range(cases):
-        f = sampling.random_axial(rng)
-        if not (d_lower(0, f) == f and d_upper(0, f) == f):
-            failures.append(i)
-        if f.diff("x0").diff("r") != f.diff("r").diff("x0"):
-            failures.append(i)
-    out.append(_exact("op.order0_and_commute", failures, cases))
 
-    failures = []
-    for i in range(cases):
-        n = rng.randint(0, 5)
-        f = sampling.random_axial(rng)
-        if d_upper(n, f.diff("r")) != d_lower(n, f).diff("r"):
-            failures.append((i, n))
-    out.append(_exact("op.i", failures, cases))
+@exact("operators", "op.i")
+def _op_i(ctx):
+    for i in range(OPERATOR_CASES):
+        n = ctx.rng.randint(0, 5)
+        f = sampling.random_axial(ctx.rng)
+        yield (i, n), d_upper(n, f.diff("r")) == d_lower(n, f).diff("r")
 
-    failures = []
-    for i in range(cases):
-        n = rng.randint(0, 5)
-        f = sampling.random_axial(rng)
+
+@exact("operators", "op.ii")
+def _op_ii(ctx):
+    for i in range(OPERATOR_CASES):
+        n = ctx.rng.randint(0, 5)
+        f = sampling.random_axial(ctx.rng)
         lhs = d_lower(n, f.diff("r")) - d_upper(n, f).diff("r")
-        rhs = d_upper(n, f).scale(2 * n).div_r()
-        if lhs != rhs:
-            failures.append((i, n))
-    out.append(_exact("op.ii", failures, cases))
+        yield (i, n), lhs == d_upper(n, f).scale(2 * n).div_r()
 
-    failures = []
-    for i in range(cases):
-        n = rng.randint(0, 5)
-        f = sampling.random_rational_axial(rng)
-        g = sampling.random_axial(rng)
-        lhs = d_lower(n, f * g)
-        rhs = AxialExpr.zero()
-        for nu in range(n + 1):
-            rhs = rhs + d_lower(n - nu, f).scale(math.comb(n, nu)) * d_lower(nu, g)
-        if lhs != rhs:
-            failures.append((i, n))
-    out.append(_exact("op.iii", failures, cases))
 
-    failures = []
-    for i in range(cases):
-        n = rng.randint(0, 5)
-        f = sampling.random_rational_axial(rng)
-        g = sampling.random_axial(rng)
-        lhs = d_upper(n, f * g)
-        rhs = AxialExpr.zero()
-        for nu in range(n + 1):
-            rhs = rhs + d_lower(n - nu, f).scale(math.comb(n, nu)) * d_upper(nu, g)
-        if lhs != rhs:
-            failures.append((i, n))
-    out.append(_exact("op.iv", failures, cases))
+def _leibniz(d):
+    """d^n(f g) = sum_nu C(n, nu) d_lower^(n-nu) f * d^nu g for trig- and exp-free f."""
 
-    return out
+    def pairs(ctx):
+        for i in range(OPERATOR_CASES):
+            n = ctx.rng.randint(0, 5)
+            f = sampling.random_rational_axial(ctx.rng)
+            g = sampling.random_axial(ctx.rng)
+            terms = (d_lower(n - nu, f).scale(math.comb(n, nu)) * d(nu, g) for nu in range(n + 1))
+            yield (i, n), d(n, f * g) == sum(terms, AxialExpr.zero())
+
+    return pairs
+
+
+exact("operators", "op.iii")(_leibniz(d_lower))
+exact("operators", "op.iv")(_leibniz(d_upper))
 
 
 # --- examples ----------------------------------------------------------------
 
 
-def suite_examples(rng_seed: int = DEFAULT_SEED, ms=(3, 5, 7), z_max: int = 10) -> list:
-    out = []
+def _radial_family(check_id, d, f, expect, ns):
+    """d^n(f) against its tabulated closed form expect(n) for each order n."""
+    exact("examples", check_id)(lambda ctx: ((n, d(n, f) == expect(n)) for n in ns))
 
-    failures = [n for n in range(1, 9) if d_lower(n, R) != closed_form("e1", n)]
-    out.append(_exact("e1", failures, 8))
 
-    failures = []
-    for n in range(0, 9):
-        expect = AxialExpr.term(
-            Fraction((-1) ** n * double_factorial(2 * n - 1)), a=1, b=-2 * n
-        )
-        if d_upper(n, X0) != expect:
-            failures.append(n)
-    out.append(_exact("ex1.dupper_x0", failures, 9))
+_radial_family("e1", d_lower, R, partial(closed_form, "e1"), range(1, 9))
+_radial_family(
+    "ex1.dupper_x0",
+    d_upper,
+    X0,
+    lambda n: AxialExpr.term((-1) ** n * double_factorial(2 * n - 1), a=1, b=-2 * n),
+    range(9),
+)
+_radial_family("e2", d_lower, X0 * q_inv(), partial(closed_form, "e2"), range(9))
+_radial_family("e3", d_upper, R * q_inv(), partial(closed_form, "e3"), range(9))
+_radial_family("e4", d_lower, E, partial(closed_form, "e4"), range(9))
+_radial_family("e5", d_lower, COS, partial(closed_form, "e5"), range(1, 9))
+_radial_family("e6", d_lower, SIN, partial(closed_form, "e6"), range(1, 9))
+_radial_family("e7", d_upper, SIN, partial(closed_form, "e7"), range(9))
 
-    failures = [n for n in range(0, 9) if d_lower(n, X0 * q_inv()) != closed_form("e2", n)]
-    out.append(_exact("e2", failures, 9))
 
-    failures = [n for n in range(0, 9) if d_upper(n, R * q_inv()) != closed_form("e3", n)]
-    out.append(_exact("e3", failures, 9))
-
-    failures = [n for n in range(0, 9) if d_lower(n, E) != closed_form("e4", n)]
-    out.append(_exact("e4", failures, 9))
-
-    failures = [n for n in range(1, 9) if d_lower(n, COS) != closed_form("e5", n)]
-    out.append(_exact("e5", failures, 8))
-
-    failures = [n for n in range(1, 9) if d_lower(n, SIN) != closed_form("e6", n)]
-    out.append(_exact("e6", failures, 8))
-
-    failures = [n for n in range(0, 9) if d_upper(n, SIN) != closed_form("e7", n)]
-    out.append(_exact("e7", failures, 9))
-
-    failures = []
+@exact("examples", "coeff_a.boundary")
+def _coeff_a_boundary(ctx):
     for n in range(1, 11):
-        if coeff_a(n, n) != 1:
-            failures.append(("diag", n))
-        if coeff_a(n, 1) != (-1) ** (n + 1) * double_factorial(2 * n - 3):
-            failures.append(("first", n))
-    out.append(_exact("coeff_a.boundary", failures, 20))
+        yield ("diag", n), coeff_a(n, n) == 1
+        yield ("first", n), coeff_a(n, 1) == (-1) ** (n + 1) * double_factorial(2 * n - 3)
 
-    failures = []
-    total = 0
-    for m, k in product(ms, (0, 1, 2)):
-        if 2 * k + m - 4 < -1:
-            continue
-        total += 1
-        pair = fueter(make_seed("iz"), k, m)
-        a_expect, b_expect = closed_form("ex1_full", m=m, k=k)
-        if not (pair.A == a_expect and pair.B == b_expect):
-            failures.append((m, k))
-    out.append(_exact("example1.closed", failures, total))
 
-    failures = []
-    total = 0
-    for m, k in product(ms, (0, 1, 2)):
-        total += 1
-        pair = fueter(make_seed("inv_z"), k, m)
-        a_expect, b_expect = closed_form("ex2_full", m=m, k=k)
-        if not (pair.A == a_expect and pair.B == b_expect):
-            failures.append((m, k))
-    out.append(_exact("example2.closed", failures, total))
+def _transform_closed(seed_name: str, ident: str, mks):
+    for m, k in mks:
+        pair = fueter(make_seed(seed_name), k, m)
+        a_expect, b_expect = closed_form(ident, m=m, k=k)
+        yield (m, k), pair.A == a_expect and pair.B == b_expect
 
-    failures = []
+
+@exact("examples", "example1.closed")
+def _example1(ctx):
+    # the constant (2k+m-4)!! is defined from 2k+m-4 = -1 on
+    mks = [(m, k) for m, k in product(ctx.ms, (0, 1, 2)) if 2 * k + m - 4 >= -1]
+    return _transform_closed("iz", "ex1_full", mks)
+
+
+@exact("examples", "example2.closed")
+def _example2(ctx):
+    return _transform_closed("inv_z", "ex2_full", product(ctx.ms, (0, 1, 2)))
+
+
+@measured("examples")
+def _triangle(ctx):
     constants = []
-    total = 0
-    for m, k in product((3, 5), (0, 1)):
-        for n in range(0, z_max + 1):
-            total += 1
-            res = triangle_check(n, k, m)
-            if not res.ok:
-                failures.append((n, k, m))
-            elif res.constant is not None:
-                constants.append(f"c(n={n},k={k},m={m})={res.constant}")
-    check = _exact("example3.triangle", failures, total)
-    out.append(
-        CheckResult(check.id, check.passed, 0.0, check.detail + " " + "; ".join(constants[-4:]))
-    )
 
-    failures = []
-    total = 0
+    def pairs():
+        for m, k in product((3, 5), (0, 1)):
+            for n in range(Z_MAX + 1):
+                res = triangle_check(n, k, m)
+                if res.ok and res.constant is not None:
+                    constants.append(f"c(n={n},k={k},m={m})={res.constant}")
+                yield (n, k, m), res.ok
+
+    res = tally("example3.triangle", pairs())
+    return [replace(res, detail=res.detail + " " + "; ".join(constants[-4:]))]
+
+
+@exact("examples", "vekua.grid")
+def _vekua_grid(ctx):
     seeds = [make_seed("iz"), make_seed("inv_z"), make_seed("gauss"), make_seed("gauss_fund")]
-    seeds += [make_seed("z_pow", n) for n in range(0, z_max + 1)]
-    for s, m, k in product(seeds, ms, (0, 1, 2)):
-        total += 1
-        if not vekua_ok(fueter(s, k, m)):
-            failures.append((s.name, s.n, m, k))
-    out.append(_exact("vekua.grid", failures, total))
+    seeds += [make_seed("z_pow", n) for n in range(Z_MAX + 1)]
+    for s, m, k in product(seeds, ctx.ms, (0, 1, 2)):
+        yield (s.name, s.n, m, k), vekua_ok(fueter(s, k, m))
 
-    failures = []
+
+@exact("examples", "transform.linearity")
+def _linearity(ctx):
     s1 = make_seed("iz").scaled(Fraction(3, 2))
     s2 = make_seed("inv_z").scaled(Fraction(-2))
     combo = fueter(s1 + s2, 0, 3)
@@ -339,336 +355,277 @@ def suite_examples(rng_seed: int = DEFAULT_SEED, ms=(3, 5, 7), z_max: int = 10) 
     split2 = fueter(make_seed("inv_z"), 0, 3)
     lhs_a = split1.A.scale(Fraction(3, 2)) + split2.A.scale(-2)
     lhs_b = split1.B.scale(Fraction(3, 2)) + split2.B.scale(-2)
-    if not (combo.A == lhs_a and combo.B == lhs_b):
-        failures.append("linearity")
-    out.append(_exact("transform.linearity", failures, 1))
-
-    return out
+    yield "linearity", combo.A == lhs_a and combo.B == lhs_b
 
 
 # --- hermite ------------------------------------------------------------------
 
 
-def suite_hermite(rng_seed: int = DEFAULT_SEED, n_max: int = 12, ms=(1, 2, 3, 4, 5, 7)) -> list:
-    rng = random.Random(rng_seed)
-    out = []
-
-    failures = []
-    total = 0
-    for m in ms:
+@exact("hermite", "hermite.rec_eq_closed")
+def _hermite_rec_eq_closed(ctx):
+    for m in ctx.ms:
         h = CliffPoly.one(m)
         x_ = CliffPoly.vector_variable(m)
-        for n in range(n_max + 1):
-            total += 1
-            if h != hermite_closed(n, m).poly:
-                failures.append((n, m))
-            grades = h.grades()
-            if grades and grades != ({0} if n % 2 == 0 else {1}):
-                failures.append(("grade", n, m))
+        for n in range(HERMITE_N_MAX + 1):
+            # H_n is scalar for even n and a vector for odd n
+            yield (n, m), h == hermite_closed(n, m).poly and h.grades() in (set(), {n % 2})
             h = poly_mul(x_, h) - dirac(h)
-    out.append(_exact("hermite.rec_eq_closed", failures, total))
 
-    failures = []
-    for m in ms:
+
+@exact("hermite", "hermite.h2_h3")
+def _hermite_h2_h3(ctx):
+    for m in ctx.ms:
         r2 = radius_sq_poly(m)
         x_ = CliffPoly.vector_variable(m)
-        h2_expect = -r2 + CliffPoly.constant(m, m)
-        h3_expect = -poly_mul(r2, x_) + x_.scale(m + 2)
-        if hermite_rec(2, m).poly != h2_expect:
-            failures.append((2, m))
-        if hermite_rec(3, m).poly != h3_expect:
-            failures.append((3, m))
-    out.append(_exact("hermite.h2_h3", failures, 2 * len(ms)))
+        yield (2, m), hermite_rec(2, m).poly == -r2 + CliffPoly.constant(m, m)
+        yield (3, m), hermite_rec(3, m).poly == -poly_mul(r2, x_) + x_.scale(m + 2)
 
-    failures = []
-    checks = [
-        (coeff_c(1, 1, 3), Fraction(3)),
-        (coeff_c(2, 1, 3), Fraction(5)),
-        (coeff_c(2, 2, 3), Fraction(15)),
-        (coeff_c(7, 0, 5), Fraction(1)),
-    ]
-    failures = [i for i, (got, want) in enumerate(checks) if got != want]
-    out.append(_exact("hermite.coeff_c", failures, len(checks)))
 
-    failures = []
-    total = 0
+@exact("hermite", "hermite.coeff_c")
+def _hermite_coeff_c(ctx):
+    checks = [(coeff_c(1, 1, 3), 3), (coeff_c(2, 1, 3), 5), (coeff_c(2, 2, 3), 15), (coeff_c(7, 0, 5), 1)]
+    return ((i, got == want) for i, (got, want) in enumerate(checks))
+
+
+@exact("hermite", "hermite.vector_power_parity")
+def _vector_power_parity(ctx):
     for m in (1, 2, 3, 5):
         r2 = radius_sq_poly(m)
         r2_pow = CliffPoly.one(m)
         for s_exp in range(0, 7):
-            total += 1
-            if vector_power(m, 2 * s_exp) != r2_pow.scale((-1) ** s_exp):
-                failures.append((m, s_exp))
+            yield (m, s_exp), vector_power(m, 2 * s_exp) == r2_pow.scale((-1) ** s_exp)
             r2_pow = poly_mul(r2_pow, r2)
-    out.append(_exact("hermite.vector_power_parity", failures, total))
 
-    failures = []
-    total = 0
+
+@exact("hermite", "hermite.radial_coeffs_match")
+def _radial_coeffs_match(ctx):
     for m in (1, 3, 5):
         for n in range(0, 13):
-            total += 1
             radial = hermite_radial_coeffs(n, m)
-            rebuilt = CliffPoly.zero(m)
-            for j, c in enumerate(radial):
-                if c:
-                    rebuilt = rebuilt + vector_power(m, j).scale(c)
-            if rebuilt != hermite_rec(n, m).poly:
-                failures.append((n, m))
-    out.append(_exact("hermite.radial_coeffs_match", failures, total))
+            rebuilt = sum((vector_power(m, j).scale(c) for j, c in enumerate(radial) if c), CliffPoly.zero(m))
+            yield (n, m), rebuilt == hermite_rec(n, m).poly
 
-    failures = []
-    cases = 100
-    for i in range(cases):
-        m = rng.randint(1, 5)
-        f = sampling.random_poly(rng, m, max_degree=6, n_terms=3, with_x0=False)
+
+@exact("hermite", "ck.monogenic_and_restrict")
+def _ck_monogenic(ctx):
+    for i in range(100):
+        m = ctx.rng.randint(1, 5)
+        f = sampling.random_poly(ctx.rng, m, max_degree=6, n_terms=3, with_x0=False)
         ck = ck_extend_poly(f)
-        if cr_apply(ck):
-            failures.append(i)
-        if ck.restrict_x0() != f:
-            failures.append((i, "restriction"))
-    out.append(_exact("ck.monogenic_and_restrict", failures, cases))
+        yield i, not cr_apply(ck) and ck.restrict_x0() == f
 
-    failures = []
+
+@exact("hermite", "ck.examples")
+def _ck_examples(ctx):
     m = 3
     x1 = CliffPoly.variable(m, 1)
     e1 = Multivector.basis(m, 1)
     x_ = CliffPoly.vector_variable(m)
     x0 = CliffPoly.variable(m, 0)
-    if ck_extend_poly(CliffPoly.one(m)) != CliffPoly.one(m):
-        failures.append("const")
-    if ck_extend_poly(x1) != x1 - x0.coeff_mul_left(e1):
-        failures.append("x1")
-    if ck_extend_poly(x_) != x_ + x0.scale(m):
-        failures.append("vector")
-    out.append(_exact("ck.examples", failures, 3))
-
-    return out
+    yield "const", ck_extend_poly(CliffPoly.one(m)) == CliffPoly.one(m)
+    yield "x1", ck_extend_poly(x1) == x1 - x0.coeff_mul_left(e1)
+    yield "vector", ck_extend_poly(x_) == x_ + x0.scale(m)
 
 
 # --- gauss ----------------------------------------------------------------------
 
 
-def suite_gauss(rng_seed: int = DEFAULT_SEED, ms=(3, 5, 7)) -> list:
-    rng = random.Random(rng_seed)
-    out = []
+def _e_trig_sum(d, trig, n: int, c) -> AxialExpr:
+    """sum_nu c (-1)^(n-nu) C(n, nu) E d^nu(trig): d^n(E trig) by the product rule."""
+    terms = ((E * d(nu, trig)).scale(c * (-1) ** (n - nu) * math.comb(n, nu)) for nu in range(n + 1))
+    return sum(terms, AxialExpr.zero())
 
-    failures = []
-    for m in ms:
+
+@exact("gauss", "gauss.restriction_symbolic")
+def _gauss_restriction_symbolic(ctx):
+    for m in ctx.ms:
         pair = gauss_ck_pair(m)
-        if pair.A.restrict_x0() != E or not pair.B.restrict_x0().is_zero():
-            failures.append(m)
-    out.append(_exact("gauss.restriction_symbolic", failures, len(ms)))
+        yield m, pair.A.restrict_x0() == E and pair.B.restrict_x0().is_zero()
 
-    if 3 in ms:
-        failures = []
-        pair = gauss_ck_pair(3)
-        if pair.A != closed_form("prop2_m3_A") or pair.B != closed_form("prop2_m3_B"):
-            failures.append(3)
-        out.append(_exact("gauss.m3_closed_form", failures, 1))
 
-    failures = []
-    total = 0
+@measured("gauss")
+def _gauss_m3_closed_form(ctx):
+    if 3 not in ctx.ms:
+        return []
+    pair = gauss_ck_pair(3)
+    ok = pair.A == closed_form("prop2_m3_A") and pair.B == closed_form("prop2_m3_B")
+    return [tally("gauss.m3_closed_form", [(3, ok)])]
+
+
+@exact("gauss", "gauss.product_rule")
+def _gauss_product_rule(ctx):
     for n in range(0, 6):
-        total += 2
-        lhs_cos = d_lower(n, E * COS)
-        rhs_cos = AxialExpr.zero()
-        lhs_sin = d_upper(n, E * SIN)
-        rhs_sin = AxialExpr.zero()
-        for nu in range(n + 1):
-            c = Fraction((-1) ** (n - nu) * math.comb(n, nu))
-            rhs_cos = rhs_cos + (E * d_lower(nu, COS)).scale(c)
-            rhs_sin = rhs_sin + (E * d_upper(nu, SIN)).scale(c)
-        if lhs_cos != rhs_cos:
-            failures.append(("cos", n))
-        if lhs_sin != rhs_sin:
-            failures.append(("sin", n))
-    out.append(_exact("gauss.product_rule", failures, total))
+        yield ("cos", n), d_lower(n, E * COS) == _e_trig_sum(d_lower, COS, n, 1)
+        yield ("sin", n), d_upper(n, E * SIN) == _e_trig_sum(d_upper, SIN, n, 1)
 
-    failures = []
-    total = 0
-    for m, k in product(ms, (0, 1, 2)):
-        total += 1
+
+@exact("gauss", "gauss.full_display")
+def _gauss_full_display(ctx):
+    for m, k in product(ctx.ms, (0, 1, 2)):
         pair = fueter(make_seed("gauss"), k, m)
         order = k + (m - 1) // 2
-        const = Fraction(double_factorial(2 * k + m - 1))
-        a_expect = AxialExpr.zero()
-        b_expect = AxialExpr.zero()
-        for nu in range(order + 1):
-            c = const * (-1) ** (order - nu) * math.comb(order, nu)
-            a_expect = a_expect + (E * d_lower(nu, COS)).scale(c)
-            b_expect = b_expect + (E * d_upper(nu, SIN)).scale(c)
-        if not (pair.A == a_expect and pair.B == b_expect):
-            failures.append((m, k))
-    out.append(_exact("gauss.full_display", failures, total))
+        const = double_factorial(2 * k + m - 1)
+        a_expect = _e_trig_sum(d_lower, COS, order, const)
+        b_expect = _e_trig_sum(d_upper, SIN, order, const)
+        yield (m, k), pair.A == a_expect and pair.B == b_expect
 
+
+@measured("gauss")
+def _gauss_series(ctx):
     max_rel = 0.0
     tail_ok = True
-    series_ms = tuple(m for m in ms if m in (3, 5)) or (3, 5)
+    series_ms = tuple(m for m in ctx.ms if m in (3, 5)) or (3, 5)
     for m in series_ms:
         pair = gauss_ck_pair(m)
         for _ in range(50):
-            x0 = rng.uniform(-1, 1)
-            r = rng.uniform(0.3, 2.0)
-            direction = [rng.gauss(0, 1) for _ in range(m)]
-            norm = math.sqrt(sum(d * d for d in direction)) or 1.0
-            xs = tuple(r * d / norm for d in direction)
-            pt = EvalPoint(x0, xs)
+            pt = _random_point(ctx.rng, m, 0.3)
             series = ck_gauss_series(pt, m, trunc=60)
             closed = eval_axial(pair, pt)
-            rel = (series - closed).norm() / closed.norm()
-            max_rel = max(max_rel, rel)
+            max_rel = max(max_rel, (series - closed).norm() / closed.norm())
             if ck_gauss_series_tail(pt, m, 60) > 1e-14 * series.norm():
                 tail_ok = False
-    check = _numeric("gauss.series_vs_closed", max_rel, 1e-10, f"50 points per m, m in {set(series_ms)}")
-    out.append(check)
-    out.append(CheckResult("gauss.series_tail_bound", tail_ok, 0.0, "next term < 1e-14 * partial sum"))
+    return [
+        _numeric("gauss.series_vs_closed", max_rel, 1e-10, f"50 points per m, m in {set(series_ms)}"),
+        CheckResult("gauss.series_tail_bound", tail_ok, 0.0, "next term < 1e-14 * partial sum"),
+    ]
 
+
+@measured("gauss")
+def _gauss_restriction_numeric(ctx):
     max_rel = 0.0
-    for m in ms:
+    for m in ctx.ms:
         for x0 in [i / 10.0 for i in range(-10, 11)]:
-            pt = EvalPoint(x0, (0.0,) * m)
-            series = ck_gauss_series(pt, m, trunc=40)[0]
+            series = ck_gauss_series(EvalPoint(x0, (0.0,) * m), m, trunc=40)[0]
             closed = ck_gauss_restriction(x0, m)
             max_rel = max(max_rel, abs(series - closed) / abs(closed))
-    out.append(_numeric("gauss.restriction_numeric", max_rel, 1e-12, "x_=0 axis, N=40"))
+    return [_numeric("gauss.restriction_numeric", max_rel, 1e-12, "x_=0 axis, N=40")]
 
-    if 3 in ms:
-        max_rel = 0.0
-        for x0 in [i / 10.0 for i in range(-10, 11)]:
-            got = ck_gauss_restriction(x0, 3)
-            want = math.exp(x0 * x0 / 2.0) * (1.0 + x0 * x0)
-            max_rel = max(max_rel, abs(got - want) / abs(want))
-        out.append(_numeric("gauss.restriction_m3_formula", max_rel, 1e-12))
 
-    failures = []
-    total = 0
-    for m in ms:
+@measured("gauss")
+def _gauss_restriction_m3(ctx):
+    if 3 not in ctx.ms:
+        return []
+    max_rel = 0.0
+    for x0 in [i / 10.0 for i in range(-10, 11)]:
+        got = ck_gauss_restriction(x0, 3)
+        want = math.exp(x0 * x0 / 2.0) * (1.0 + x0 * x0)
+        max_rel = max(max_rel, abs(got - want) / abs(want))
+    return [_numeric("gauss.restriction_m3_formula", max_rel, 1e-12)]
+
+
+@exact("gauss", "gauss.taylor_coeffs_exact")
+def _gauss_taylor_coeffs(ctx):
+    for m in ctx.ms:
         for n in range(0, 41):
-            total += 1
-            if restriction_taylor_coeff(n, m) != coeff_c(n, n, m) / math.factorial(2 * n):
-                failures.append((m, n))
-    out.append(_exact("gauss.taylor_coeffs_exact", failures, total))
-
-    return out
+            yield (m, n), restriction_taylor_coeff(n, m) == coeff_c(n, n, m) / math.factorial(2 * n)
 
 
 # --- gauss_fund -------------------------------------------------------------------
 
+PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 
-def suite_gauss_fund(rng_seed: int = DEFAULT_SEED, ms=(3, 5, 7), csv_from=None, csv_target="gauss-fund") -> list:
-    rng = random.Random(rng_seed)
-    out = []
 
-    failures = []
-    for m in ms:
-        if not vekua_ok(entire_remainder_pair(m)):
-            failures.append(m)
-    out.append(_exact("gauss_fund.remainder_vekua", failures, len(ms)))
+@exact("gauss_fund", "gauss_fund.remainder_vekua")
+def _remainder_vekua(ctx):
+    return ((m, vekua_ok(entire_remainder_pair(m))) for m in ctx.ms)
 
-    radii = (1e-1, 1e-2, 1e-3, 1e-4)
-    failures = []
-    worst = 0.0
+
+@measured("gauss_fund")
+def _pole_cancellation(ctx):
+    reports = [entire_part_probe(m, PROBE_RADII) for m in (3, 5)]
+    worst = max(max(report.values) for report in reports)
+    passed = all(report.bounded for report in reports)
+    return [CheckResult("gauss_fund.pole_cancellation", passed, worst, f"radii down to {PROBE_RADII[-1]:g}")]
+
+
+@exact("gauss_fund", "gauss_fund.pole_detected_control")
+def _pole_detected_control(ctx):
     for m in (3, 5):
-        report = entire_part_probe(m, radii)
-        worst = max(worst, max(report.values))
-        if not report.bounded:
-            failures.append(m)
-    out.append(
-        CheckResult("gauss_fund.pole_cancellation", not failures, worst, f"radii down to {radii[-1]:g}")
-    )
+        yield m, entire_part_probe(m, PROBE_RADII, subtract_pole=False).values[-1] >= 1e6
 
-    failures = []
-    for m in (3, 5):
-        control = entire_part_probe(m, radii, subtract_pole=False)
-        if control.values[-1] < 1e6:
-            failures.append(m)
-    out.append(_exact("gauss_fund.pole_detected_control", failures, 2))
 
+@measured("gauss_fund")
+def _fd_residuals(ctx):
     factor_lo, factor_hi = math.inf, -math.inf
     residuals = {3: 0.0, 5: 0.0}
     for m in (3, 5):
         f = axial_evaluator(gauss_fund_pair(m))
         for i in range(20):
-            x0 = rng.uniform(-1, 1)
-            r = rng.uniform(0.5, 2.0)
-            direction = [rng.gauss(0, 1) for _ in range(m)]
-            norm = math.sqrt(sum(d * d for d in direction)) or 1.0
-            pt = EvalPoint(x0, tuple(r * d / norm for d in direction))
+            pt = _random_point(ctx.rng, m, 0.5)
             for side in ("left", "right"):
                 residuals[m] = max(residuals[m], fd_cr_residual(f, pt, FDConfig(), side))
             if i < 5:
                 fac = fd_convergence_factor(f, pt, "left")
                 factor_lo = min(factor_lo, fac)
                 factor_hi = max(factor_hi, fac)
-    out.append(_numeric("gauss_fund.fd_two_sided", residuals[3], 1e-6, "m=3, 20 points, left and right"))
-    # same step at m=5 meets a looser bound: the truncation constant carries
-    # third derivatives of r^-6-scale terms near r = 0.5
-    out.append(_numeric("gauss_fund.fd_two_sided_m5", residuals[5], 1e-3, "m=5, 20 points, left and right"))
-    out.append(
+    return [
+        _numeric("gauss_fund.fd_two_sided", residuals[3], 1e-6, "m=3, 20 points, left and right"),
+        # same step at m=5 meets a looser bound: the truncation constant carries
+        # third derivatives of r^-6-scale terms near r = 0.5
+        _numeric("gauss_fund.fd_two_sided_m5", residuals[5], 1e-3, "m=5, 20 points, left and right"),
         CheckResult(
             "gauss_fund.fd_convergence_order",
             3.5 <= factor_lo and factor_hi <= 4.5,
             0.0,
             f"halving factors in [{factor_lo:.2f}, {factor_hi:.2f}]",
-        )
-    )
+        ),
+    ]
 
+
+@measured("gauss_fund")
+def _decay_sup_stable(ctx):
     pair = gauss_fund_pair(3)
     report = decay_scan(pair, K=2.0, r_min=3.0, r_max=8.0, nx0=101, nr=101)
     fine = decay_scan(pair, K=2.0, r_min=3.0, r_max=8.0, nx0=201, nr=201)
     stable = math.isfinite(report.sup_value) and abs(fine.sup_value - report.sup_value) <= 0.05 * report.sup_value
-    out.append(
-        CheckResult(
-            "gauss_fund.decay_sup_stable",
-            stable,
-            report.sup_value,
-            f"sup at (x0={report.argmax_x0:g}, r={report.argmax_r:g}), refined {fine.sup_value:.6g}",
-        )
-    )
+    where = f"sup at (x0={report.argmax_x0:g}, r={report.argmax_r:g}), refined {fine.sup_value:.6g}"
+    return [CheckResult("gauss_fund.decay_sup_stable", stable, report.sup_value, where)]
 
+
+@measured("gauss_fund")
+def _decay_control_divergent(ctx):
     control_pair = fueter(make_seed("inv_z"), 0, 3)
     near = decay_scan(control_pair, K=2.0, r_min=3.0, r_max=8.0, nx0=21, nr=51)
     far = decay_scan(control_pair, K=2.0, r_min=3.0, r_max=12.0, nx0=21, nr=51)
-    out.append(
-        CheckResult(
-            "gauss_fund.decay_control_divergent",
-            far.sup_value > 10.0 * near.sup_value,
-            far.sup_value,
-            "inverse-power pair fails the Gaussian bound",
-        )
-    )
+    passed = far.sup_value > 10.0 * near.sup_value
+    detail = "inverse-power pair fails the Gaussian bound"
+    return [CheckResult("gauss_fund.decay_control_divergent", passed, far.sup_value, detail)]
 
-    if csv_from is not None:
-        ok, nrows = verify_sample_csv(csv_from, csv_target)
-        out.append(CheckResult("gauss_fund.csv_roundtrip", ok, 0.0, f"{nrows} rows re-verified"))
 
-    return out
+@measured("gauss_fund")
+def _csv_roundtrip(ctx):
+    if ctx.csv_from is None:
+        return []
+    ok, nrows = verify_sample_csv(ctx.csv_from, "gauss-fund")
+    return [CheckResult("gauss_fund.csv_roundtrip", ok, 0.0, f"{nrows} rows re-verified")]
 
 
 # --- driver --------------------------------------------------------------------
 
 
-def run_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None) -> list:
+def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
+    """Yield the CheckResults of each check of a suite, one list per check, in table order.
+
+    `all` runs every suite, each on its own stream seeded with rng_seed,
+    and hands ms to the suites that take a dimension.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    odd_ms = tuple(ms) if ms else (3, 5, 7)
-    if name == "core":
-        return suite_core(rng_seed)
-    if name == "operators":
-        return suite_operators(rng_seed)
-    if name == "examples":
-        return suite_examples(rng_seed, ms=odd_ms)
-    if name == "hermite":
-        return suite_hermite(rng_seed, ms=tuple(ms) if ms else (1, 2, 3, 4, 5, 7))
-    if name == "gauss":
-        return suite_gauss(rng_seed, ms=odd_ms)
-    if name == "gauss_fund":
-        return suite_gauss_fund(rng_seed, ms=odd_ms, csv_from=csv_from)
-    results = []
-    results += suite_core(rng_seed)
-    results += suite_operators(rng_seed)
-    results += suite_examples(rng_seed)
-    results += suite_hermite(rng_seed)
-    results += suite_gauss(rng_seed)
-    results += suite_gauss_fund(rng_seed, csv_from=csv_from)
-    return results
+    if ms and name != "all" and SUITE_MS[name] is None:
+        raise ValueError(f"suite {name!r} takes no dimension")
+    for suite in CHECKS if name == "all" else (name,):
+        suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
+        ctx = Context(random.Random(rng_seed), suite_ms, csv_from)
+        for check in CHECKS[suite]:
+            yield check(ctx)
+
+
+def run_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None) -> list:
+    return [res for results in iter_suite(name, rng_seed, ms, csv_from) for res in results]
+
+
+def report_lines(name: str, results) -> list:
+    """What `fueterlab verify` prints: one line per check, then the suite verdict."""
+    passed = sum(r.passed for r in results)
+    verdict = "PASS" if passed == len(results) else "FAIL"
+    return [r.line() for r in results] + [f"suite {name}: {verdict} ({passed}/{len(results)} checks)"]

@@ -1,161 +1,103 @@
 """Acceptance criteria, one test per numbered criterion.
 
 Each test prints a single PASS/FAIL line (visible with `pytest -s` or in
-failure output) and asserts the criterion at its stated tolerance.
+failure output) and asserts the criterion at its stated tolerance.  The
+verdicts are those of `fueterlab verify --suite all`, read from the
+session's single run of the check table (the `verdicts` fixture), and
+every exact check must pass on exactly its expected number of instances.
 """
 
 import math
-import random
-import time
-from itertools import product
 
-from fueterlab.axial import COS, E, R, SIN, X0, d_lower, d_upper, q_inv
-from fueterlab.cliffpoly import (
-    CliffPoly,
-    dirac,
-    hermite_closed,
-    hermite_rec,
-    poly_mul,
-    radius_sq_poly,
-)
-from fueterlab.fueter import closed_form, fueter, gauss_ck_pair, seed, triangle_check, vekua_ok
-from fueterlab.numeric import EvalPoint, ck_gauss_series, eval_axial
-from fueterlab.verify import suite_core, suite_gauss_fund, suite_operators
-
-SEED = 20090429
+from fueterlab.numeric import EvalPoint, ck_gauss_series
 
 
-def _report(criterion: str, ok: bool, detail: str = ""):
+def _report(criterion: str, ok: bool, detail: str = "", bad=()):
+    detail = "; ".join([detail, *bad])
     tail = f" ({detail})" if detail else ""
     print(f"acceptance {criterion}: {'PASS' if ok else 'FAIL'}{tail}")
     assert ok, f"{criterion} failed{tail}"
 
 
-def test_criterion_1_exact_identity_suite():
-    t0 = time.monotonic()
-    ok = True
-    ok &= all(d_lower(n, R) == closed_form("e1", n) for n in range(1, 9))
-    ok &= all(d_lower(n, X0 * q_inv()) == closed_form("e2", n) for n in range(0, 9))
-    ok &= all(d_upper(n, R * q_inv()) == closed_form("e3", n) for n in range(0, 9))
-    ok &= all(d_lower(n, E) == closed_form("e4", n) for n in range(0, 9))
-    ok &= all(d_lower(n, COS) == closed_form("e5", n) for n in range(1, 9))
-    ok &= all(d_lower(n, SIN) == closed_form("e6", n) for n in range(1, 9))
-    ok &= all(d_upper(n, SIN) == closed_form("e7", n) for n in range(0, 9))
-    operator_checks = suite_operators(SEED, cases=50)
-    ok &= all(c.passed for c in operator_checks)
-    elapsed = time.monotonic() - t0
-    ok &= elapsed < 10.0
-    _report("1 (radial-derivative identities + operator properties)", ok, f"{elapsed:.2f}s")
+def _read(verdicts, expected: dict):
+    """Failed checks and summed wall time of the checks named in expected.
+
+    expected maps a check id to its instance count, or to None for a
+    measured check; an exact check also fails when it ran on any other
+    number of instances.
+    """
+    bad = []
+    for check_id, n in expected.items():
+        res = verdicts[check_id].result
+        if not res.passed or (n is not None and res.detail.split()[0] != f"{n}/{n}"):
+            bad.append(res.line())
+    return bad, sum(verdicts[check_id].seconds for check_id in expected)
 
 
-def test_criterion_2_vekua_grid():
-    t0 = time.monotonic()
-    seeds = [seed("iz"), seed("inv_z"), seed("gauss"), seed("gauss_fund")]
-    seeds += [seed("z_pow", n) for n in range(0, 11)]
-    failures = []
-    for s, m, k in product(seeds, (3, 5, 7), (0, 1, 2)):
-        if not vekua_ok(fueter(s, k, m)):
-            failures.append((s.name, m, k))
-    elapsed = time.monotonic() - t0
-    ok = not failures and elapsed < 60.0
-    _report("2 (Vekua residuals exactly zero on the seed grid)", ok, f"{15 * 9} pairs, {elapsed:.2f}s")
+def test_criterion_1_exact_identity_suite(verdicts):
+    expected = {"e1": 8, "e2": 9, "e3": 9, "e4": 9, "e5": 8, "e6": 8, "e7": 9}
+    expected.update({f"op.{name}": 50 for name in ("order0_and_commute", "i", "ii", "iii", "iv")})
+    bad, elapsed = _read(verdicts, expected)
+    ok = not bad and elapsed < 10.0
+    _report("1 (radial-derivative identities + operator properties)", ok, f"{elapsed:.2f}s", bad)
 
 
-def test_criterion_3_inverse_seed_closed_form():
-    failures = []
-    for m, k in product((3, 5, 7), (0, 1, 2)):
-        pair = fueter(seed("inv_z"), k, m)
-        a_expect, b_expect = closed_form("ex2_full", m=m, k=k)
-        if not (pair.A == a_expect and pair.B == b_expect):
-            failures.append((m, k))
-    _report("3 (1/z transform with its exact constant)", not failures, "9 (m,k) pairs")
+def test_criterion_2_vekua_grid(verdicts):
+    bad, elapsed = _read(verdicts, {"vekua.grid": 15 * 9})
+    ok = not bad and elapsed < 60.0
+    _report("2 (Vekua residuals exactly zero on the seed grid)", ok, f"{15 * 9} pairs, {elapsed:.2f}s", bad)
 
 
-def test_criterion_4_triangle_equality():
-    failures = []
-    constants = []
-    for m, k in product((3, 5), (0, 1)):
-        for n in range(0, 11):
-            res = triangle_check(n, k, m)
-            if not res.ok:
-                failures.append((n, k, m))
-            if res.constant is not None:
-                constants.append(f"n={n},k={k},m={m}: c={res.constant}")
-    print("computed proportionality constants:")
-    for line in constants:
-        print("  " + line)
-    _report("4 (three-route equality for polynomial seeds)", not failures, f"{len(constants)} constants reported")
+def test_criterion_3_inverse_seed_closed_form(verdicts):
+    bad, _ = _read(verdicts, {"example2.closed": 9})
+    _report("3 (1/z transform with its exact constant)", not bad, "9 (m,k) pairs", bad)
 
 
-def test_criterion_5_hermite_recurrence_equals_closed_form():
-    failures = []
-    for m in (1, 2, 3, 4, 5, 7):
-        h = CliffPoly.one(m)
-        x_ = CliffPoly.vector_variable(m)
-        for n in range(13):
-            if h != hermite_closed(n, m).poly:
-                failures.append((n, m))
-            h = poly_mul(x_, h) - dirac(h)
-        r2 = radius_sq_poly(m)
-        if hermite_rec(2, m).poly != -r2 + CliffPoly.constant(m, m):
-            failures.append(("H2", m))
-        if hermite_rec(3, m).poly != -poly_mul(r2, x_) + x_.scale(m + 2):
-            failures.append(("H3", m))
-    _report("5 (Hermite recurrence = closed form, n <= 12)", not failures, "m in {1,2,3,4,5,7}")
+def test_criterion_4_triangle_equality(verdicts):
+    bad, _ = _read(verdicts, {"example3.triangle": 44})
+    print("computed proportionality constants (last four):", verdicts["example3.triangle"].result.detail)
+    _report("4 (three-route equality for polynomial seeds)", not bad, "44 (n,k,m) cases", bad)
 
 
-def test_criterion_6_gaussian_extension():
-    ok = True
-    for m in (3, 5, 7):
-        pair = gauss_ck_pair(m)
-        ok &= pair.A.restrict_x0() == E
-        ok &= pair.B.restrict_x0().is_zero()
-    pair3 = gauss_ck_pair(3)
-    ok &= pair3.A == closed_form("prop2_m3_A")
-    ok &= pair3.B == closed_form("prop2_m3_B")
+def test_criterion_5_hermite_recurrence_equals_closed_form(verdicts):
+    bad, _ = _read(verdicts, {"hermite.rec_eq_closed": 6 * 13, "hermite.h2_h3": 6 * 2})
+    _report("5 (Hermite recurrence = closed form, n <= 12)", not bad, "m in {1,2,3,4,5,7}", bad)
 
-    rng = random.Random(SEED)
-    max_rel = 0.0
-    for m in (3, 5):
-        pair = gauss_ck_pair(m)
-        for _ in range(50):
-            x0 = rng.uniform(-1, 1)
-            r = rng.uniform(0.3, 2.0)
-            xs = [rng.gauss(0, 1) for _ in range(m)]
-            norm = math.sqrt(sum(x * x for x in xs)) or 1.0
-            pt = EvalPoint(x0, tuple(r * x / norm for x in xs))
-            series = ck_gauss_series(pt, m, trunc=60)
-            closed = eval_axial(pair, pt)
-            max_rel = max(max_rel, (series - closed).norm() / closed.norm())
-    ok &= max_rel <= 1e-10
+
+def test_criterion_6_gaussian_extension(verdicts):
+    expected = {"gauss.restriction_symbolic": 3, "gauss.m3_closed_form": 1, "gauss.series_vs_closed": None}
+    bad, _ = _read(verdicts, expected)
+    series = verdicts["gauss.series_vs_closed"].result
+    assert "50 points per m, m in {3, 5}" in series.detail, series.line()
 
     max_axis = 0.0
     for x0 in [i / 20.0 for i in range(-20, 21)]:
         got = ck_gauss_series(EvalPoint(x0, (0.0, 0.0, 0.0)), 3, trunc=60)[0]
         want = math.exp(x0 * x0 / 2.0) * (1.0 + x0 * x0)
         max_axis = max(max_axis, abs(got - want) / abs(want))
-    ok &= max_axis <= 1e-12
     _report(
         "6 (Gaussian extension: symbolic restriction, m=3 closed form, series agreement)",
-        ok,
-        f"series rel {max_rel:.2e} <= 1e-10, axis rel {max_axis:.2e} <= 1e-12",
+        not bad and series.max_error <= 1e-10 and max_axis <= 1e-12,
+        f"series rel {series.max_error:.2e} <= 1e-10, axis rel {max_axis:.2e} <= 1e-12",
+        bad,
     )
 
 
-def test_criterion_7_gaussian_fundamental_solution():
-    checks = {c.id: c for c in suite_gauss_fund(SEED)}
+def test_criterion_7_gaussian_fundamental_solution(verdicts):
     parts = {
-        "a": checks["gauss_fund.pole_cancellation"],
-        "b_res": checks["gauss_fund.fd_two_sided"],
-        "b_order": checks["gauss_fund.fd_convergence_order"],
-        "c": checks["gauss_fund.decay_sup_stable"],
+        "a": "gauss_fund.pole_cancellation",
+        "b_res": "gauss_fund.fd_two_sided",
+        "b_order": "gauss_fund.fd_convergence_order",
+        "c": "gauss_fund.decay_sup_stable",
     }
-    ok = all(c.passed for c in parts.values())
-    detail = "; ".join(f"{label}:{'ok' if c.passed else 'fail'}" for label, c in parts.items())
-    _report("7 (fundamental solution: pole cancellation, two-sidedness, decay)", ok, detail)
+    detail = "; ".join(f"{label}:{'ok' if verdicts[i].result.passed else 'fail'}" for label, i in parts.items())
+    bad, _ = _read(verdicts, dict.fromkeys(parts.values()))
+    _report("7 (fundamental solution: pole cancellation, two-sidedness, decay)", not bad, detail, bad)
 
 
-def test_criterion_8_clifford_core_properties():
-    checks = suite_core(SEED, cases=200)
-    ok = all(c.passed for c in checks)
-    _report("8 (core algebra property tests, 200 cases each)", ok, f"{len(checks)} families")
+def test_criterion_8_clifford_core_properties(verdicts):
+    expected = {"core.blade_sign_oracle": 340}
+    families = ("associativity", "vector_products", "conjugation_antihom", "norm_and_grades", "fact1", "fact2")
+    expected.update({f"core.{name}": 200 for name in families})
+    bad, _ = _read(verdicts, expected)
+    _report("8 (core algebra property tests, 200 cases each)", not bad, f"{len(expected)} families", bad)

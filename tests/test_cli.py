@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from fueterlab import verify
 from fueterlab.cli import main, parse_range
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all.golden"
 
 
 def run(capsys, *argv):
@@ -45,6 +49,32 @@ def test_verify_dimension_filter(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gauss", "--m", "3")
     assert code == 0
     assert "gauss.m3_closed_form PASS" in out
+
+
+def test_verify_all_matches_golden(verdicts):
+    # the lines `fueterlab verify --suite all` prints, from the session's run of the check table
+    lines = verify.report_lines("all", [v.result for v in verdicts.values()])
+    assert lines == GOLDEN.read_text().splitlines()
+
+
+def test_verify_even_m_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "gauss", "--m", "4")
+    assert code == 3
+    assert "odd" in err and out == ""
+
+
+@pytest.mark.parametrize("suite", ["core", "operators"])
+def test_verify_dimensionless_suite_rejects_m(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--m", "5")
+    assert code == 2
+    assert "takes no dimension" in err and out == ""
+
+
+def test_verify_all_forwards_m(capsys):
+    # examples runs the transform, which needs odd m: a forwarded --m 4 stops it
+    code, out, err = run(capsys, "verify", "--suite", "all", "--m", "4")
+    assert code == 3
+    assert "odd" in err and out == ""
 
 
 def test_verify_json_report(capsys, tmp_path):

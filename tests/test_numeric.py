@@ -186,12 +186,11 @@ def test_decay_scan_validation():
         decay_scan(pair, K=1.0, r_min=8.0, r_max=3.0)
 
 
-def test_decay_scan_parallel_matches_serial(monkeypatch):
-    pair = gauss_fund_pair(3)
-    serial = decay_scan(pair, K=1.0, r_min=3.0, r_max=5.0, nx0=11, nr=11, workers=1)
-    monkeypatch.setenv("FUETER_LAB_THREADS", "4")
-    parallel = decay_scan(pair, K=1.0, r_min=3.0, r_max=5.0, nx0=11, nr=11)
-    assert serial == parallel
+def test_decay_scan_rejects_nan():
+    # z^200 transform: at (-30, 20) terms overflow to +inf and -inf, so the sum is NaN
+    pair = fueter(seed("z_pow", 200), 0, 3)
+    with pytest.raises(ValueError, match=r"NaN at \(x0=-30.0, r=20.0\)"):
+        decay_scan(pair, K=30, r_min=20, r_max=30, nx0=7, nr=7)
 
 
 def test_entire_part_probe_bounded():

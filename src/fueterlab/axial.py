@@ -93,9 +93,6 @@ class AxialExpr:
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
     # --- linear structure ---
 
     def __add__(self, other):
@@ -228,6 +225,15 @@ class AxialExpr:
 
     def evaluate(self, x0: float, r: float) -> float:
         """Binary64 evaluation; factors computed as written (Q stays factored)."""
+        return self._evaluate(x0, r, float, math)
+
+    def evaluate_mp(self, x0, r):
+        """High-precision evaluation under the ambient mpmath precision."""
+        x0, r = mpmath.mpf(x0), mpmath.mpf(r)
+        return self._evaluate(x0, r, lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)
+
+    def _evaluate(self, x0, r, num, lib):
+        """Sum of the terms with coefficients converted by num and exp/cos/sin from lib."""
         if r < 0:
             raise EvalDomainError("radius r must be nonnegative")
         if r == 0 and any(b < 0 for (_, b, _, _, _) in self.terms):
@@ -235,9 +241,9 @@ class AxialExpr:
         q_val = x0 * x0 + r * r
         if q_val == 0 and any(p > 0 for (_, _, p, _, _) in self.terms):
             raise EvalDomainError("negative powers of Q at the origin")
-        total = 0.0
+        total = num(0)
         for (a, b, p, g, t), q in self.terms.items():
-            val = float(q)
+            val = num(q)
             if a:
                 val *= x0 ** a
             if b:
@@ -245,36 +251,11 @@ class AxialExpr:
             if p:
                 val *= q_val ** (-p)
             if g:
-                val *= math.exp((x0 * x0 - r * r) / 2.0)
+                val *= lib.exp((x0 * x0 - r * r) / 2)
             if t == TRIG_COS:
-                val *= math.cos(x0 * r)
+                val *= lib.cos(x0 * r)
             elif t == TRIG_SIN:
-                val *= math.sin(x0 * r)
-            total += val
-        return total
-
-    def evaluate_mp(self, x0, r):
-        """High-precision evaluation under the ambient mpmath precision."""
-        x0 = mpmath.mpf(x0)
-        r = mpmath.mpf(r)
-        if r < 0:
-            raise EvalDomainError("radius r must be nonnegative")
-        q_val = x0 * x0 + r * r
-        total = mpmath.mpf(0)
-        for (a, b, p, g, t), q in self.terms.items():
-            val = mpmath.mpf(q.numerator) / q.denominator
-            if a:
-                val *= x0 ** a
-            if b:
-                val *= r ** b
-            if p:
-                val *= q_val ** (-p)
-            if g:
-                val *= mpmath.exp((x0 * x0 - r * r) / 2)
-            if t == TRIG_COS:
-                val *= mpmath.cos(x0 * r)
-            elif t == TRIG_SIN:
-                val *= mpmath.sin(x0 * r)
+                val *= lib.sin(x0 * r)
             total += val
         return total
 

@@ -11,10 +11,11 @@ import json
 import re
 import sys
 
-from . import verify
+from . import numeric, verify
 from .axial import format_axial
 from .cliffpoly import format_poly, hermite_closed, hermite_rec, parse_poly
 from .fueter import (
+    SEED_NAMES,
     EvenDimensionError,
     InvalidPkError,
     axial_to_poly,
@@ -24,7 +25,6 @@ from .fueter import (
     triangle_check,
     vekua_ok,
 )
-from .numeric import EvalPoint, ck_gauss_restriction, ck_gauss_series, eval_axial, write_sample_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,9 +44,7 @@ def parse_range(text: str) -> list:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
-    from .numeric import lin_range
-
-    return lin_range(lo, hi, count)
+    return numeric.lin_range(lo, hi, count)
 
 
 def cmd_verify(args) -> int:
@@ -126,15 +124,15 @@ def cmd_ck_gauss(args) -> int:
         print("error: r must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     xs = (args.r,) + (0.0,) * (args.m - 1)
-    pt = EvalPoint(args.x0, xs)
-    series = ck_gauss_series(pt, args.m, trunc=args.trunc)
+    pt = numeric.EvalPoint(args.x0, xs)
+    series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
     print(f"series (N={args.trunc}): {series}")
     if args.r == 0:
-        closed = ck_gauss_restriction(args.x0, args.m)
+        closed = numeric.ck_gauss_restriction(args.x0, args.m)
         print(f"closed (x_=0 axis): {closed!r}")
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)
     else:
-        closed_mv = eval_axial(gauss_ck_pair(args.m), pt)
+        closed_mv = numeric.eval_axial(gauss_ck_pair(args.m), pt)
         print(f"closed (axial):     {closed_mv}")
         err = (series - closed_mv).norm() / max(closed_mv.norm(), 1e-300)
     print(f"relative deviation: {err:.3e}")
@@ -142,10 +140,8 @@ def cmd_ck_gauss(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    x0_vals = args.x0
-    r_vals = args.r
     try:
-        nrows = write_sample_csv(args.out, args.target, args.m, x0_vals, r_vals)
+        nrows = numeric.write_sample_csv(args.out, args.target, args.m, args.x0, args.r)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -175,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hermite)
 
     p = sub.add_parser("fueter", help="transform a holomorphic seed and check the Vekua system")
-    p.add_argument("--seed", required=True, choices=("iz", "inv_z", "z_pow", "gauss", "gauss_fund"))
+    p.add_argument("--seed", required=True, choices=SEED_NAMES)
     p.add_argument("--n", type=int, default=None, help="order for the z_pow seed")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
@@ -190,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ck_gauss)
 
     p = sub.add_parser("sample", help="write a CSV grid of axial values")
-    p.add_argument("--target", required=True, choices=("ck-gauss", "gauss-fund"))
+    p.add_argument("--target", required=True, choices=numeric.SAMPLE_TARGETS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x0", type=parse_range, required=True, help="value or lo:hi:count")
     p.add_argument("--r", type=parse_range, required=True, help="value or lo:hi:count")

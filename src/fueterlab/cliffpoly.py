@@ -191,15 +191,20 @@ class CliffPoly:
         """Binary64 evaluation at a point of R^{m+1}."""
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
-        total = Multivector.zero(self.m, exact=False)
+        total: dict = {}
         for exps, coeff in self.terms.items():
             mono = x0 ** exps[0] if exps[0] else 1.0
-            for j in range(self.m):
-                e = exps[j + 1]
+            for x, e in zip(xs, exps[1:]):
                 if e:
-                    mono *= xs[j] ** e
-            total = total + coeff.to_float().scale(mono)
-        return total
+                    mono *= x ** e
+            for mask, c in coeff.coeffs.items():
+                v = mono * float(c)
+                if v:
+                    # a cancelled blade leaves the dict: blade order fixes the rounding of later products
+                    total[mask] = total.get(mask, 0) + v
+                    if not total[mask]:
+                        del total[mask]
+        return Multivector(self.m, total, exact=False)
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -44,12 +44,6 @@ class EvalPoint:
     def r(self) -> float:
         return math.sqrt(math.fsum(x * x for x in self.xs))
 
-    def omega(self) -> tuple:
-        r = self.r
-        if r == 0:
-            raise EvalDomainError("unit vector undefined at x_ = 0")
-        return tuple(x / r for x in self.xs)
-
     def scale_estimate(self) -> float:
         return math.sqrt(self.x0 * self.x0 + sum(x * x for x in self.xs))
 
@@ -104,11 +98,12 @@ def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
     r = pt.r
     if r == 0:
         raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
-    a_val = pair.A.evaluate(pt.x0, r)
+    coeffs = {0: pair.A.evaluate(pt.x0, r)}
     b_val = pair.B.evaluate(pt.x0, r)
-    omega = Multivector.vector(pair.m, pt.omega(), exact=False)
-    axial = Multivector.scalar(pair.m, a_val, exact=False) + omega.scale(b_val)
-    return axial * pair.pk.eval(pt.x0, pt.xs)
+    for j, x in enumerate(pt.xs):
+        if x:
+            coeffs[1 << j] = b_val * (x / r)
+    return Multivector(pair.m, coeffs, exact=False) * pair.pk.eval(pt.x0, pt.xs)
 
 
 def axial_evaluator(pair: AxialPair):
@@ -149,6 +144,19 @@ def hermite_radial_coeffs(n: int, m: int) -> tuple:
     return tuple(out)
 
 
+def _radial_split(coeffs, r2: float) -> tuple:
+    """(s, v) with sum_j c_j x_^j = s + v x_, since x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_."""
+    s = v = 0.0
+    for j, c in enumerate(coeffs):
+        if c:
+            term = c * (-r2) ** (j // 2)
+            if j % 2:
+                v += term
+            else:
+                s += term
+    return s, v
+
+
 def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     """exp(-r^2/2) sum_{n<=trunc} x0^n/n! H_n(x_), evaluated in binary64.
 
@@ -163,18 +171,7 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     vector = 0.0  # coefficient of x_ (the raw vector, not the unit one)
     x0_pow = 1.0
     for n in range(trunc + 1):
-        coeffs = hermite_radial_coeffs(n, m)
-        s = 0.0
-        v = 0.0
-        # x_^(2s) = (-r^2)^s, x_^(2s+1) = (-r^2)^s x_
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            radial = (-r2) ** (j // 2)
-            if j % 2 == 0:
-                s += c * radial
-            else:
-                v += c * radial
+        s, v = _radial_split(hermite_radial_coeffs(n, m), r2)
         factor = x0_pow / math.factorial(n)
         scalar += factor * s
         vector += factor * v
@@ -188,10 +185,8 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
 
 def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
     """Magnitude of the first omitted series term, for truncation checks."""
-    coeffs = hermite_radial_coeffs(trunc + 1, m)
     r2 = math.fsum(x * x for x in pt.xs)
-    s = sum(c * (-r2) ** (j // 2) for j, c in enumerate(coeffs) if j % 2 == 0)
-    v = sum(c * (-r2) ** (j // 2) for j, c in enumerate(coeffs) if j % 2 == 1)
+    s, v = _radial_split(hermite_radial_coeffs(trunc + 1, m), r2)
     mag = math.hypot(s, v * math.sqrt(r2))
     return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
 
@@ -406,18 +401,13 @@ def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
 
 
 def read_sample_csv(path) -> tuple[int, list, list]:
-    """Returns (m, header, rows of floats); m inferred from the x-columns."""
+    """Returns (m, header, rows of floats); m follows from the 2m + 4 columns of `sample_header(m)`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader]
-    m = 0
-    for name in header[1:]:
-        if name.startswith("x") and name[1:].isdigit():
-            m += 1
-        else:
-            break
-    if header[: m + 2] != ["x0"] + [f"x{j}" for j in range(1, m + 1)] + ["r"]:
+    m = (len(header) - 4) // 2
+    if header != sample_header(m):
         raise ValueError("unrecognized sample CSV header")
     return m, header, rows
 

@@ -613,6 +613,8 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if ms and name != "all" and SUITE_MS[name] is None:
         raise ValueError(f"suite {name!r} takes no dimension")
+    if csv_from is not None and name not in ("gauss_fund", "all"):
+        raise ValueError(f"suite {name!r} re-verifies no sample CSV; only gauss_fund and all do")
     for suite in CHECKS if name == "all" else (name,):
         suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
         ctx = Context(random.Random(rng_seed), suite_ms, csv_from)

@@ -136,6 +136,10 @@ def test_eval_domain_errors():
         eval_expr(q_inv(), 0.0, 0.0)
     with pytest.raises(EvalDomainError):
         eval_expr(R, 1.0, -1.0)
+    # evaluate_mp runs the same term loop, so it makes the same domain checks
+    for expr, x0, r in ((term(1, b=-1), 0, 0), (q_inv(), 0, 0), (R, 1, -1)):
+        with pytest.raises(EvalDomainError):
+            expr.evaluate_mp(x0, r)
 
 
 def test_restriction_matches_eval_at_zero():

@@ -70,6 +70,13 @@ def test_verify_dimensionless_suite_rejects_m(capsys, suite):
     assert "takes no dimension" in err and out == ""
 
 
+@pytest.mark.parametrize("suite", ["core", "operators", "examples", "hermite", "gauss"])
+def test_verify_suite_without_csv_rejects_from(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--from", "/nonexistent.csv")
+    assert code == 2
+    assert "gauss_fund" in err and out == ""
+
+
 def test_verify_all_forwards_m(capsys):
     # examples runs the transform, which needs odd m: a forwarded --m 4 stops it
     code, out, err = run(capsys, "verify", "--suite", "all", "--m", "4")

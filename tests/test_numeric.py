@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +254,31 @@ def test_verify_sample_csv_detects_tampering(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     ok, _ = verify_sample_csv(path, "gauss-fund")
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "name, target",
+    [("sample_gauss_fund_m3.csv", "gauss-fund"), ("sample_ck_gauss_m5.csv", "ck-gauss")],
+)
+def test_verify_sample_csv_reads_pinned_files(name, target):
+    """5x5 grids written at an earlier commit still re-verify bit for bit.
+
+    The files come from `fueterlab sample --target gauss-fund --m 3 --x0 -1:1:5
+    --r 0.5:2.5:5` and `--target ck-gauss --m 5 --x0 -1:1:5 --r 0.01:2:5`, run
+    before the binary64 term loop and `eval_axial` were restructured.  So the
+    bit-exact round trip covers CSVs from earlier commits, on the same
+    platform's libm: the values go through its exp, cos and sin.
+    """
+    assert verify_sample_csv(Path(__file__).parent / "data" / name, target) == (True, 25)
+
+
+def test_read_sample_csv_rejects_wrong_header(tmp_path):
+    path = tmp_path / "g.csv"
+    write_sample_csv(path, "gauss-fund", 3, [0.5], [3.0])
+    for text in (path.read_text().replace("|value|", "norm"), ""):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="header"):
+            read_sample_csv(path)
 
 
 def test_sample_rows_rejects_nonpositive_r():

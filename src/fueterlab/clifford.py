@@ -30,7 +30,7 @@ class MixedVariantError(TypeError):
 
 
 def blade_grade(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:

@@ -1,9 +1,9 @@
 """Exact polynomials in x0, x1, ..., xm with Clifford coefficients.
 
-Monomials are commuting scalar variables, so a polynomial is stored as
-{exponent tuple: Multivector}, exponent slot 0 belonging to x0.  All
-coefficients are exact; noncommutativity only enters through the
-coefficient products.  Coefficients sit on the left of their monomials.
+A polynomial is one flat dict {(exps, mask): nonzero int or Fraction},
+exps holding the exponents of the commuting variables (slot 0 for x0) and
+mask the blade as encoded in `clifford`.  Coefficients sit on the left of
+their monomials; noncommutativity only enters through `blade_product`.
 
 On top of the ring operations this module provides the Dirac operator,
 the generalized Cauchy-Riemann operator and its conjugate, the Laplacian,
@@ -17,17 +17,20 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .clifford import (
+    MAX_DIMENSION,
     DimensionMismatchError,
+    MixedVariantError,
     Multivector,
     apply_blade,
+    blade_grade,
     blade_label,
-    gp,
+    blade_product,
     join_signed,
     split_terms,
     tokenize,
-    _format_value,
 )
 
 DEFAULT_DEGREE_CAP = 64
@@ -37,13 +40,24 @@ class DegreeCapError(ValueError):
     """A series or power exceeded the configured degree cap."""
 
 
-class CliffPoly:
-    """Multivariate polynomial with exact Multivector coefficients."""
+def _rational(v: Fraction):
+    """Integral values are stored as int, whose arithmetic is far cheaper than Fraction's."""
+    return v.numerator if v.denominator == 1 else v
 
-    __slots__ = ("m", "terms")
+
+def _unit(m: int, j: int) -> tuple:
+    """Exponents of the monomial x_j."""
+    return tuple(int(i == j) for i in range(m + 1))
+
+
+class CliffPoly:
+    """Multivariate polynomial with exact Clifford coefficients, stored flat."""
+
+    __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, terms=None):
-        clean = {}
+        """Validated constructor from {exponent tuple: exact Multivector}."""
+        coeffs = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != m + 1 or any(e < 0 for e in exps):
@@ -52,13 +66,30 @@ class CliffPoly:
                 raise TypeError("CliffPoly coefficients must be exact Multivectors")
             if coeff.m != m:
                 raise DimensionMismatchError(f"coefficient m={coeff.m} vs poly m={m}")
-            if coeff:
-                clean[exps] = coeff
+            for mask, v in coeff.coeffs.items():
+                coeffs[exps, mask] = _rational(v)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, m: int, coeffs: dict) -> "CliffPoly":
+        """Trusted constructor for computed {(exps, mask): coeff}; drops zeros."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "m", m)
+        object.__setattr__(p, "coeffs", {key: v for key, v in coeffs.items() if v})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffPoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{exps: Multivector}, rebuilt per access; the package reads `coeffs`,
+        perfbench/workloads.py reads coefficients per monomial from here."""
+        grouped: dict = {}
+        for (exps, mask), v in self.coeffs.items():
+            grouped.setdefault(exps, {})[mask] = v
+        return {exps: Multivector(self.m, blades) for exps, blades in grouped.items()}
 
     # --- constructors ---
 
@@ -81,45 +112,33 @@ class CliffPoly:
         """The scalar monomial x_j (j = 0 for x0)."""
         if not 0 <= j <= m:
             raise ValueError(f"variable index {j} outside 0..{m}")
-        exps = tuple(1 if i == j else 0 for i in range(m + 1))
-        return cls(m, {exps: Multivector.scalar(m, 1)})
+        return cls(m, {_unit(m, j): Multivector.scalar(m, 1)})
 
     @classmethod
     def vector_variable(cls, m: int) -> "CliffPoly":
         """The vector variable x1 e_1 + ... + xm e_m."""
-        terms = {}
-        for j in range(1, m + 1):
-            exps = tuple(1 if i == j else 0 for i in range(m + 1))
-            terms[exps] = Multivector.basis(m, j)
-        return cls(m, terms)
+        return cls(m, {_unit(m, j): Multivector.basis(m, j) for j in range(1, m + 1)})
 
     # --- bookkeeping ---
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffPoly):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.m == other.m and self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return not self.coeffs
 
     def depends_on_x0(self) -> bool:
-        return any(e[0] for e in self.terms)
+        return any(exps[0] for exps, _ in self.coeffs)
 
     def grades(self) -> set:
-        out = set()
-        for coeff in self.terms.values():
-            out |= coeff.grades()
-        return out
+        return {blade_grade(mask) for _, mask in self.coeffs}
 
     # --- ring operations ---
 
@@ -131,79 +150,69 @@ class CliffPoly:
         if not isinstance(other, CliffPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = out.get(exps)
-            out[exps] = coeff if cur is None else cur + coeff
-        return CliffPoly(self.m, out)
+        out = dict(self.coeffs)
+        for key, v in other.coeffs.items():
+            out[key] = out.get(key, 0) + v
+        return CliffPoly._of(self.m, out)
 
     def __sub__(self, other):
-        if not isinstance(other, CliffPoly):
-            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return CliffPoly(self.m, {exps: -coeff for exps, coeff in self.terms.items()})
+        return CliffPoly._of(self.m, {key: -v for key, v in self.coeffs.items()})
 
     def scale(self, value) -> "CliffPoly":
-        return CliffPoly(self.m, {exps: coeff.scale(value) for exps, coeff in self.terms.items()})
+        if isinstance(value, float):
+            raise MixedVariantError("float scalar on exact polynomial; convert explicitly")
+        c = _rational(Fraction(value))
+        return CliffPoly._of(self.m, {key: c * v for key, v in self.coeffs.items()})
 
     def coeff_mul_left(self, mv: Multivector) -> "CliffPoly":
         """Left multiplication by a constant Clifford number."""
-        return CliffPoly(self.m, {exps: gp(mv, coeff) for exps, coeff in self.terms.items()})
+        return poly_mul(CliffPoly.constant(self.m, mv), self)
 
     def __mul__(self, other):
         if isinstance(other, CliffPoly):
             return poly_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            return self.coeff_mul_left(other)
-        return self.scale(other)
+    __rmul__ = scale
 
     def shift_x0(self, n: int) -> "CliffPoly":
         """Multiply by the monomial x0^n."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            out[(exps[0] + n,) + exps[1:]] = coeff
-        return CliffPoly(self.m, out)
+        return CliffPoly._of(self.m, {((e[0] + n,) + e[1:], mask): v for (e, mask), v in self.coeffs.items()})
 
     # --- calculus ---
 
     def diff(self, j: int) -> "CliffPoly":
         """Partial derivative with respect to x_j (j = 0 for x0)."""
         out = {}
-        for exps, coeff in self.terms.items():
+        for (exps, mask), v in self.coeffs.items():
             e = exps[j]
             if e:
-                key = exps[:j] + (e - 1,) + exps[j + 1:]
-                term = coeff.scale(e)
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
-        return CliffPoly(self.m, out)
+                out[exps[:j] + (e - 1,) + exps[j + 1:], mask] = e * v
+        return CliffPoly._of(self.m, out)
 
     def restrict_x0(self) -> "CliffPoly":
         """Substitute x0 = 0."""
-        return CliffPoly(self.m, {e: c for e, c in self.terms.items() if e[0] == 0})
+        return CliffPoly._of(self.m, {key: v for key, v in self.coeffs.items() if key[0][0] == 0})
 
     def eval(self, x0: float, xs) -> Multivector:
         """Binary64 evaluation at a point of R^{m+1}."""
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
         total: dict = {}
-        for exps, coeff in self.terms.items():
+        for (exps, mask), c in self.coeffs.items():
             mono = x0 ** exps[0] if exps[0] else 1.0
             for x, e in zip(xs, exps[1:]):
                 if e:
                     mono *= x ** e
-            for mask, c in coeff.coeffs.items():
-                v = mono * float(c)
-                if v:
-                    # a cancelled blade leaves the dict: blade order fixes the rounding of later products
-                    total[mask] = total.get(mask, 0) + v
-                    if not total[mask]:
-                        del total[mask]
+            v = mono * float(c)
+            if v:
+                # a cancelled blade leaves the dict: blade order fixes the rounding of later products
+                total[mask] = total.get(mask, 0) + v
+                if not total[mask]:
+                    del total[mask]
         return Multivector(self.m, total, exact=False)
 
     def __str__(self) -> str:
@@ -214,25 +223,29 @@ class CliffPoly:
 
 
 def poly_mul(p: CliffPoly, q: CliffPoly) -> CliffPoly:
-    """Noncommutative product; coefficients multiply as gp(p_coeff, q_coeff)."""
+    """Noncommutative product; coefficient blades multiply as e_A e_B."""
     p._check(q)
     out = {}
-    for ep, cp in p.terms.items():
-        for eq, cq in q.terms.items():
-            key = tuple(a + b for a, b in zip(ep, eq))
-            term = gp(cp, cq)
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
-    return CliffPoly(p.m, out)
+    for (ep, mp), vp in p.coeffs.items():
+        for (eq, mq), vq in q.coeffs.items():
+            sign, mask = blade_product(mp, mq)
+            key = tuple(map(add, ep, eq)), mask
+            prod = vp * vq
+            out[key] = out.get(key, 0) + (prod if sign > 0 else -prod)
+    return CliffPoly._of(p.m, out)
 
 
 def dirac(p: CliffPoly) -> CliffPoly:
     """Dirac operator: sum of e_j (d/dx_j) acting by left multiplication."""
-    m = p.m
-    out = CliffPoly.zero(m)
-    for j in range(1, m + 1):
-        out = out + p.diff(j).coeff_mul_left(Multivector.basis(m, j))
-    return out
+    out = {}
+    for (exps, mask), v in p.coeffs.items():
+        for j in range(1, p.m + 1):
+            e = exps[j]
+            if e:
+                sign, blade = blade_product(1 << (j - 1), mask)
+                key = exps[:j] + (e - 1,) + exps[j + 1:], blade
+                out[key] = out.get(key, 0) + (e * v if sign > 0 else -e * v)
+    return CliffPoly._of(p.m, out)
 
 
 def cr_apply(p: CliffPoly) -> CliffPoly:
@@ -246,11 +259,14 @@ def cr_conj_apply(p: CliffPoly) -> CliffPoly:
 
 
 def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
-    out = CliffPoly.zero(p.m)
-    start = 0 if include_x0 else 1
-    for j in range(start, p.m + 1):
-        out = out + p.diff(j).diff(j)
-    return out
+    out = {}
+    for (exps, mask), v in p.coeffs.items():
+        for j in range(0 if include_x0 else 1, p.m + 1):
+            e = exps[j]
+            if e > 1:
+                key = exps[:j] + (e - 2,) + exps[j + 1:], mask
+                out[key] = out.get(key, 0) + e * (e - 1) * v
+    return CliffPoly._of(p.m, out)
 
 
 def ck_extend_poly(f: CliffPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> CliffPoly:
@@ -290,12 +306,12 @@ def is_homogeneous_monogenic(p: CliffPoly, k: int) -> MonogenicityReport:
         return MonogenicityReport(False, "depends on x0")
     if p.is_zero():
         return MonogenicityReport(False, "zero polynomial")
-    for exps in p.terms:
+    for exps, _ in p.coeffs:
         if sum(exps) != k:
             return MonogenicityReport(False, "not homogeneous", witness=str(exps))
     d = dirac(p)
     if d:
-        exps, coeff = next(iter(sorted(d.terms.items())))
+        exps, coeff = min(d.terms.items())
         return MonogenicityReport(False, "not monogenic", witness=f"dirac term {exps} -> {coeff}")
     return MonogenicityReport(True)
 
@@ -309,9 +325,7 @@ def sample_p1(m: int) -> CliffPoly:
     """Shipped degree-1 sample: x1 e_1 - x2 e_2 (needs m >= 2)."""
     if m < 2:
         raise ValueError("the shipped degree-1 sample needs m >= 2")
-    x1 = CliffPoly.variable(m, 1).coeff_mul_left(Multivector.basis(m, 1))
-    x2 = CliffPoly.variable(m, 2).coeff_mul_left(Multivector.basis(m, 2))
-    return x1 - x2
+    return CliffPoly(m, {_unit(m, 1): Multivector.basis(m, 1), _unit(m, 2): -Multivector.basis(m, 2)})
 
 
 # --- powers of the vector variable ------------------------------------------
@@ -320,10 +334,7 @@ _XPOW_CACHE: dict = {}
 
 
 def vector_power(m: int, n: int) -> CliffPoly:
-    """x_ underline to the n-th power, computed by repeated poly_mul.
-
-    Treat cached values as immutable.
-    """
+    """x_ underline to the n-th power by repeated poly_mul; treat cached values as immutable."""
     if n < 0:
         raise ValueError("negative vector power")
     key = (m, n)
@@ -340,11 +351,7 @@ def vector_power(m: int, n: int) -> CliffPoly:
 
 def radius_sq_poly(m: int) -> CliffPoly:
     """x1^2 + ... + xm^2 as a scalar polynomial."""
-    out = CliffPoly.zero(m)
-    for j in range(1, m + 1):
-        xj = CliffPoly.variable(m, j)
-        out = out + poly_mul(xj, xj)
-    return out
+    return CliffPoly(m, {tuple(2 * e for e in _unit(m, j)): Multivector.scalar(m, 1) for j in range(1, m + 1)})
 
 
 # --- generalized Hermite polynomials -----------------------------------------
@@ -398,24 +405,14 @@ def hermite_closed(n: int, m: int) -> HermiteResult:
 
 
 def _format_monomial(exps) -> str:
-    parts = []
-    for j, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"x{j}")
-        elif e:
-            parts.append(f"x{j}^{e}")
-    return " ".join(parts)
+    return " ".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(exps) if e)
 
 
 def format_poly(p: CliffPoly) -> str:
-    flat = []
-    for exps, coeff in p.terms.items():
-        for mask, v in coeff.coeffs.items():
-            flat.append((exps, mask, v))
-    flat.sort(key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]), t[1]))
     terms = []
-    for exps, mask, v in flat:
-        body = _format_value(abs(v))
+    for exps, mask in sorted(p.coeffs, key=lambda k: (-sum(k[0]), tuple(-e for e in k[0]), k[1])):
+        v = p.coeffs[exps, mask]
+        body = str(abs(v))
         mono = _format_monomial(exps)
         if mono:
             body += "*" + mono
@@ -425,13 +422,14 @@ def format_poly(p: CliffPoly) -> str:
     return join_signed(terms)
 
 
-_VAR_TOKEN = "var"
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
 def parse_poly(text: str, m: int) -> CliffPoly:
     """Round-trip parser for the polynomial grammar."""
-    terms: dict = {}
+    if not 1 <= m <= MAX_DIMENSION:
+        raise ValueError(f"dimension m must be in 1..{MAX_DIMENSION}, got {m}")
+    coeffs: dict = {}
     for sign, factors in split_terms(tokenize(text, _POLY_TOKEN_RE)):
         value = Fraction(sign)
         exps = [0] * (m + 1)
@@ -439,7 +437,7 @@ def parse_poly(text: str, m: int) -> CliffPoly:
         for kind, tok in factors:
             if kind == "rat":
                 value *= Fraction(tok)
-            elif kind == _VAR_TOKEN:
+            elif kind == "var":
                 mo = _VAR_RE.fullmatch(tok)
                 j = int(mo.group(1))
                 if j > m:
@@ -449,11 +447,9 @@ def parse_poly(text: str, m: int) -> CliffPoly:
                 mask, value = apply_blade(tok, m, mask, value)
             else:
                 raise ValueError(f"unexpected token {tok!r} in polynomial")
-        key = tuple(exps)
-        mv = Multivector(m, {mask: value})
-        cur = terms.get(key)
-        terms[key] = mv if cur is None else cur + mv
-    return CliffPoly(m, terms)
+        key = tuple(exps), mask
+        coeffs[key] = coeffs.get(key, 0) + value
+    return CliffPoly._of(m, coeffs)
 
 
 _POLY_TOKEN_RE = re.compile(

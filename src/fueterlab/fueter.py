@@ -395,15 +395,10 @@ def triangle_check(n: int, k: int, m: int, pk: CliffPoly | None = None) -> Trian
         return TriangleResult(n, k, m, routes_equal, p_radial.is_zero() and p_laplace.is_zero(), None)
     base = poly_mul(vector_power(m, d), pk)
     restriction = p_radial.restrict_x0()
-    constant = None
-    for exps, coeff in base.terms.items():
-        other = restriction.terms.get(exps)
-        if other is None:
-            break
-        mask, val = next(iter(coeff.coeffs.items()))
-        constant = Fraction(other[mask]) / val
-        break
-    if constant is None:
+    key, val = next(iter(base.coeffs.items()), (None, None))
+    other = restriction.coeffs.get(key)
+    if other is None:
         return TriangleResult(n, k, m, routes_equal, False, None)
+    constant = Fraction(other) / val
     ck = ck_extend_poly(base).scale(constant)
     return TriangleResult(n, k, m, routes_equal, p_radial == ck, constant)

@@ -405,10 +405,14 @@ def read_sample_csv(path) -> tuple[int, list, list]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader]
-    m = (len(header) - 4) // 2
-    if header != sample_header(m):
-        raise ValueError("unrecognized sample CSV header")
+        m = (len(header) - 4) // 2
+        if header != sample_header(m):
+            raise ValueError("unrecognized sample CSV header")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"sample CSV line {reader.line_num}: {len(row)} columns, header has {len(header)}")
+            rows.append([float(v) for v in row])
     return m, header, rows
 
 

@@ -59,6 +59,7 @@ from .numeric import (
     fd_convergence_factor,
     fd_cr_residual,
     hermite_radial_coeffs,
+    read_sample_csv,
     restriction_taylor_coeff,
     verify_sample_csv,
 )
@@ -613,8 +614,10 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if ms and name != "all" and SUITE_MS[name] is None:
         raise ValueError(f"suite {name!r} takes no dimension")
-    if csv_from is not None and name not in ("gauss_fund", "all"):
-        raise ValueError(f"suite {name!r} re-verifies no sample CSV; only gauss_fund and all do")
+    if csv_from is not None:
+        if name not in ("gauss_fund", "all"):
+            raise ValueError(f"suite {name!r} re-verifies no sample CSV; only gauss_fund and all do")
+        read_sample_csv(csv_from)  # a missing or malformed file stops the run before any check
     for suite in CHECKS if name == "all" else (name,):
         suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
         ctx = Context(random.Random(rng_seed), suite_ms, csv_from)

@@ -77,6 +77,18 @@ def test_verify_suite_without_csv_rejects_from(capsys, suite):
     assert "gauss_fund" in err and out == ""
 
 
+@pytest.mark.parametrize("text, code", [("x0,r\n", 2), ("", 2), (None, 5)], ids=["bad_header", "empty", "missing"])
+def test_verify_reads_from_before_any_check(capsys, tmp_path, text, code):
+    path = tmp_path / "bad.csv"
+    if text is not None:
+        path.write_text(text)
+    error = ValueError if text is not None else FileNotFoundError
+    for suite in ("gauss_fund", "all"):
+        with pytest.raises(error):
+            next(verify.iter_suite(suite, csv_from=path))
+        assert run(capsys, "verify", "--suite", suite, "--from", str(path))[:2] == (code, "")
+
+
 def test_verify_all_forwards_m(capsys):
     # examples runs the transform, which needs odd m: a forwarded --m 4 stops it
     code, out, err = run(capsys, "verify", "--suite", "all", "--m", "4")

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from fueterlab.clifford import Multivector
+from fueterlab.clifford import MixedVariantError, Multivector
 from fueterlab.cliffpoly import (
     CliffPoly,
     DegreeCapError,
@@ -41,6 +42,12 @@ def test_poly_mul_examples():
     assert poly_mul(x_(m), x_(m)) == -radius_sq_poly(m)
     p = parse_poly("3*x0 x1*e12 - 2*x2", m)
     assert poly_mul(p, CliffPoly.one(m)) == p
+
+
+def test_scale_rejects_floats():
+    for p in (CliffPoly.zero(2), var(2, 1)):
+        with pytest.raises(MixedVariantError):
+            p.scale(0.5)
 
 
 def test_poly_mul_noncommutative():
@@ -174,7 +181,15 @@ def test_text_roundtrip():
         m = rng.randint(1, 4)
         p = random_poly(rng, m, max_degree=3)
         assert parse_poly(format_poly(p), m) == p
+        assert CliffPoly(m, p.terms) == p
+        assert (p - p).coeffs == {}
     m = 3
+    # one monomial carrying two blades
+    two = CliffPoly(m, {(0, 2, 0, 0): Multivector(m, {0b001: 3, 0b110: Fraction(-1, 2)})})
+    assert two + two == two.scale(2)
+    assert two.diff(1) == CliffPoly(m, {(0, 1, 0, 0): Multivector(m, {0b001: 6, 0b110: -1})})
+    assert format_poly(two) == "3*x1^2*e1 - 1/2*x1^2*e23"
+    assert parse_poly(format_poly(two), m) == two
     h2 = hermite_rec(2, m).poly
     assert format_poly(h2) == "-1*x1^2 - 1*x2^2 - 1*x3^2 + 3"
     assert parse_poly("0", m).is_zero()

@@ -275,9 +275,16 @@ def test_verify_sample_csv_reads_pinned_files(name, target):
 def test_read_sample_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "g.csv"
     write_sample_csv(path, "gauss-fund", 3, [0.5], [3.0])
-    for text in (path.read_text().replace("|value|", "norm"), ""):
+    good = path.read_text()
+    for text in (good.replace("|value|", "norm"), ""):
         path.write_text(text)
         with pytest.raises(ValueError, match="header"):
+            read_sample_csv(path)
+    # a row whose column count differs from the header's is named by its line
+    short = good.splitlines()[1].rsplit(",", 1)[0]
+    for text, line in ((good + "\n", 3), (good + short + "\n", 3), (good.replace("\n", "\n\n", 1), 2)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}:"):
             read_sample_csv(path)
 
 

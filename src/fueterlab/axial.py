@@ -10,6 +10,8 @@ g in {0, 1}.  This family is closed under d/dx0, d/dr, division by r, and
 products in which at most one factor carries a trig tag and at most one
 carries the exp flag.  Trig phase shifts by multiples of pi/2 fold into
 the tag and the sign of the coefficient, so keys stay canonical.
+Coefficients are int where integral, else Fraction, never float; computed
+results bypass validation through the trusted `AxialExpr._of`.
 
 Equality of expressions is semantic: the six (exp flag, trig tag) classes
 are linearly independent over rational functions in (x0, r), so an
@@ -26,12 +28,13 @@ from fractions import Fraction
 
 import mpmath
 
-from .clifford import join_signed, split_terms, tokenize
+from .clifford import MixedVariantError, _rational, join_signed, split_terms, tokenize
 
 TRIG_NONE = ""
 TRIG_COS = "cos"
 TRIG_SIN = "sin"
 _TRIGS = (TRIG_NONE, TRIG_COS, TRIG_SIN)
+_TRIG_DIFF = {TRIG_COS: (-1, TRIG_SIN), TRIG_SIN: (1, TRIG_COS)}  # d/dtheta: sign and tag
 
 
 class AlgebraClosureError(ValueError):
@@ -54,7 +57,7 @@ def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
 
 
 class AxialExpr:
-    """Finite sum of terms keyed by (a, b, p, g, t) with Fraction coefficients."""
+    """Finite sum of terms keyed by (a, b, p, g, t), nonzero int or Fraction coefficients."""
 
     __slots__ = ("terms",)
 
@@ -63,10 +66,19 @@ class AxialExpr:
         for key, q in (terms or {}).items():
             a, b, p, g, t = key
             _check_key(a, b, p, g, t)
-            q = Fraction(q)
+            if isinstance(q, float):
+                raise MixedVariantError(f"float coefficient {q!r} in exact expression; convert explicitly")
+            q = _rational(Fraction(q))
             if q:
                 clean[(a, b, p, g, t)] = q
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "AxialExpr":
+        """Trusted constructor for computed {key: int or Fraction}; drops zeros."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "terms", {key: q if type(q) is int else _rational(q) for key, q in terms.items() if q})
+        return e
 
     def __setattr__(self, name, value):
         raise AttributeError("AxialExpr is immutable")
@@ -79,7 +91,7 @@ class AxialExpr:
 
     @classmethod
     def term(cls, q, a: int = 0, b: int = 0, p: int = 0, g: int = 0, t: str = TRIG_NONE) -> "AxialExpr":
-        return cls({(a, b, p, g, t): Fraction(q)})
+        return cls({(a, b, p, g, t): q})
 
     @classmethod
     def const(cls, q) -> "AxialExpr":
@@ -101,19 +113,24 @@ class AxialExpr:
         out = dict(self.terms)
         for key, q in other.terms.items():
             out[key] = out.get(key, 0) + q
-        return AxialExpr(out)
+        return AxialExpr._of(out)
 
     def __sub__(self, other):
         if not isinstance(other, AxialExpr):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for key, q in other.terms.items():
+            out[key] = out.get(key, 0) - q
+        return AxialExpr._of(out)
 
     def __neg__(self):
-        return AxialExpr({key: -q for key, q in self.terms.items()})
+        return AxialExpr._of({key: -q for key, q in self.terms.items()})
 
     def scale(self, c) -> "AxialExpr":
-        c = Fraction(c)
-        return AxialExpr({key: c * q for key, q in self.terms.items()})
+        if isinstance(c, float):
+            raise MixedVariantError("float scalar on exact expression; convert explicitly")
+        c = _rational(Fraction(c))
+        return AxialExpr._of({key: c * q for key, q in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AxialExpr):
@@ -133,48 +150,51 @@ class AxialExpr:
                     raise AlgebraClosureError("product of two exp factors leaves the algebra")
                 key = (a1 + a2, b1 + b2, p1 + p2, g1 + g2, t1 or t2)
                 out[key] = out.get(key, 0) + q1 * q2
-        return AxialExpr(out)
+        return AxialExpr._of(out)
 
     def div_r(self, n: int = 1) -> "AxialExpr":
         """Divide by r^n (exact in the algebra)."""
-        return AxialExpr({(a, b - n, p, g, t): q for (a, b, p, g, t), q in self.terms.items()})
+        return AxialExpr._of({(a, b - n, p, g, t): q for (a, b, p, g, t), q in self.terms.items()})
 
     # --- calculus ---
 
     def diff(self, var: str) -> "AxialExpr":
         """Exact partial derivative with respect to 'x0' or 'r'."""
-        if var not in ("x0", "r"):
-            raise ValueError(f"unknown variable {var!r}")
         out: dict = {}
-
-        def put(key, q):
-            if q:
-                out[key] = out.get(key, 0) + q
-
-        for (a, b, p, g, t), q in self.terms.items():
-            if var == "x0":
+        get = out.get
+        if var == "x0":
+            for (a, b, p, g, t), q in self.terms.items():
                 if a:
-                    put((a - 1, b, p, g, t), q * a)
+                    key = (a - 1, b, p, g, t)
+                    out[key] = get(key, 0) + a * q
                 if p:
-                    put((a + 1, b, p + 1, g, t), -2 * p * q)
+                    key = (a + 1, b, p + 1, g, t)
+                    out[key] = get(key, 0) - 2 * p * q
                 if g:
-                    put((a + 1, b, p, g, t), q)
-                if t == TRIG_COS:
-                    put((a, b + 1, p, g, TRIG_SIN), -q)
-                elif t == TRIG_SIN:
-                    put((a, b + 1, p, g, TRIG_COS), q)
-            else:
+                    key = (a + 1, b, p, g, t)
+                    out[key] = get(key, 0) + q
+                if t:
+                    sign, tag = _TRIG_DIFF[t]
+                    key = (a, b + 1, p, g, tag)
+                    out[key] = get(key, 0) + sign * q
+        elif var == "r":
+            for (a, b, p, g, t), q in self.terms.items():
                 if b:
-                    put((a, b - 1, p, g, t), q * b)
+                    key = (a, b - 1, p, g, t)
+                    out[key] = get(key, 0) + b * q
                 if p:
-                    put((a, b + 1, p + 1, g, t), -2 * p * q)
+                    key = (a, b + 1, p + 1, g, t)
+                    out[key] = get(key, 0) - 2 * p * q
                 if g:
-                    put((a, b + 1, p, g, t), -q)
-                if t == TRIG_COS:
-                    put((a + 1, b, p, g, TRIG_SIN), -q)
-                elif t == TRIG_SIN:
-                    put((a + 1, b, p, g, TRIG_COS), q)
-        return AxialExpr(out)
+                    key = (a, b + 1, p, g, t)
+                    out[key] = get(key, 0) - q
+                if t:
+                    sign, tag = _TRIG_DIFF[t]
+                    key = (a + 1, b, p, g, tag)
+                    out[key] = get(key, 0) + sign * q
+        else:
+            raise ValueError(f"unknown variable {var!r}")
+        return AxialExpr._of(out)
 
     def restrict_x0(self) -> "AxialExpr":
         """Substitute x0 = 0.
@@ -189,19 +209,16 @@ class AxialExpr:
                 continue
             key = (0, b - 2 * p, 0, g, TRIG_NONE)
             out[key] = out.get(key, 0) + q
-        return AxialExpr(out)
+        return AxialExpr._of(out)
 
     # --- semantic equality -----------------------------------------------
 
-    def _class_split(self):
+    def is_zero(self) -> bool:
+        """True iff the expression vanishes identically on {r > 0}."""
         classes: dict = {}
         for (a, b, p, g, t), q in self.terms.items():
             classes.setdefault((g, t), []).append((a, b, p, q))
-        return classes
-
-    def is_zero(self) -> bool:
-        """True iff the expression vanishes identically on {r > 0}."""
-        for items in self._class_split().values():
+        for items in classes.values():
             pmax = max(p for _, _, p, _ in items)
             bshift = max(0, -min(b for _, b, _, _ in items))
             acc: dict = {}

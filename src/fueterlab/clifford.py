@@ -29,6 +29,11 @@ class MixedVariantError(TypeError):
     """Exact and numeric values were combined without explicit conversion."""
 
 
+def _rational(v):
+    """Integral values are stored as int, whose arithmetic is far cheaper than Fraction's."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def blade_grade(mask: int) -> int:
     return mask.bit_count()
 

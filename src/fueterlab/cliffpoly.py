@@ -1,9 +1,10 @@
 """Exact polynomials in x0, x1, ..., xm with Clifford coefficients.
 
-A polynomial is one flat dict {(exps, mask): nonzero int or Fraction},
-exps holding the exponents of the commuting variables (slot 0 for x0) and
-mask the blade as encoded in `clifford`.  Coefficients sit on the left of
-their monomials; noncommutativity only enters through `blade_product`.
+A polynomial is one flat dict {(exps, mask): c}, c nonzero, int if integral
+and Fraction otherwise, exps holding the exponents of the commuting
+variables (slot 0 for x0) and mask the blade as encoded in `clifford`.
+Coefficients sit on the left of their monomials; noncommutativity only
+enters through `blade_product`.
 
 On top of the ring operations this module provides the Dirac operator,
 the generalized Cauchy-Riemann operator and its conjugate, the Laplacian,
@@ -24,6 +25,7 @@ from .clifford import (
     DimensionMismatchError,
     MixedVariantError,
     Multivector,
+    _rational,
     apply_blade,
     blade_grade,
     blade_label,
@@ -38,11 +40,6 @@ DEFAULT_DEGREE_CAP = 64
 
 class DegreeCapError(ValueError):
     """A series or power exceeded the configured degree cap."""
-
-
-def _rational(v: Fraction):
-    """Integral values are stored as int, whose arithmetic is far cheaper than Fraction's."""
-    return v.numerator if v.denominator == 1 else v
 
 
 def _unit(m: int, j: int) -> tuple:
@@ -76,7 +73,7 @@ class CliffPoly:
         """Trusted constructor for computed {(exps, mask): coeff}; drops zeros."""
         p = object.__new__(cls)
         object.__setattr__(p, "m", m)
-        object.__setattr__(p, "coeffs", {key: v for key, v in coeffs.items() if v})
+        object.__setattr__(p, "coeffs", {key: v if type(v) is int else _rational(v) for key, v in coeffs.items() if v})
         return p
 
     def __setattr__(self, name, value):

@@ -110,8 +110,8 @@ class HoloSeed:
             raise ValueError(f"seed {self.name!r} fails the Cauchy-Riemann equations")
 
     def scaled(self, c) -> "HoloSeed":
-        c = Fraction(c)
-        return HoloSeed(f"({c})*{self.name}", self.u.scale(c), self.v.scale(c), self.n)
+        u, v = self.u.scale(c), self.v.scale(c)
+        return HoloSeed(f"({Fraction(c)})*{self.name}", u, v, self.n)
 
     def __add__(self, other: "HoloSeed") -> "HoloSeed":
         return HoloSeed(f"{self.name}+{other.name}", self.u + other.u, self.v + other.v)
@@ -168,7 +168,6 @@ class AxialPair:
         return 2 * self.k + self.m - 1
 
     def scaled(self, c) -> "AxialPair":
-        c = Fraction(c)
         return AxialPair(self.m, self.k, self.A.scale(c), self.B.scale(c), self.pk)
 
     def __sub__(self, other: "AxialPair") -> "AxialPair":

@@ -71,8 +71,13 @@ class DecayReport:
     argmax_x0: float
     argmax_r: float
 
+    @property
+    def on_boundary(self) -> bool:
+        """The argmax is on the grid's edge, so the sup may grow beyond the strip."""
+        return abs(self.argmax_x0) == self.K or self.argmax_r in (self.r_min, self.r_max)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "on_boundary": self.on_boundary}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

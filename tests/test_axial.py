@@ -23,6 +23,8 @@ from fueterlab.axial import (
     q_inv,
     trig_shift,
 )
+from fueterlab.clifford import MixedVariantError
+from fueterlab.fueter import gauss_fund_pair, seed
 from fueterlab.sampling import random_axial, random_rational_axial
 
 term = AxialExpr.term
@@ -179,3 +181,50 @@ def test_structural_vs_semantic_zero():
     expr = term(1, a=2, p=1) + term(1, b=2, p=1) - ONE
     assert not expr.is_structurally_zero()
     assert expr.is_zero()
+
+
+def test_rejects_float_coefficients():
+    for value in (0.1, 0.0, float("inf")):
+        with pytest.raises(MixedVariantError):
+            term(value, b=1)
+        with pytest.raises(MixedVariantError):
+            AxialExpr({(1, 0, 0, 0, "cos"): value})
+    for expr in (AxialExpr.zero(), X0 * COS):
+        with pytest.raises(MixedVariantError):
+            expr.scale(0.1)
+        with pytest.raises(MixedVariantError):
+            0.1 * expr
+    with pytest.raises(MixedVariantError):
+        gauss_fund_pair(3).scaled(0.5)
+    with pytest.raises(MixedVariantError):
+        seed("iz").scaled(0.5)
+    assert term(Fraction(1, 10)).terms == {(0, 0, 0, 0, ""): Fraction(1, 10)}
+    assert seed("iz").scaled("3/2").name == "(3/2)*iz"
+
+
+def test_integral_coefficients_are_int():
+    def integral_values_are_int(expr):
+        return all(type(q) is int or q.denominator != 1 for q in expr.terms.values())
+
+    half = term(Fraction(1, 2), a=2, b=2) + term(Fraction(3, 2), b=3, p=1, g=1, t="sin")
+    results = [
+        half.diff("x0"),
+        half.diff("r"),
+        d_lower(2, half),
+        d_upper(2, half),
+        half * term(2, b=-1),
+        half.scale(Fraction(6, 3)),
+        half.scale(4),
+        parse_axial("4/2*x0 - 1/2*r + 3/3*E*cos"),
+    ]
+    for expr in results:
+        assert expr.terms and integral_values_are_int(expr), expr
+    assert half.diff("x0").terms[(1, 2, 0, 0, "")] == 1
+    assert type(half.scale(4).terms[(2, 2, 0, 0, "")]) is int
+    for expr in (half, gauss_fund_pair(7).A):
+        assert (expr - expr).terms == {}
+        assert integral_values_are_int(expr)
+    assert term(3, b=1) == term(Fraction(6, 2), b=1)
+    assert term(Fraction(1, 2), b=1) * 2 == term(1, b=1)
+    big = gauss_fund_pair(7).A
+    assert parse_axial(format_axial(big)).terms == big.terms

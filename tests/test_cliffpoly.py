@@ -188,6 +188,7 @@ def test_text_roundtrip():
     two = CliffPoly(m, {(0, 2, 0, 0): Multivector(m, {0b001: 3, 0b110: Fraction(-1, 2)})})
     assert two + two == two.scale(2)
     assert two.diff(1) == CliffPoly(m, {(0, 1, 0, 0): Multivector(m, {0b001: 6, 0b110: -1})})
+    assert all(type(v) is int for v in two.diff(1).coeffs.values())  # -1/2 * 2 is stored as int
     assert format_poly(two) == "3*x1^2*e1 - 1/2*x1^2*e23"
     assert parse_poly(format_poly(two), m) == two
     h2 = hermite_rec(2, m).poly

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -59,7 +60,7 @@ def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
 class AxialExpr:
     """Finite sum of terms keyed by (a, b, p, g, t), nonzero int or Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms=None):
         clean = {}
@@ -251,36 +252,113 @@ class AxialExpr:
 
     def _evaluate(self, x0, r, num, lib):
         """Sum of the terms with coefficients converted by num and exp/cos/sin from lib."""
-        if r < 0:
-            raise EvalDomainError("radius r must be nonnegative")
-        if r == 0 and any(b < 0 for (_, b, _, _, _) in self.terms):
-            raise EvalDomainError("negative powers of r at r = 0")
-        q_val = x0 * x0 + r * r
-        if q_val == 0 and any(p > 0 for (_, _, p, _, _) in self.terms):
-            raise EvalDomainError("negative powers of Q at the origin")
-        total = num(0)
-        for (a, b, p, g, t), q in self.terms.items():
-            val = num(q)
-            if a:
-                val *= x0 ** a
-            if b:
-                val *= r ** b
-            if p:
-                val *= q_val ** (-p)
-            if g:
-                val *= lib.exp((x0 * x0 - r * r) / 2)
-            if t == TRIG_COS:
-                val *= lib.cos(x0 * r)
-            elif t == TRIG_SIN:
-                val *= lib.sin(x0 * r)
-            total += val
-        return total
+        return self.plan().values(x0, r, num, lib)[0]
+
+    def plan(self) -> "EvalPlan":
+        """The expression compiled for evaluation, built on first use and kept."""
+        try:
+            return self._plan
+        except AttributeError:
+            object.__setattr__(self, "_plan", EvalPlan(self.terms))
+            return self._plan
 
     def __str__(self) -> str:
         return format_axial(self)
 
     def __repr__(self) -> str:
         return f"AxialExpr({format_axial(self)!r})"
+
+
+# --- evaluation plan -----------------------------------------------------------
+
+
+class EvalPlan:
+    """Terms of one or more expressions, compiled for evaluation at many points.
+
+    The factors a point needs are computed once: 1, then x0^a, r^b and Q^-p
+    for each distinct nonzero exponent, then E, cos(x0 r) and sin(x0 r)
+    where some term has them.  A row is a term's coefficient and the
+    indices of its factors x0^a, r^b, Q^-p, E and trig in that order, an
+    absent factor pointing at the 1.  Multiplying by 1 is exact, so each
+    term rounds as it would with its factors computed on their own, and
+    the sums run in dict order.
+    """
+
+    __slots__ = ("terms", "x_exps", "r_exps", "q_exps", "has_e", "has_cos", "has_sin", "neg_r", "rows", "float_rows")
+
+    def __init__(self, *term_dicts):
+        keys = [key for terms in term_dicts for key in terms]
+        self.terms = term_dicts
+        self.x_exps = sorted({a for a, _, _, _, _ in keys if a})
+        self.r_exps = sorted({b for _, b, _, _, _ in keys if b})
+        self.q_exps = sorted({p for _, _, p, _, _ in keys if p})
+        self.has_e = any(g for _, _, _, g, _ in keys)
+        self.has_cos = any(t == TRIG_COS for *_, t in keys)
+        self.has_sin = any(t == TRIG_SIN for *_, t in keys)
+        self.neg_r = any(b < 0 for b in self.r_exps)
+        index = {}
+        for kind, exps in (("a", self.x_exps), ("b", self.r_exps), ("p", self.q_exps)):
+            for e in exps:
+                index[kind, e] = len(index) + 1
+        for kind, present in (("g", self.has_e), (TRIG_COS, self.has_cos), (TRIG_SIN, self.has_sin)):
+            if present:
+                index[kind, 1] = len(index) + 1
+        self.rows = tuple(
+            tuple(
+                (q, index.get(("a", a), 0), index.get(("b", b), 0), index.get(("p", p), 0), index.get(("g", g), 0), index.get((t, 1), 0))
+                for (a, b, p, g, t), q in terms.items()
+            )
+            for terms in term_dicts
+        )
+        self.float_rows = tuple(tuple((float(q), *idx) for q, *idx in rows) for rows in self.rows)
+
+    def values(self, x0, r, num=float, lib=math) -> list:
+        """Each expression's value at (x0, r); num converts a coefficient, lib gives exp/cos/sin."""
+        if r < 0:
+            raise EvalDomainError("radius r must be nonnegative")
+        if r == 0 and self.neg_r:
+            raise EvalDomainError("negative powers of r at r = 0")
+        q_val = x0 * x0 + r * r
+        if q_val == 0 and self.q_exps:
+            raise EvalDomainError("negative powers of Q at the origin")
+        f = [num(1)]
+        for a in self.x_exps:
+            f.append(x0**a)
+        for b in self.r_exps:
+            f.append(r**b)
+        for p in self.q_exps:
+            f.append(q_val**-p)
+        if self.has_e:
+            f.append(lib.exp((x0 * x0 - r * r) / 2))
+        if self.has_cos:
+            f.append(lib.cos(x0 * r))
+        if self.has_sin:
+            f.append(lib.sin(x0 * r))
+        if num is float:
+            row_sets = self.float_rows
+        else:
+            row_sets = [[(num(q), *idx) for q, *idx in rows] for rows in self.rows]
+        out = []
+        for rows in row_sets:
+            total = num(0)
+            for c, ia, ib, ip, ig, it in rows:
+                total += c * f[ia] * f[ib] * f[ip] * f[ig] * f[it]
+            out.append(total)
+        return out
+
+
+@lru_cache(maxsize=64)
+def _joint_plan(plan_a: EvalPlan, plan_b: EvalPlan) -> EvalPlan:
+    return EvalPlan(*plan_a.terms, *plan_b.terms)
+
+
+def pair_plan(expr_a: AxialExpr, expr_b: AxialExpr) -> EvalPlan:
+    """One plan for two expressions, so that a point computes each factor they share once.
+
+    `values(x0, r)` of the result gives the two floats `evaluate` gives.
+    Recent plans are kept, keyed by the expressions' own plans.
+    """
+    return _joint_plan(expr_a.plan(), expr_b.plan())
 
 
 # --- module-level operator interface ----------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -34,17 +35,28 @@ EXIT_BAD_PK = 4
 EXIT_IO = 5
 
 
+def finite_float(text: str) -> float:
+    """A float flag value; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_range(text: str) -> list:
-    """`lo:hi:count` with inclusive endpoints, or a single value."""
+    """`lo:hi:count` with inclusive endpoints, or a single value; every value must be finite."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return [finite_float(parts[0])]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be 'lo:hi:count' or a single value, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = finite_float(parts[0]), finite_float(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
-    return numeric.lin_range(lo, hi, count)
+    vals = numeric.lin_range(lo, hi, count)
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"range {text!r} has a non-finite grid value")
+    return vals
 
 
 def cmd_verify(args) -> int:
@@ -59,7 +71,7 @@ def cmd_verify(args) -> int:
             "rng_seed": args.rng_seed,
             "passed": passed,
             "checks": [
-                {"id": r.id, "passed": r.passed, "max_error": r.max_error, "detail": r.detail}
+                {"id": r.id, "passed": r.passed, "max_error": r.max_error, "detail": r.detail, "seconds": r.seconds}
                 for r in results
             ],
         }
@@ -180,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ck-gauss", help="evaluate the Gaussian extension, series vs closed form")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--x0", type=finite_float, default=0.0)
+    p.add_argument("--r", type=finite_float, default=1.0)
     p.add_argument("--trunc", type=int, default=60)
     p.set_defaults(func=cmd_ck_gauss)
 
@@ -197,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RANGE_FLAGS = ("--x0", "--r")
-_NEGATIVE_VALUE = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?::.*)?$")
+_NEGATIVE_VALUE = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|nan)(?::.*)?$", re.IGNORECASE)
 
 
 def _join_negative_values(argv):

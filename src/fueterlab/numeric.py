@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .axial import EvalDomainError
+from .axial import EvalDomainError, pair_plan
 from .clifford import Multivector
 from .fueter import (
     AxialPair,
@@ -103,12 +103,18 @@ def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
     r = pt.r
     if r == 0:
         raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
-    coeffs = {0: pair.A.evaluate(pt.x0, r)}
-    b_val = pair.B.evaluate(pt.x0, r)
+    a_val, b_val = pair_plan(pair.A, pair.B).values(pt.x0, r)
+    coeffs = {0: a_val}
     for j, x in enumerate(pt.xs):
         if x:
             coeffs[1 << j] = b_val * (x / r)
-    return Multivector(pair.m, coeffs, exact=False) * pair.pk.eval(pt.x0, pt.xs)
+    value = Multivector(pair.m, coeffs, exact=False)
+    # the float Multivector drops zeros and x * 1.0 == x, so P_k = 1 would change no coefficient
+    return value if _is_one(pair.pk) else value * pair.pk.eval(pt.x0, pt.xs)
+
+
+def _is_one(pk) -> bool:
+    return pk is not None and len(pk.coeffs) == 1 and pk.coeffs.get(((0,) * (pk.m + 1), 0)) == 1
 
 
 def axial_evaluator(pair: AxialPair):
@@ -149,12 +155,20 @@ def hermite_radial_coeffs(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _radial_split(coeffs, r2: float) -> tuple:
-    """(s, v) with sum_j c_j x_^j = s + v x_, since x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_."""
+def _neg_r2_powers(r2: float, n: int) -> list:
+    """(-r^2)^i for i = 0..n // 2: the powers the radial split of H_0, ..., H_n reads."""
+    return [(-r2) ** i for i in range(n // 2 + 1)]
+
+
+def _radial_split(coeffs, pows) -> tuple:
+    """(s, v) with sum_j c_j x_^j = s + v x_, since x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_.
+
+    pows[i] is (-r^2)^i, computed once per point by `_neg_r2_powers`.
+    """
     s = v = 0.0
     for j, c in enumerate(coeffs):
         if c:
-            term = c * (-r2) ** (j // 2)
+            term = c * pows[j // 2]
             if j % 2:
                 v += term
             else:
@@ -175,8 +189,9 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     scalar = 0.0
     vector = 0.0  # coefficient of x_ (the raw vector, not the unit one)
     x0_pow = 1.0
+    pows = _neg_r2_powers(r2, trunc)
     for n in range(trunc + 1):
-        s, v = _radial_split(hermite_radial_coeffs(n, m), r2)
+        s, v = _radial_split(hermite_radial_coeffs(n, m), pows)
         factor = x0_pow / math.factorial(n)
         scalar += factor * s
         vector += factor * v
@@ -191,7 +206,7 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
 def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
     """Magnitude of the first omitted series term, for truncation checks."""
     r2 = math.fsum(x * x for x in pt.xs)
-    s, v = _radial_split(hermite_radial_coeffs(trunc + 1, m), r2)
+    s, v = _radial_split(hermite_radial_coeffs(trunc + 1, m), _neg_r2_powers(r2, trunc + 1))
     mag = math.hypot(s, v * math.sqrt(r2))
     return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
 
@@ -305,13 +320,26 @@ def decay_scan(
         raise ValueError("need 0 < r_min < r_max and K > 0")
     x0_vals = lin_range(-K, K, nx0)
     r_vals = lin_range(r_min, r_max, nr)
-    zeros = (0.0,) * (pair.m - 1)
+    if _is_one(pair.pk):
+        values = pair_plan(pair.A, pair.B).values
+
+        def magnitude(x0, r):
+            # the float `eval_axial(pair, EvalPoint(x0, (r, 0, ...))).norm()`, whose radius is sqrt(r * r)
+            rr = math.sqrt(r * r)
+            a_val, b_val = values(x0, rr)
+            b_val *= r / rr
+            return math.sqrt(0.0 + a_val * a_val + b_val * b_val)
+
+    else:
+        zeros = (0.0,) * (pair.m - 1)
+
+        def magnitude(x0, r):
+            return eval_axial(pair, EvalPoint(x0, (r,) + zeros)).norm()
 
     def row_max(x0):
         best = (-math.inf, 0.0, 0.0)
         for r in r_vals:
-            pt = EvalPoint(x0, (r,) + zeros)
-            val = eval_axial(pair, pt).norm() * math.exp(r * r / 2.0)
+            val = magnitude(x0, r) * math.exp(r * r / 2.0)
             if val > best[0]:
                 best = (val, x0, r)
             elif math.isnan(val):

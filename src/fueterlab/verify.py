@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -83,10 +84,13 @@ HERMITE_N_MAX = 12
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verdict; seconds is the wall time of the check that produced it, set by `iter_suite`."""
+
     id: str
     passed: bool
     max_error: float = 0.0
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -608,7 +612,8 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
     """Yield the CheckResults of each check of a suite, one list per check, in table order.
 
     `all` runs every suite, each on its own stream seeded with rng_seed,
-    and hands ms to the suites that take a dimension.
+    and hands ms to the suites that take a dimension.  Each result carries
+    the wall time of its check in `seconds`.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -622,7 +627,10 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
         ctx = Context(random.Random(rng_seed), suite_ms, csv_from)
         for check in CHECKS[suite]:
-            yield check(ctx)
+            start = time.perf_counter()
+            results = check(ctx)
+            seconds = time.perf_counter() - start
+            yield [replace(res, seconds=seconds) for res in results]
 
 
 def run_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None) -> list:

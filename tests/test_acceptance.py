@@ -28,7 +28,7 @@ def _read(verdicts, expected: dict):
     """
     bad = []
     for check_id, n in expected.items():
-        res = verdicts[check_id].result
+        res = verdicts[check_id]
         if not res.passed or (n is not None and res.detail.split()[0] != f"{n}/{n}"):
             bad.append(res.line())
     return bad, sum(verdicts[check_id].seconds for check_id in expected)
@@ -55,7 +55,7 @@ def test_criterion_3_inverse_seed_closed_form(verdicts):
 
 def test_criterion_4_triangle_equality(verdicts):
     bad, _ = _read(verdicts, {"example3.triangle": 44})
-    print("computed proportionality constants (last four):", verdicts["example3.triangle"].result.detail)
+    print("computed proportionality constants (last four):", verdicts["example3.triangle"].detail)
     _report("4 (three-route equality for polynomial seeds)", not bad, "44 (n,k,m) cases", bad)
 
 
@@ -67,7 +67,7 @@ def test_criterion_5_hermite_recurrence_equals_closed_form(verdicts):
 def test_criterion_6_gaussian_extension(verdicts):
     expected = {"gauss.restriction_symbolic": 3, "gauss.m3_closed_form": 1, "gauss.series_vs_closed": None}
     bad, _ = _read(verdicts, expected)
-    series = verdicts["gauss.series_vs_closed"].result
+    series = verdicts["gauss.series_vs_closed"]
     assert "50 points per m, m in {3, 5}" in series.detail, series.line()
 
     max_axis = 0.0
@@ -90,7 +90,7 @@ def test_criterion_7_gaussian_fundamental_solution(verdicts):
         "b_order": "gauss_fund.fd_convergence_order",
         "c": "gauss_fund.decay_sup_stable",
     }
-    detail = "; ".join(f"{label}:{'ok' if verdicts[i].result.passed else 'fail'}" for label, i in parts.items())
+    detail = "; ".join(f"{label}:{'ok' if verdicts[i].passed else 'fail'}" for label, i in parts.items())
     bad, _ = _read(verdicts, dict.fromkeys(parts.values()))
     _report("7 (fundamental solution: pole cancellation, two-sidedness, decay)", not bad, detail, bad)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -24,6 +25,10 @@ def test_parse_range():
     assert len(vals) == 41 and vals[0] == -2.0 and vals[-1] == 2.0
     with pytest.raises(Exception):
         parse_range("1:2")
+    # nan, an infinite endpoint, or endpoints whose span overflows to an infinite step
+    for text in ("nan", "inf", "-inf", "0:nan:3", "0:inf:3", "1e308:-1e308:3", "-1e308:1e308:2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_range(text)
 
 
 def test_verify_operators_suite(capsys):
@@ -53,7 +58,7 @@ def test_verify_dimension_filter(capsys):
 
 def test_verify_all_matches_golden(verdicts):
     # the lines `fueterlab verify --suite all` prints, from the session's run of the check table
-    lines = verify.report_lines("all", [v.result for v in verdicts.values()])
+    lines = verify.report_lines("all", list(verdicts.values()))
     assert lines == GOLDEN.read_text().splitlines()
 
 
@@ -104,6 +109,8 @@ def test_verify_json_report(capsys, tmp_path):
     assert payload["suite"] == "core"
     assert payload["passed"] is True
     assert any(c["id"] == "core.associativity" for c in payload["checks"])
+    seconds = [c["seconds"] for c in payload["checks"]]
+    assert all(isinstance(t, float) and t >= 0.0 for t in seconds) and sum(seconds) > 0.0
 
 
 def test_hermite_both(capsys):
@@ -154,6 +161,12 @@ def test_fueter_z_pow_triangle(capsys):
     assert "c=-8" in out
 
 
+def test_negative_scientific_values(capsys):
+    # `--x0 -1e-3` is a value, not an unknown option
+    code, out, _ = run(capsys, "ck-gauss", "--m", "3", "--x0", "-1e-3", "--r", "0")
+    assert code == 0 and "closed (x_=0 axis)" in out
+
+
 def test_ck_gauss_axis(capsys):
     code, out, _ = run(capsys, "ck-gauss", "--m", "3", "--x0", "1", "--r", "0")
     assert code == 0
@@ -171,6 +184,25 @@ def test_sample_and_reverify(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(out_csv))
     assert code == 0
     assert "gauss_fund.csv_roundtrip PASS" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--x0", "nan"), ("--r", "inf"), ("--x0", "-1e308:1e308:2")])
+def test_sample_rejects_non_finite(capsys, tmp_path, flag, value):
+    # NaN rows would be written, then reported as FAIL by `verify --from`, since NaN != NaN
+    out_csv = tmp_path / "g.csv"
+    argv = {"--x0": "0", "--r": "1"} | {flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--target", "gauss-fund", "--m", "3", "--x0", argv["--x0"], "--r", argv["--r"], "--out", str(out_csv)])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err and not out_csv.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--x0", "nan"), ("--r", "inf"), ("--x0", "-inf")])
+def test_ck_gauss_rejects_non_finite(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["ck-gauss", "--m", "3", flag, value])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_sample_io_failure_exit_code(capsys):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,9 @@ from fueterlab.axial import EvalDomainError
 from fueterlab.clifford import Multivector
 from fueterlab.cliffpoly import coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
+    SEED_NAMES,
     EvenDimensionError,
+    default_pk,
     fueter,
     gauss_ck_pair,
     gauss_fund_pair,
@@ -302,3 +306,135 @@ def test_read_sample_csv_rejects_wrong_header(tmp_path):
 def test_sample_rows_rejects_nonpositive_r():
     with pytest.raises(EvalDomainError):
         sample_rows("ck-gauss", 3, [0.0], [0.0])
+
+
+# --- bit-identity against the term-by-term formulas ---------------------------
+
+
+def _ref_evaluate(expr, x0, r):
+    """Each term's factors computed on their own, multiplied in key order, summed in dict order."""
+    q_val = x0 * x0 + r * r
+    total = 0.0
+    for (a, b, p, g, t), q in expr.terms.items():
+        val = float(q)
+        if a:
+            val *= x0**a
+        if b:
+            val *= r**b
+        if p:
+            val *= q_val ** (-p)
+        if g:
+            val *= math.exp((x0 * x0 - r * r) / 2)
+        if t == "cos":
+            val *= math.cos(x0 * r)
+        elif t == "sin":
+            val *= math.sin(x0 * r)
+        total += val
+    return total
+
+
+def _ref_eval_axial(pair, pt):
+    r = math.sqrt(math.fsum(x * x for x in pt.xs))
+    coeffs = {0: _ref_evaluate(pair.A, pt.x0, r)}
+    b_val = _ref_evaluate(pair.B, pt.x0, r)
+    for j, x in enumerate(pt.xs):
+        if x:
+            coeffs[1 << j] = b_val * (x / r)
+    return Multivector(pair.m, coeffs, exact=False) * pair.pk.eval(pt.x0, pt.xs)
+
+
+def test_eval_axial_bit_identical_to_term_formula():
+    rng = random.Random(97)
+    for name in SEED_NAMES:
+        for m in (3, 5, 7):
+            for k in (0, 1):
+                pair = fueter(seed(name, 5 if name == "z_pow" else None), k, m, default_pk(k, m))
+                for i in range(25):
+                    x0 = rng.uniform(-3.0, 3.0) if i % 5 else 0.0
+                    r = 10 ** rng.uniform(-4.0, 0.7)
+                    d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else 0.0 for j in range(m)]
+                    norm = math.sqrt(sum(c * c for c in d))
+                    pt = EvalPoint(x0, tuple(r * c / norm for c in d))
+                    got, want = eval_axial(pair, pt), _ref_eval_axial(pair, pt)
+                    # values and blade order both, as `sample_row` and the CSV files see them
+                    assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, m, k, x0, pt.xs)
+                    assert pair.A.evaluate(x0, r) == _ref_evaluate(pair.A, x0, r)
+
+
+def _ref_decay_scan(pair, K, r_min, r_max, nx0, nr):
+    """Row-major brute force: the first r of a row wins a tie within it, the larger x0 across rows."""
+    best = (-math.inf, 0.0, 0.0)
+    zeros = (0.0,) * (pair.m - 1)
+    for x0 in lin_range(-K, K, nx0):
+        for r in lin_range(r_min, r_max, nr):
+            val = _ref_eval_axial(pair, EvalPoint(x0, (r,) + zeros)).norm() * math.exp(r * r / 2.0)
+            if val > best[0] or (val == best[0] and x0 > best[1]):
+                best = (val, x0, r)
+    return best
+
+
+@pytest.mark.parametrize(
+    "pair_of, K, r_min, r_max, nx0, nr",
+    [
+        (gauss_fund_pair, 2.0, 3.0, 8.0, 101, 101),
+        (gauss_fund_pair, 2.0, 3.0, 8.0, 201, 201),
+        (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 8.0, 21, 51),
+        (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 12.0, 21, 51),
+    ],
+    ids=["gauss_fund_101", "gauss_fund_201", "inv_z_near", "inv_z_far"],
+)
+def test_decay_scan_matches_brute_force(pair_of, K, r_min, r_max, nx0, nr):
+    # the grids of gauss_fund.decay_sup_stable and gauss_fund.decay_control_divergent
+    pair = pair_of(3)
+    report = decay_scan(pair, K, r_min, r_max, nx0, nr)
+    assert (report.sup_value, report.argmax_x0, report.argmax_r) == _ref_decay_scan(pair, K, r_min, r_max, nx0, nr)
+
+
+def test_decay_scan_overflows_past_r_38():
+    # exp(r^2/2) overflows binary64 beyond r ~ 37.7; the scan raises at the first such point
+    with pytest.raises(OverflowError):
+        decay_scan(gauss_fund_pair(3), K=2.0, r_min=36.0, r_max=40.0, nx0=3, nr=3)
+
+
+def test_series_bit_identical_to_per_term_powers():
+    rng = random.Random(89)
+    for m in (3, 5):
+        for _ in range(10):
+            pt = EvalPoint(rng.uniform(-1.0, 1.0), tuple(rng.uniform(-1.5, 1.5) for _ in range(m)))
+            r2 = math.fsum(x * x for x in pt.xs)
+            scalar = vector = 0.0
+            x0_pow = 1.0
+            for n in range(61):
+                s = v = 0.0
+                for j, c in enumerate(hermite_radial_coeffs(n, m)):
+                    if c:
+                        term = c * (-r2) ** (j // 2)
+                        if j % 2:
+                            v += term
+                        else:
+                            s += term
+                factor = x0_pow / math.factorial(n)
+                scalar += factor * s
+                vector += factor * v
+                x0_pow *= pt.x0
+            damp = math.exp(-r2 / 2.0)
+            want = {0: damp * scalar} | {1 << j: damp * vector * x for j, x in enumerate(pt.xs)}
+            got = ck_gauss_series(pt, m, trunc=60)
+            assert list(got.coeffs.items()) == list(Multivector(m, want, exact=False).coeffs.items())
+
+
+def test_no_numpy_import():
+    """Importing fueterlab and running its numeric layer loads no numpy: a cold start stays cheap."""
+    code = (
+        "import sys, fueterlab\n"
+        "from fueterlab import cli, numeric, verify\n"
+        "pair = fueterlab.gauss_fund_pair(3)\n"
+        "numeric.decay_scan(pair, 2.0, 3.0, 8.0, 5, 5)\n"
+        "numeric.sample_rows('ck-gauss', 3, [0.5], [1.0])\n"
+        "numeric.ck_gauss_series(numeric.EvalPoint(0.5, (1.0, 0.0, 0.0)), 3)\n"
+        "numeric.entire_part_probe(3, (1e-1, 1e-2))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -243,16 +243,12 @@ class AxialExpr:
 
     def evaluate(self, x0: float, r: float) -> float:
         """Binary64 evaluation; factors computed as written (Q stays factored)."""
-        return self._evaluate(x0, r, float, math)
+        return self.plan().values(x0, r)[0]
 
     def evaluate_mp(self, x0, r):
         """High-precision evaluation under the ambient mpmath precision."""
         x0, r = mpmath.mpf(x0), mpmath.mpf(r)
-        return self._evaluate(x0, r, lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)
-
-    def _evaluate(self, x0, r, num, lib):
-        """Sum of the terms with coefficients converted by num and exp/cos/sin from lib."""
-        return self.plan().values(x0, r, num, lib)[0]
+        return self.plan().values(x0, r, lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)[0]
 
     def plan(self) -> "EvalPlan":
         """The expression compiled for evaluation, built on first use and kept."""
@@ -296,16 +292,12 @@ class EvalPlan:
         self.has_cos = any(t == TRIG_COS for *_, t in keys)
         self.has_sin = any(t == TRIG_SIN for *_, t in keys)
         self.neg_r = any(b < 0 for b in self.r_exps)
-        index = {}
-        for kind, exps in (("a", self.x_exps), ("b", self.r_exps), ("p", self.q_exps)):
-            for e in exps:
-                index[kind, e] = len(index) + 1
-        for kind, present in (("g", self.has_e), (TRIG_COS, self.has_cos), (TRIG_SIN, self.has_sin)):
-            if present:
-                index[kind, 1] = len(index) + 1
+        slots = [("a", a) for a in self.x_exps] + [("b", b) for b in self.r_exps] + [("p", p) for p in self.q_exps]
+        slots += [("g", 1)] * self.has_e + [("t", TRIG_COS)] * self.has_cos + [("t", TRIG_SIN)] * self.has_sin
+        index = {slot: i for i, slot in enumerate(slots, 1)}
         self.rows = tuple(
             tuple(
-                (q, index.get(("a", a), 0), index.get(("b", b), 0), index.get(("p", p), 0), index.get(("g", g), 0), index.get((t, 1), 0))
+                (q, *(index.get(slot, 0) for slot in (("a", a), ("b", b), ("p", p), ("g", g), ("t", t))))
                 for (a, b, p, g, t), q in terms.items()
             )
             for terms in term_dicts
@@ -334,6 +326,7 @@ class EvalPlan:
             f.append(lib.cos(x0 * r))
         if self.has_sin:
             f.append(lib.sin(x0 * r))
+        # binary64 reads the coefficients converted once; any other num converts the exact ones per call
         if num is float:
             row_sets = self.float_rows
         else:

@@ -190,9 +190,9 @@ def test_sample_and_reverify(capsys, tmp_path):
 def test_sample_rejects_non_finite(capsys, tmp_path, flag, value):
     # NaN rows would be written, then reported as FAIL by `verify --from`, since NaN != NaN
     out_csv = tmp_path / "g.csv"
-    argv = {"--x0": "0", "--r": "1"} | {flag: value}
+    ranges = {"--x0": "0", "--r": "1", flag: value}
     with pytest.raises(SystemExit) as exc:
-        main(["sample", "--target", "gauss-fund", "--m", "3", "--x0", argv["--x0"], "--r", argv["--r"], "--out", str(out_csv)])
+        main(["sample", "--target", "gauss-fund", "--m", "3", *sum(ranges.items(), ()), "--out", str(out_csv)])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err and not out_csv.exists()
 

@@ -380,11 +380,13 @@ def _ref_decay_scan(pair, K, r_min, r_max, nx0, nr):
         (gauss_fund_pair, 2.0, 3.0, 8.0, 201, 201),
         (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 8.0, 21, 51),
         (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 12.0, 21, 51),
+        (lambda m: fueter(seed("gauss"), 1, m, default_pk(1, m)), 1.0, 0.5, 3.0, 9, 9),
     ],
-    ids=["gauss_fund_101", "gauss_fund_201", "inv_z_near", "inv_z_far"],
+    ids=["gauss_fund_101", "gauss_fund_201", "inv_z_near", "inv_z_far", "gauss_k1"],
 )
 def test_decay_scan_matches_brute_force(pair_of, K, r_min, r_max, nx0, nr):
-    # the grids of gauss_fund.decay_sup_stable and gauss_fund.decay_control_divergent
+    # the grids of gauss_fund.decay_sup_stable and gauss_fund.decay_control_divergent, on P_0 pairs,
+    # and a P_1 pair, which goes through eval_axial
     pair = pair_of(3)
     report = decay_scan(pair, K, r_min, r_max, nx0, nr)
     assert (report.sup_value, report.argmax_x0, report.argmax_r) == _ref_decay_scan(pair, K, r_min, r_max, nx0, nr)

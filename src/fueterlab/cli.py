@@ -7,9 +7,13 @@ error, 3 unsupported hypothesis (even m), 4 invalid P_k, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 
 from . import numeric, verify
@@ -51,12 +55,41 @@ def parse_range(text: str) -> list:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be 'lo:hi:count' or a single value, got {text!r}")
     lo, hi, count = finite_float(parts[0]), finite_float(parts[1]), int(parts[2])
-    if count < 1:
-        raise argparse.ArgumentTypeError("range count must be >= 1")
-    vals = numeric.lin_range(lo, hi, count)
-    if not all(math.isfinite(v) for v in vals):
-        raise argparse.ArgumentTypeError(f"range {text!r} has a non-finite grid value")
-    return vals
+    try:
+        return numeric.lin_range(lo, hi, count)
+    except ValueError as exc:  # a count below 1, or a span whose step overflows
+        raise argparse.ArgumentTypeError(f"range {text!r}: {exc}") from None
+
+
+def _dist_version(dist: str):
+    try:
+        return importlib.metadata.version(dist)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def _git_revision():
+    """HEAD of the git checkout holding this package's source, or None outside one."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run_environment() -> dict:
+    """Versions and git revision for the JSON report; numpy is looked up in the package metadata, never imported."""
+    return {
+        "python": platform.python_version(),
+        "mpmath": _dist_version("mpmath"),
+        "numpy": _dist_version("numpy"),
+        "git_revision": _git_revision(),
+    }
 
 
 def cmd_verify(args) -> int:
@@ -70,6 +103,7 @@ def cmd_verify(args) -> int:
             "suite": args.suite,
             "rng_seed": args.rng_seed,
             "passed": passed,
+            **run_environment(),
             "checks": [
                 {"id": r.id, "passed": r.passed, "max_error": r.max_error, "detail": r.detail, "seconds": r.seconds}
                 for r in results

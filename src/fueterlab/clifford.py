@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 MAX_DIMENSION = 16
 
@@ -38,12 +39,15 @@ def blade_grade(mask: int) -> int:
     return mask.bit_count()
 
 
+@lru_cache(maxsize=4096)
 def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
     """Sign and mask of the blade product e_A e_B.
 
     Transpositions needed to interleave the two ascending index sequences
     are counted with shifted popcounts; each generator common to both
-    blades then contributes one factor e_j^2 = -1.
+    blades then contributes one factor e_j^2 = -1.  Memoized: a workload
+    meets a few hundred distinct pairs, and the bound caps the memory at
+    m = 16.
     """
     swaps = 0
     t = mask_a >> 1
@@ -134,6 +138,15 @@ class Multivector:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _of(cls, m: int, coeffs: dict, exact: bool) -> "Multivector":
+        """Trusted constructor for computed {mask: coeff} of the given variant; drops zeros."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "m", m)
+        object.__setattr__(a, "exact", exact)
+        object.__setattr__(a, "coeffs", {mask: v for mask, v in coeffs.items() if v})
+        return a
+
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
@@ -200,19 +213,23 @@ class Multivector:
         out = dict(self.coeffs)
         for mask, v in other.coeffs.items():
             out[mask] = out.get(mask, 0) + v
-        return Multivector(self.m, out, self.exact)
+        return Multivector._of(self.m, out, self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for mask, v in other.coeffs.items():
+            out[mask] = out.get(mask, 0) - v
+        return Multivector._of(self.m, out, self.exact)
 
     def __neg__(self):
-        return Multivector(self.m, {mask: -v for mask, v in self.coeffs.items()}, self.exact)
+        return Multivector._of(self.m, {mask: -v for mask, v in self.coeffs.items()}, self.exact)
 
     def scale(self, value) -> "Multivector":
         c = self._coerce_scalar(value)
-        return Multivector(self.m, {mask: c * v for mask, v in self.coeffs.items()}, self.exact)
+        return Multivector._of(self.m, {mask: c * v for mask, v in self.coeffs.items()}, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -227,16 +244,13 @@ class Multivector:
         out = {}
         for mask, v in self.coeffs.items():
             out[mask] = v if conjugation_sign(blade_grade(mask)) > 0 else -v
-        return Multivector(self.m, out, self.exact)
+        return Multivector._of(self.m, out, self.exact)
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.m:
             raise ValueError(f"grade {k} outside 0..{self.m}")
-        return Multivector(
-            self.m,
-            {mask: v for mask, v in self.coeffs.items() if blade_grade(mask) == k},
-            self.exact,
-        )
+        kept = {mask: v for mask, v in self.coeffs.items() if blade_grade(mask) == k}
+        return Multivector._of(self.m, kept, self.exact)
 
     def scalar_part(self):
         return self[0]
@@ -252,7 +266,7 @@ class Multivector:
         """Explicit lossy conversion to the binary64 variant."""
         if not self.exact:
             return self
-        return Multivector(self.m, {mask: float(v) for mask, v in self.coeffs.items()}, exact=False)
+        return Multivector._of(self.m, {mask: float(v) for mask, v in self.coeffs.items()}, False)
 
     def __str__(self) -> str:
         return format_multivector(self)
@@ -270,7 +284,7 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
             sign, mask = blade_product(ma, mb)
             prod = va * vb
             out[mask] = out.get(mask, 0) + (prod if sign > 0 else -prod)
-    return Multivector(a.m, out, a.exact)
+    return Multivector._of(a.m, out, a.exact)
 
 
 def conjugate(a: Multivector) -> Multivector:

@@ -210,7 +210,7 @@ class CliffPoly:
                 total[mask] = total.get(mask, 0) + v
                 if not total[mask]:
                     del total[mask]
-        return Multivector(self.m, total, exact=False)
+        return Multivector._of(self.m, total, False)
 
     def __str__(self) -> str:
         return format_poly(self)

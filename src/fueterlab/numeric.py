@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 
 from .axial import EvalDomainError, pair_plan
-from .clifford import Multivector
+from .clifford import DimensionMismatchError, MixedVariantError, Multivector, blade_product
 from .fueter import (
     AxialPair,
     EvenDimensionError,
@@ -31,18 +32,22 @@ from .fueter import (
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """Point of R^{m+1} split as (x0, x_); r and the unit vector derive from x_."""
+    """Point of R^{m+1} split as (x0, x_); r and the unit vector derive from x_.
+
+    r = |x_| is computed once, when the point is made; it takes no part in
+    equality or repr, which see (x0, xs) only.
+    """
 
     x0: float
     xs: tuple
+    r: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", math.sqrt(math.fsum(map(mul, self.xs, self.xs))))
 
     @property
     def m(self) -> int:
         return len(self.xs)
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(math.fsum(x * x for x in self.xs))
 
     def scale_estimate(self) -> float:
         return math.sqrt(self.x0 * self.x0 + sum(x * x for x in self.xs))
@@ -108,7 +113,7 @@ def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
     for j, x in enumerate(pt.xs):
         if x:
             coeffs[1 << j] = b_val * (x / r)
-    value = Multivector(pair.m, coeffs, exact=False)
+    value = Multivector._of(pair.m, coeffs, False)
     # the float Multivector drops zeros and x * 1.0 == x, so P_k = 1 would change no coefficient
     return value if _is_one(pair.pk) else value * pair.pk.eval(pt.x0, pt.xs)
 
@@ -201,7 +206,7 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     coeffs = {0: damp * scalar}
     for j, x in enumerate(pt.xs):
         coeffs[1 << j] = damp * vector * x
-    return Multivector(m, coeffs, exact=False)
+    return Multivector._of(m, coeffs, False)
 
 
 def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
@@ -256,6 +261,12 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
     f maps (x0, xs) to a float Multivector.  'left' applies e_j from the
     left of each partial, 'right' from the right; both residuals are
     O(h^2) for functions monogenic on that side.
+
+    The partials add into one {mask: coeff} dict with the rounding and the
+    order of the float Multivector sum of e_j (f(x + h u_j) - f(x - h u_j))
+    scaled by 1/(2h): entries that are zero after a coordinate leave the
+    dict, as the Multivector sum drops them, so the norm sums the squares
+    in the same order.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -263,20 +274,31 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
     h = cfg.step(pt)
     m = pt.m
     coords = (pt.x0, *pt.xs)
+    inv_2h = 1.0 / (2.0 * h)
+    left = side == "left"
 
     def shifted(j, step):
         c = list(coords)
         c[j] += step
-        return f(c[0], tuple(c[1:]))
+        value = f(c[0], tuple(c[1:]))
+        if value.m != m:
+            raise DimensionMismatchError(f"f returned m={value.m} at a point of m={m}")
+        if value.exact:
+            raise MixedVariantError("f must return float multivectors")
+        return value.coeffs
 
-    total = None
+    total: dict = {}
     for j in range(m + 1):
-        deriv = (shifted(j, h) - shifted(j, -h)).scale(1.0 / (2.0 * h))
-        if j > 0:
-            ej = Multivector.basis(m, j, exact=False)
-            deriv = ej * deriv if side == "left" else deriv * ej
-        total = deriv if total is None else total + deriv
-    return total.norm()
+        diff = dict(shifted(j, h))
+        for mask, v in shifted(j, -h).items():
+            diff[mask] = diff.get(mask, 0) - v
+        ej = 1 << (j - 1) if j else 0  # e_j, and the identity for the x0 partial
+        for mask, v in diff.items():
+            v *= inv_2h
+            sign, key = blade_product(ej, mask) if left else blade_product(mask, ej)
+            total[key] = total.get(key, 0) + (v if sign > 0 else -v)
+        total = {mask: v for mask, v in total.items() if v}
+    return math.sqrt(sum((v * v for v in total.values()), 0.0))
 
 
 def fd_convergence_factor(f, pt: EvalPoint, side: str = "left", h: float = 2e-3) -> float:
@@ -292,14 +314,23 @@ def fd_convergence_factor(f, pt: EvalPoint, side: str = "left", h: float = 2e-3)
 
 
 def lin_range(lo: float, hi: float, count: int) -> list:
-    """Inclusive uniform grid with deterministic endpoints."""
+    """Inclusive uniform grid with deterministic endpoints.
+
+    A step or grid value that is not finite raises ValueError: the span of
+    [-1e308, 1e308] overflows to an infinite step, and lo + 0 * inf is NaN.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    vals = [lo + i * step for i in range(count)]
-    vals[-1] = hi
+        vals = [lo]
+    else:
+        step = (hi - lo) / (count - 1)
+        if not math.isfinite(step):
+            raise ValueError(f"grid step of [{lo!r}, {hi!r}] over {count} points is not finite")
+        vals = [lo + i * step for i in range(count)]
+        vals[-1] = hi
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"grid of [{lo!r}, {hi!r}] over {count} points has a value that is not finite")
     return vals
 
 

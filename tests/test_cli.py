@@ -1,13 +1,16 @@
 import argparse
+import importlib.metadata
 import json
 import math
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fueterlab import verify
+from fueterlab import cli, verify
 from fueterlab.cli import main, parse_range
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.golden"
@@ -26,7 +29,7 @@ def test_parse_range():
     with pytest.raises(Exception):
         parse_range("1:2")
     # nan, an infinite endpoint, or endpoints whose span overflows to an infinite step
-    for text in ("nan", "inf", "-inf", "0:nan:3", "0:inf:3", "1e308:-1e308:3", "-1e308:1e308:2"):
+    for text in ("nan", "inf", "-inf", "0:nan:3", "0:inf:3", "1e308:-1e308:3", "-1e308:1e308:2", "0:1:0"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range(text)
 
@@ -111,6 +114,21 @@ def test_verify_json_report(capsys, tmp_path):
     assert any(c["id"] == "core.associativity" for c in payload["checks"])
     seconds = [c["seconds"] for c in payload["checks"]]
     assert all(isinstance(t, float) and t >= 0.0 for t in seconds) and sum(seconds) > 0.0
+    assert payload["python"] == platform.python_version()
+    assert payload["mpmath"] == importlib.metadata.version("mpmath")
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    assert payload["numpy"] == numpy_version
+    rev = payload["git_revision"]
+    assert rev is None or re.fullmatch(r"[0-9a-f]{40}", rev)
+
+
+def test_verify_json_environment_outside_checkout(monkeypatch, tmp_path):
+    # the revision is that of the checkout holding the package source; elsewhere it is null
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    assert cli.run_environment()["git_revision"] is None
 
 
 def test_hermite_both(capsys):
@@ -186,7 +204,9 @@ def test_sample_and_reverify(capsys, tmp_path):
     assert "gauss_fund.csv_roundtrip PASS" in out
 
 
-@pytest.mark.parametrize("flag, value", [("--x0", "nan"), ("--r", "inf"), ("--x0", "-1e308:1e308:2")])
+@pytest.mark.parametrize(
+    "flag, value", [("--x0", "nan"), ("--r", "inf"), ("--x0", "-1e308:1e308:2"), ("--x0", "1e308:-1e308:3")]
+)
 def test_sample_rejects_non_finite(capsys, tmp_path, flag, value):
     # NaN rows would be written, then reported as FAIL by `verify --from`, since NaN != NaN
     out_csv = tmp_path / "g.csv"

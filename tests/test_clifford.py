@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -47,7 +48,9 @@ def test_blade_product_examples():
 
 
 def test_blade_sign_matches_naive_oracle_exhaustive():
-    for m in range(1, 5):
+    # blade_product is memoized: the cached answers must equal the oracle on every pair
+    assert blade_product.cache_info().maxsize is not None  # bounded, so memory stays capped
+    for m in range(1, 6):
         for ma in range(1 << m):
             for mb in range(1 << m):
                 sign, mask = blade_product(ma, mb)
@@ -164,6 +167,46 @@ def test_variant_mixing_is_explicit():
     with pytest.raises(MixedVariantError):
         Multivector(3, {0: 0.1})  # would store Fraction(0.1) = 3602879701896397/2**55
     assert gp(a.to_float(), b) == Multivector.scalar(3, 4.0, exact=False)
+
+
+def test_trusted_constructor_drops_zeros_keeps_nan():
+    a = Multivector._of(3, {0: 0.0, 1: -0.0, 2: math.nan, 5: 1.5, 6: -2.0}, False)
+    assert list(a.coeffs) == [2, 5, 6] and math.isnan(a[2])
+    assert a.exact is False and a.m == 3
+    # the same coefficients, in the same order, as the public constructor
+    b = Multivector(3, {0: 0.0, 1: -0.0, 2: math.nan, 5: 1.5, 6: -2.0}, exact=False)
+    assert list(b.coeffs) == list(a.coeffs) and str(b) == str(a)
+    assert Multivector._of(3, {0: Fraction(0), 5: Fraction(1, 3)}, True) == Multivector(3, {5: Fraction(1, 3)})
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        Multivector(3, {8: 1.0}, exact=False)  # mask needs four generators
+    with pytest.raises(ValueError):
+        Multivector(3, {-1: 1})
+    with pytest.raises(MixedVariantError):
+        Multivector(3, {0: 0.5})  # a float in the exact variant
+    with pytest.raises(MixedVariantError):
+        Multivector(3, {1: Fraction(1, 2), 2: 0.25}, exact=True)
+
+
+def test_float_arithmetic_keeps_values_and_blade_order():
+    # a - b is one loop now; IEEE a - b equals a + (-b), zeros leave the dict either way
+    rng = random.Random(43)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        a = Multivector(m, {rng.randrange(1 << m): rng.uniform(-2.0, 2.0) for _ in range(4)}, exact=False)
+        b = Multivector(m, {rng.randrange(1 << m): rng.uniform(-2.0, 2.0) for _ in range(4)}, exact=False)
+        b = b + a.grade(rng.randint(0, m))  # some blades cancel exactly in a - b
+        assert list((a - b).coeffs.items()) == list((a + (-b)).coeffs.items())
+        want = {}
+        for ma, va in a.coeffs.items():
+            for mb, vb in b.coeffs.items():
+                sign, mask = blade_product_naive(indices_from_mask(ma), indices_from_mask(mb))
+                mask = sum(1 << (j - 1) for j in mask)
+                want[mask] = want.get(mask, 0) + (va * vb if sign > 0 else -(va * vb))
+        assert list(gp(a, b).coeffs.items()) == [(k, v) for k, v in want.items() if v]
+        assert all(type(v) is float for v in (a + b).coeffs.values())
 
 
 def test_text_roundtrip_exact():

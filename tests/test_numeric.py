@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fueterlab.axial import EvalDomainError
-from fueterlab.clifford import Multivector
+from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
 from fueterlab.cliffpoly import coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
     SEED_NAMES,
@@ -166,6 +166,79 @@ def test_fd_rejects_bad_side():
         fd_cr_residual(f, EvalPoint(0.0, (1.0, 0.0, 0.0)), side="middle")
 
 
+def test_fd_rejects_exact_or_mismatched_values():
+    pt = EvalPoint(0.5, (1.0, 0.0, 0.0))
+    with pytest.raises(MixedVariantError):
+        fd_cr_residual(lambda x0, xs: Multivector.scalar(3, 1), pt)
+    with pytest.raises(DimensionMismatchError):
+        fd_cr_residual(lambda x0, xs: Multivector.scalar(4, x0, exact=False), pt)
+
+
+def _ref_fd_total(f, pt, h, side):
+    """The float Multivector sum of e_j (f(x + h u_j) - f(x - h u_j)) / (2h), e_j on the given side."""
+    m = pt.m
+    coords = (pt.x0, *pt.xs)
+
+    def shifted(j, step):
+        c = list(coords)
+        c[j] += step
+        return f(c[0], tuple(c[1:]))
+
+    total = None
+    for j in range(m + 1):
+        deriv = (shifted(j, h) - shifted(j, -h)).scale(1.0 / (2.0 * h))
+        if j > 0:
+            ej = Multivector.basis(m, j, exact=False)
+            deriv = ej * deriv if side == "left" else deriv * ej
+        total = deriv if total is None else total + deriv
+    return total
+
+
+def test_fd_residual_bit_identical_to_multivector_formula():
+    rng = random.Random(61)
+    steps = (1e-8, 1e-6, 1e-5, 1e-4, 2e-3)
+    for name in SEED_NAMES:
+        for m in (3, 5, 7):
+            for k in (0, 1):
+                f = axial_evaluator(fueter(seed(name, 5 if name == "z_pow" else None), k, m, default_pk(k, m)))
+                for i in range(2):
+                    r = rng.uniform(0.3, 2.0)
+                    d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else 0.0 for j in range(m)]
+                    norm = math.sqrt(sum(c * c for c in d))
+                    pt = EvalPoint(rng.uniform(-1.5, 1.5), tuple(r * c / norm for c in d))
+                    h = steps[(i + m + k) % len(steps)]
+                    for side in ("left", "right"):
+                        want = _ref_fd_total(f, pt, FDConfig(h).step(pt), side).norm()
+                        assert fd_cr_residual(f, pt, FDConfig(h), side) == want, (name, m, k, pt, h, side)
+
+
+def test_fd_residual_keeps_order_when_a_blade_cancels():
+    # x0 e2 gives the partial e2, e1 * (x1 e12) gives -e2: the e2 entry cancels exactly at j = 1
+    # and comes back at j = 2 from e2 * 0.06, so it sums last, as in the Multivector sum
+    def f(x0, xs):
+        return Multivector(3, {2: x0, 1: 0.55 * x0, 0: 0.57 * x0 + 0.06 * xs[1], 3: xs[0]}, exact=False)
+
+    pt = EvalPoint(0.25, (0.5, -0.375, 0.125))
+    h = 2.0**-10  # dyadic point and step: the e2 differences are exact
+    total = _ref_fd_total(f, pt, FDConfig(h).step(pt), "left")
+    assert list(total.coeffs) == [1, 0, 2]
+    got = fd_cr_residual(f, pt, FDConfig(h), "left")
+    assert got == total.norm()
+    vals = list(total.coeffs.values())
+    assert got != math.sqrt(sum((v * v for v in vals[-1:] + vals[:-1]), 0.0))  # the order shows in the last bit
+    for m in (5, 7):
+
+        def g(x0, xs, m=m):
+            coeffs = {2: x0, 1: 0.55 * x0, 0: 0.57 * x0 + 0.06 * xs[1], 3: xs[0], 1 << (m - 1): xs[-1]}
+            return Multivector(m, coeffs, exact=False)
+
+        ptm = EvalPoint(0.25, (0.5, -0.375, 0.0) + (0.125,) * (m - 3))
+        for step in (1e-8, 1e-5, 2e-3):
+            for side in ("left", "right"):
+                want = _ref_fd_total(g, ptm, FDConfig(step).step(ptm), side).norm()
+                assert fd_cr_residual(g, ptm, FDConfig(step), side) == want
+
+
 def test_decay_scan_gauss_fund():
     pair = gauss_fund_pair(3)
     report = decay_scan(pair, K=2.0, r_min=3.0, r_max=8.0, nx0=41, nr=41)
@@ -240,6 +313,45 @@ def test_lin_range():
     assert lin_range(0.0, 1.0, 1) == [0.0]
     vals = lin_range(-2.0, 2.0, 41)
     assert len(vals) == 41 and vals[0] == -2.0 and vals[-1] == 2.0
+    for lo, hi, count in ((-2.0, 2.0, 41), (0.1, 0.7, 13), (3.0, 8.0, 201), (-1e300, 1e300, 5), (1.0, 1.0, 3)):
+        step = (hi - lo) / (count - 1)
+        assert lin_range(lo, hi, count) == [lo + i * step for i in range(count - 1)] + [hi]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [
+        (-1e308, 1e308, 2),
+        (1e308, -1e308, 3),
+        (0.0, math.inf, 3),
+        (math.nan, 1.0, 3),
+        (math.nan, 1.0, 1),
+        (-math.inf, 0.0, 1),
+    ],
+)
+def test_lin_range_rejects_non_finite(lo, hi, count):
+    # the span of [-1e308, 1e308] overflows: the step is inf, and lo + 0 * inf is NaN
+    with pytest.raises(ValueError, match="not finite"):
+        lin_range(lo, hi, count)
+
+
+def test_decay_scan_rejects_overflowing_strip():
+    # fails at the grid, before any point is evaluated, instead of hitting NaN at x0 = nan
+    with pytest.raises(ValueError, match="not finite"):
+        decay_scan(gauss_fund_pair(3), 1e308, 3.0, 8.0, 3, 3)
+
+
+def test_eval_point_radius_once():
+    rng = random.Random(3)
+    for m in (1, 3, 5, 7):
+        xs = tuple(rng.uniform(-2.0, 2.0) if rng.random() < 0.7 else 0.0 for _ in range(m))
+        pt = EvalPoint(0.5, xs)
+        assert pt.r == math.sqrt(math.fsum(x * x for x in xs))
+        # r takes no part in equality, hashing or repr
+        assert pt == EvalPoint(0.5, xs) and hash(pt) == hash(EvalPoint(0.5, xs))
+        assert repr(pt) == f"EvalPoint(x0=0.5, xs={xs!r})"
+    assert EvalPoint(0.0, (3.0, 4.0)).r == 5.0
+    assert replace(EvalPoint(0.0, (3.0, 4.0)), xs=(6.0, 8.0)).r == 10.0
 
 
 def test_sample_rows_and_csv_roundtrip(tmp_path):
@@ -425,8 +537,11 @@ def test_series_bit_identical_to_per_term_powers():
             assert list(got.coeffs.items()) == list(Multivector(m, want, exact=False).coeffs.items())
 
 
-def test_no_numpy_import():
-    """Importing fueterlab and running its numeric layer loads no numpy: a cold start stays cheap."""
+def test_no_numpy_import(tmp_path):
+    """Importing fueterlab and running its numeric layer loads no numpy: a cold start stays cheap.
+
+    `verify --json` records the numpy version from the package metadata, also without the import.
+    """
     code = (
         "import sys, fueterlab\n"
         "from fueterlab import cli, numeric, verify\n"
@@ -435,8 +550,9 @@ def test_no_numpy_import():
         "numeric.sample_rows('ck-gauss', 3, [0.5], [1.0])\n"
         "numeric.ck_gauss_series(numeric.EvalPoint(0.5, (1.0, 0.0, 0.0)), 3)\n"
         "numeric.entire_part_probe(3, (1e-1, 1e-2))\n"
+        f"cli.main(['verify', '--suite', 'core', '--json', {str(tmp_path / 'report.json')!r}])\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

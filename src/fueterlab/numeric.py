@@ -316,8 +316,9 @@ def fd_convergence_factor(f, pt: EvalPoint, side: str = "left", h: float = 2e-3)
 def lin_range(lo: float, hi: float, count: int) -> list:
     """Inclusive uniform grid with deterministic endpoints.
 
-    A step or grid value that is not finite raises ValueError: the span of
-    [-1e308, 1e308] overflows to an infinite step, and lo + 0 * inf is NaN.
+    A grid value that is not finite raises ValueError.  So does a step that
+    is not finite: the span of [-1e308, 1e308] overflows to an infinite
+    step, and the first value lo + 0 * inf is NaN.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -325,8 +326,6 @@ def lin_range(lo: float, hi: float, count: int) -> list:
         vals = [lo]
     else:
         step = (hi - lo) / (count - 1)
-        if not math.isfinite(step):
-            raise ValueError(f"grid step of [{lo!r}, {hi!r}] over {count} points is not finite")
         vals = [lo + i * step for i in range(count)]
         vals[-1] = hi
     if not all(map(math.isfinite, vals)):

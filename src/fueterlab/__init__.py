@@ -8,16 +8,8 @@ pairs, and numerical oracles (finite differences, series evaluation, decay
 scans) that cross-check the symbolic layer.
 """
 
-from .axial import AxialExpr, d_lower, d_upper, diff, equals, eval_expr, format_axial, parse_axial
-from .clifford import (
-    Multivector,
-    conjugate,
-    format_multivector,
-    gp,
-    grade_project,
-    norm_sq,
-    parse_multivector,
-)
+from .axial import AxialExpr, d_lower, d_upper, format_axial, parse_axial
+from .clifford import Multivector, format_multivector, gp, parse_multivector
 from .cliffpoly import (
     CliffPoly,
     HermiteResult,
@@ -66,61 +58,3 @@ from .numeric import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AxialExpr",
-    "AxialPair",
-    "CliffPoly",
-    "DecayReport",
-    "EvalPoint",
-    "FDConfig",
-    "HermiteResult",
-    "HoloSeed",
-    "Multivector",
-    "ProbeReport",
-    "axial_to_poly",
-    "ck_extend_poly",
-    "ck_gauss_restriction",
-    "ck_gauss_series",
-    "closed_form",
-    "coeff_a",
-    "coeff_c",
-    "conjugate",
-    "cr_apply",
-    "cr_conj_apply",
-    "d_lower",
-    "d_upper",
-    "decay_scan",
-    "diff",
-    "dirac",
-    "double_factorial",
-    "entire_part_probe",
-    "equals",
-    "eval_axial",
-    "eval_expr",
-    "fd_cr_residual",
-    "format_axial",
-    "format_multivector",
-    "format_poly",
-    "fueter",
-    "fueter_via_laplacian",
-    "gauss_ck_pair",
-    "gauss_fund_pair",
-    "gp",
-    "grade_project",
-    "hermite_closed",
-    "hermite_rec",
-    "is_homogeneous_monogenic",
-    "laplacian",
-    "norm_sq",
-    "parse_axial",
-    "parse_multivector",
-    "parse_poly",
-    "poly_mul",
-    "sample_p0",
-    "sample_p1",
-    "seed",
-    "triangle_check",
-    "vekua_ok",
-    "vekua_residual",
-]

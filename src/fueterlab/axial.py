@@ -103,9 +103,6 @@ class AxialExpr:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
     # --- linear structure ---
 
     def __add__(self, other):
@@ -357,10 +354,6 @@ def pair_plan(expr_a: AxialExpr, expr_b: AxialExpr) -> EvalPlan:
 # --- module-level operator interface ----------------------------------------
 
 
-def diff(expr: AxialExpr, var: str) -> AxialExpr:
-    return expr.diff(var)
-
-
 def d_lower(n: int, expr: AxialExpr) -> AxialExpr:
     """n-fold (1/r d/dr); order 0 is the identity."""
     if n < 0:
@@ -379,14 +372,6 @@ def d_upper(n: int, expr: AxialExpr) -> AxialExpr:
     for _ in range(n):
         out = out.div_r().diff("r")
     return out
-
-
-def equals(e1: AxialExpr, e2: AxialExpr) -> bool:
-    return (e1 - e2).is_zero()
-
-
-def eval_expr(expr: AxialExpr, x0: float, r: float) -> float:
-    return expr.evaluate(x0, r)
 
 
 def trig_shift(base: str, nu: int) -> tuple[int, str]:

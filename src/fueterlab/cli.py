@@ -172,15 +172,17 @@ def cmd_ck_gauss(args) -> int:
     xs = (args.r,) + (0.0,) * (args.m - 1)
     pt = numeric.EvalPoint(args.x0, xs)
     series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
-    print(f"series (N={args.trunc}): {series}")
+    # the closed form needs odd m, so it is computed before anything is printed
     if args.r == 0:
         closed = numeric.ck_gauss_restriction(args.x0, args.m)
-        print(f"closed (x_=0 axis): {closed!r}")
+        closed_line = f"closed (x_=0 axis): {closed!r}"
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)
     else:
         closed_mv = numeric.eval_axial(gauss_ck_pair(args.m), pt)
-        print(f"closed (axial):     {closed_mv}")
+        closed_line = f"closed (axial):     {closed_mv}"
         err = (series - closed_mv).norm() / max(closed_mv.norm(), 1e-300)
+    print(f"series (N={args.trunc}): {series}")
+    print(closed_line)
     print(f"relative deviation: {err:.3e}")
     return EXIT_OK
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity/property suite")
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
-    p.add_argument("--m", type=int, default=None, help="one dimension for examples, hermite, gauss, gauss_fund")
+    p.add_argument("--m", type=int, default=None, help="the one m to check; a check tied to other m prints no line")
     p.add_argument("--rng-seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--from", dest="from_csv", default=None, metavar="CSV", help="re-verify a sample CSV")
     p.add_argument("--json", default=None, metavar="PATH", help="also write results as JSON")

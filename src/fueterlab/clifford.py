@@ -252,9 +252,6 @@ class Multivector:
         kept = {mask: v for mask, v in self.coeffs.items() if blade_grade(mask) == k}
         return Multivector._of(self.m, kept, self.exact)
 
-    def scalar_part(self):
-        return self[0]
-
     def norm_sq(self):
         """Squared norm [a conj(a)]_0 = sum of squared coefficients."""
         return sum((v * v for v in self.coeffs.values()), Fraction(0) if self.exact else 0.0)
@@ -285,18 +282,6 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
             prod = va * vb
             out[mask] = out.get(mask, 0) + (prod if sign > 0 else -prod)
     return Multivector._of(a.m, out, a.exact)
-
-
-def conjugate(a: Multivector) -> Multivector:
-    return a.conjugate()
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
-
-
-def norm_sq(a: Multivector):
-    return a.norm_sq()
 
 
 # --- text form -------------------------------------------------------------

@@ -35,12 +35,6 @@ from .clifford import (
     tokenize,
 )
 
-DEFAULT_DEGREE_CAP = 64
-
-
-class DegreeCapError(ValueError):
-    """A series or power exceeded the configured degree cap."""
-
 
 def _unit(m: int, j: int) -> tuple:
     """Exponents of the monomial x_j."""
@@ -266,11 +260,11 @@ def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
     return CliffPoly._of(p.m, out)
 
 
-def ck_extend_poly(f: CliffPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> CliffPoly:
+def ck_extend_poly(f: CliffPoly) -> CliffPoly:
     """Unique monogenic extension of a polynomial in the vector variable.
 
-    Returns sum_n (-x0)^n / n! dirac^n(f); the series terminates because
-    dirac strictly lowers degree.
+    Returns sum_n (-x0)^n / n! dirac^n(f); dirac strictly lowers degree,
+    so the series ends after deg f + 1 terms.
     """
     if f.depends_on_x0():
         raise ValueError("CK extension input must not depend on x0")
@@ -278,8 +272,6 @@ def ck_extend_poly(f: CliffPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> CliffP
     g = f
     n = 0
     while g:
-        if n > degree_cap:
-            raise DegreeCapError(f"CK series exceeded degree cap {degree_cap}")
         out = out + g.shift_x0(n).scale(Fraction((-1) ** n, math.factorial(n)))
         g = dirac(g)
         n += 1

@@ -19,7 +19,7 @@ from operator import mul
 import mpmath
 
 from .axial import EvalDomainError, pair_plan
-from .clifford import DimensionMismatchError, MixedVariantError, Multivector, blade_product
+from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product
 from .fueter import (
     AxialPair,
     EvenDimensionError,
@@ -465,12 +465,12 @@ def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
 
 
 def read_sample_csv(path) -> tuple[int, list, list]:
-    """Returns (m, header, rows of floats); m follows from the 2m + 4 columns of `sample_header(m)`."""
+    """Returns (m, header, rows of floats); the header must be `sample_header(m)` for an odd m <= MAX_DIMENSION."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         m = (len(header) - 4) // 2
-        if header != sample_header(m):
+        if not (1 <= m <= MAX_DIMENSION and m % 2) or header != sample_header(m):
             raise ValueError("unrecognized sample CSV header")
         rows = []
         for row in reader:

@@ -6,6 +6,10 @@ CheckResult with the instance count and the first failing instance; a
 measured check returns its CheckResults directly, with the measured error
 for numeric checks.  Each suite draws from one random.Random seeded
 explicitly, so runs are reproducible.
+
+A check runs on the dimensions in `ctx.ms`.  One registered with `ms=`
+is tied to those dimensions, and `--m` filters them; any other check gets
+the suite's dimensions, which `--m` replaces.
 """
 
 from __future__ import annotations
@@ -101,14 +105,14 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Context:
-    """What a check may use: the suite's random stream, its dimensions, a CSV to re-verify."""
+    """What a check may use: the suite's random stream, the check's dimensions, a CSV to re-verify."""
 
     rng: random.Random
     ms: tuple | None
     csv_from: object = None
 
 
-# suite -> its checks in run order, each a function from Context to a list of CheckResults
+# suite -> its checks in run order, as (function from Context to CheckResults, tied dimensions or None)
 CHECKS: dict = {suite: [] for suite in SUITE_MS}
 
 
@@ -126,21 +130,21 @@ def tally(check_id: str, pairs) -> CheckResult:
     return CheckResult(check_id, not failures, 0.0, detail)
 
 
-def exact(suite: str, check_id: str):
-    """Register a generator of (instance, ok) pairs as one tallied check."""
+def exact(suite: str, check_id: str, ms: tuple | None = None):
+    """Register a generator of (instance, ok) pairs as one tallied check, tied to ms if given."""
 
     def register(pairs):
-        CHECKS[suite].append(lambda ctx: [tally(check_id, pairs(ctx))])
+        CHECKS[suite].append((lambda ctx: [tally(check_id, pairs(ctx))], ms))
         return pairs
 
     return register
 
 
-def measured(suite: str):
-    """Register a function that returns its CheckResults itself; none to skip."""
+def measured(suite: str, ms: tuple | None = None):
+    """Register a function that returns its CheckResults itself, none to skip; tied to ms if given."""
 
     def register(fn):
-        CHECKS[suite].append(fn)
+        CHECKS[suite].append((fn, ms))
         return fn
 
     return register
@@ -327,12 +331,12 @@ def _example2(ctx):
     return _transform_closed("inv_z", "ex2_full", product(ctx.ms, (0, 1, 2)))
 
 
-@measured("examples")
+@measured("examples", ms=(3, 5))
 def _triangle(ctx):
     constants = []
 
     def pairs():
-        for m, k in product((3, 5), (0, 1)):
+        for m, k in product(ctx.ms, (0, 1)):
             for n in range(Z_MAX + 1):
                 res = triangle_check(n, k, m)
                 if res.ok and res.constant is not None:
@@ -351,16 +355,17 @@ def _vekua_grid(ctx):
         yield (s.name, s.n, m, k), vekua_ok(fueter(s, k, m))
 
 
-@exact("examples", "transform.linearity")
+@exact("examples", "transform.linearity", ms=(3,))
 def _linearity(ctx):
     s1 = make_seed("iz").scaled(Fraction(3, 2))
     s2 = make_seed("inv_z").scaled(Fraction(-2))
-    combo = fueter(s1 + s2, 0, 3)
-    split1 = fueter(make_seed("iz"), 0, 3)
-    split2 = fueter(make_seed("inv_z"), 0, 3)
-    lhs_a = split1.A.scale(Fraction(3, 2)) + split2.A.scale(-2)
-    lhs_b = split1.B.scale(Fraction(3, 2)) + split2.B.scale(-2)
-    yield "linearity", combo.A == lhs_a and combo.B == lhs_b
+    for m in ctx.ms:
+        combo = fueter(s1 + s2, 0, m)
+        split1 = fueter(make_seed("iz"), 0, m)
+        split2 = fueter(make_seed("inv_z"), 0, m)
+        lhs_a = split1.A.scale(Fraction(3, 2)) + split2.A.scale(-2)
+        lhs_b = split1.B.scale(Fraction(3, 2)) + split2.B.scale(-2)
+        yield m, combo.A == lhs_a and combo.B == lhs_b
 
 
 # --- hermite ------------------------------------------------------------------
@@ -386,15 +391,20 @@ def _hermite_h2_h3(ctx):
         yield (3, m), hermite_rec(3, m).poly == -poly_mul(r2, x_) + x_.scale(m + 2)
 
 
-@exact("hermite", "hermite.coeff_c")
+# m -> (n, nu, tabulated coeff_c(n, nu, m)) triples
+COEFF_C_VALUES = {3: ((1, 1, 3), (2, 1, 5), (2, 2, 15)), 5: ((7, 0, 1),)}
+
+
+@exact("hermite", "hermite.coeff_c", ms=tuple(COEFF_C_VALUES))
 def _hermite_coeff_c(ctx):
-    checks = [(coeff_c(1, 1, 3), 3), (coeff_c(2, 1, 3), 5), (coeff_c(2, 2, 3), 15), (coeff_c(7, 0, 5), 1)]
-    return ((i, got == want) for i, (got, want) in enumerate(checks))
+    for m in ctx.ms:
+        for n, nu, want in COEFF_C_VALUES[m]:
+            yield (n, nu, m), coeff_c(n, nu, m) == want
 
 
-@exact("hermite", "hermite.vector_power_parity")
+@exact("hermite", "hermite.vector_power_parity", ms=(1, 2, 3, 5))
 def _vector_power_parity(ctx):
-    for m in (1, 2, 3, 5):
+    for m in ctx.ms:
         r2 = radius_sq_poly(m)
         r2_pow = CliffPoly.one(m)
         for s_exp in range(0, 7):
@@ -402,34 +412,34 @@ def _vector_power_parity(ctx):
             r2_pow = poly_mul(r2_pow, r2)
 
 
-@exact("hermite", "hermite.radial_coeffs_match")
+@exact("hermite", "hermite.radial_coeffs_match", ms=(1, 3, 5))
 def _radial_coeffs_match(ctx):
-    for m in (1, 3, 5):
+    for m in ctx.ms:
         for n in range(0, 13):
             radial = hermite_radial_coeffs(n, m)
             rebuilt = sum((vector_power(m, j).scale(c) for j, c in enumerate(radial) if c), CliffPoly.zero(m))
             yield (n, m), rebuilt == hermite_rec(n, m).poly
 
 
-@exact("hermite", "ck.monogenic_and_restrict")
+@exact("hermite", "ck.monogenic_and_restrict", ms=(1, 2, 3, 4, 5))
 def _ck_monogenic(ctx):
     for i in range(100):
-        m = ctx.rng.randint(1, 5)
+        m = ctx.rng.choice(ctx.ms)
         f = sampling.random_poly(ctx.rng, m, max_degree=6, n_terms=3, with_x0=False)
         ck = ck_extend_poly(f)
         yield i, not cr_apply(ck) and ck.restrict_x0() == f
 
 
-@exact("hermite", "ck.examples")
+@exact("hermite", "ck.examples", ms=(3,))
 def _ck_examples(ctx):
-    m = 3
-    x1 = CliffPoly.variable(m, 1)
-    e1 = Multivector.basis(m, 1)
-    x_ = CliffPoly.vector_variable(m)
-    x0 = CliffPoly.variable(m, 0)
-    yield "const", ck_extend_poly(CliffPoly.one(m)) == CliffPoly.one(m)
-    yield "x1", ck_extend_poly(x1) == x1 - x0.coeff_mul_left(e1)
-    yield "vector", ck_extend_poly(x_) == x_ + x0.scale(m)
+    for m in ctx.ms:
+        x1 = CliffPoly.variable(m, 1)
+        e1 = Multivector.basis(m, 1)
+        x_ = CliffPoly.vector_variable(m)
+        x0 = CliffPoly.variable(m, 0)
+        yield ("const", m), ck_extend_poly(CliffPoly.one(m)) == CliffPoly.one(m)
+        yield ("x1", m), ck_extend_poly(x1) == x1 - x0.coeff_mul_left(e1)
+        yield ("vector", m), ck_extend_poly(x_) == x_ + x0.scale(m)
 
 
 # --- gauss ----------------------------------------------------------------------
@@ -448,13 +458,11 @@ def _gauss_restriction_symbolic(ctx):
         yield m, pair.A.restrict_x0() == E and pair.B.restrict_x0().is_zero()
 
 
-@measured("gauss")
+@exact("gauss", "gauss.m3_closed_form", ms=(3,))
 def _gauss_m3_closed_form(ctx):
-    if 3 not in ctx.ms:
-        return []
-    pair = gauss_ck_pair(3)
-    ok = pair.A == closed_form("prop2_m3_A") and pair.B == closed_form("prop2_m3_B")
-    return [tally("gauss.m3_closed_form", [(3, ok)])]
+    for m in ctx.ms:
+        pair = gauss_ck_pair(m)
+        yield m, pair.A == closed_form("prop2_m3_A") and pair.B == closed_form("prop2_m3_B")
 
 
 @exact("gauss", "gauss.product_rule")
@@ -475,12 +483,11 @@ def _gauss_full_display(ctx):
         yield (m, k), pair.A == a_expect and pair.B == b_expect
 
 
-@measured("gauss")
+@measured("gauss", ms=(3, 5))
 def _gauss_series(ctx):
     max_rel = 0.0
     tail_ok = True
-    series_ms = tuple(m for m in ctx.ms if m in (3, 5)) or (3, 5)
-    for m in series_ms:
+    for m in ctx.ms:
         pair = gauss_ck_pair(m)
         for _ in range(50):
             pt = _random_point(ctx.rng, m, 0.3)
@@ -490,7 +497,7 @@ def _gauss_series(ctx):
             if ck_gauss_series_tail(pt, m, 60) > 1e-14 * series.norm():
                 tail_ok = False
     return [
-        _numeric("gauss.series_vs_closed", max_rel, 1e-10, f"50 points per m, m in {set(series_ms)}"),
+        _numeric("gauss.series_vs_closed", max_rel, 1e-10, f"50 points per m, m in {set(ctx.ms)}"),
         CheckResult("gauss.series_tail_bound", tail_ok, 0.0, "next term < 1e-14 * partial sum"),
     ]
 
@@ -506,13 +513,11 @@ def _gauss_restriction_numeric(ctx):
     return [_numeric("gauss.restriction_numeric", max_rel, 1e-12, "x_=0 axis, N=40")]
 
 
-@measured("gauss")
+@measured("gauss", ms=(3,))
 def _gauss_restriction_m3(ctx):
-    if 3 not in ctx.ms:
-        return []
     max_rel = 0.0
-    for x0 in [i / 10.0 for i in range(-10, 11)]:
-        got = ck_gauss_restriction(x0, 3)
+    for m, x0 in product(ctx.ms, [i / 10.0 for i in range(-10, 11)]):
+        got = ck_gauss_restriction(x0, m)
         want = math.exp(x0 * x0 / 2.0) * (1.0 + x0 * x0)
         max_rel = max(max_rel, abs(got - want) / abs(want))
     return [_numeric("gauss.restriction_m3_formula", max_rel, 1e-12)]
@@ -535,25 +540,31 @@ def _remainder_vekua(ctx):
     return ((m, vekua_ok(entire_remainder_pair(m))) for m in ctx.ms)
 
 
-@measured("gauss_fund")
+@measured("gauss_fund", ms=(3, 5))
 def _pole_cancellation(ctx):
-    reports = [entire_part_probe(m, PROBE_RADII) for m in (3, 5)]
+    reports = [entire_part_probe(m, PROBE_RADII) for m in ctx.ms]
     worst = max(max(report.values) for report in reports)
     passed = all(report.bounded for report in reports)
     return [CheckResult("gauss_fund.pole_cancellation", passed, worst, f"radii down to {PROBE_RADII[-1]:g}")]
 
 
-@exact("gauss_fund", "gauss_fund.pole_detected_control")
+@exact("gauss_fund", "gauss_fund.pole_detected_control", ms=(3, 5))
 def _pole_detected_control(ctx):
-    for m in (3, 5):
+    for m in ctx.ms:
         yield m, entire_part_probe(m, PROBE_RADII, subtract_pole=False).values[-1] >= 1e6
 
 
-@measured("gauss_fund")
+# m -> (check id, bound) of the FD residual; the same step at m=5 meets a
+# looser bound: the truncation constant carries third derivatives of
+# r^-6-scale terms near r = 0.5
+FD_RESIDUALS = {3: ("gauss_fund.fd_two_sided", 1e-6), 5: ("gauss_fund.fd_two_sided_m5", 1e-3)}
+
+
+@measured("gauss_fund", ms=tuple(FD_RESIDUALS))
 def _fd_residuals(ctx):
     factor_lo, factor_hi = math.inf, -math.inf
-    residuals = {3: 0.0, 5: 0.0}
-    for m in (3, 5):
+    residuals = dict.fromkeys(ctx.ms, 0.0)
+    for m in ctx.ms:
         f = axial_evaluator(gauss_fund_pair(m))
         for i in range(20):
             pt = _random_point(ctx.rng, m, 0.5)
@@ -563,11 +574,11 @@ def _fd_residuals(ctx):
                 fac = fd_convergence_factor(f, pt, "left")
                 factor_lo = min(factor_lo, fac)
                 factor_hi = max(factor_hi, fac)
-    return [
-        _numeric("gauss_fund.fd_two_sided", residuals[3], 1e-6, "m=3, 20 points, left and right"),
-        # same step at m=5 meets a looser bound: the truncation constant carries
-        # third derivatives of r^-6-scale terms near r = 0.5
-        _numeric("gauss_fund.fd_two_sided_m5", residuals[5], 1e-3, "m=5, 20 points, left and right"),
+    results = []
+    for m, err in residuals.items():
+        check_id, tol = FD_RESIDUALS[m]
+        results.append(_numeric(check_id, err, tol, f"m={m}, 20 points, left and right"))
+    return results + [
         CheckResult(
             "gauss_fund.fd_convergence_order",
             3.5 <= factor_lo and factor_hi <= 4.5,
@@ -577,9 +588,10 @@ def _fd_residuals(ctx):
     ]
 
 
-@measured("gauss_fund")
+@measured("gauss_fund", ms=(3,))
 def _decay_sup_stable(ctx):
-    pair = gauss_fund_pair(3)
+    (m,) = ctx.ms
+    pair = gauss_fund_pair(m)
     report = decay_scan(pair, K=2.0, r_min=3.0, r_max=8.0, nx0=101, nr=101)
     fine = decay_scan(pair, K=2.0, r_min=3.0, r_max=8.0, nx0=201, nr=201)
     stable = math.isfinite(report.sup_value) and abs(fine.sup_value - report.sup_value) <= 0.05 * report.sup_value
@@ -587,9 +599,10 @@ def _decay_sup_stable(ctx):
     return [CheckResult("gauss_fund.decay_sup_stable", stable, report.sup_value, where)]
 
 
-@measured("gauss_fund")
+@measured("gauss_fund", ms=(3,))
 def _decay_control_divergent(ctx):
-    control_pair = fueter(make_seed("inv_z"), 0, 3)
+    (m,) = ctx.ms
+    control_pair = fueter(make_seed("inv_z"), 0, m)
     near = decay_scan(control_pair, K=2.0, r_min=3.0, r_max=8.0, nx0=21, nr=51)
     far = decay_scan(control_pair, K=2.0, r_min=3.0, r_max=12.0, nx0=21, nr=51)
     passed = far.sup_value > 10.0 * near.sup_value
@@ -612,8 +625,9 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
     """Yield the CheckResults of each check of a suite, one list per check, in table order.
 
     `all` runs every suite, each on its own stream seeded with rng_seed,
-    and hands ms to the suites that take a dimension.  Each result carries
-    the wall time of its check in `seconds`.
+    and hands ms to the suites that take a dimension, by the rule in the
+    module docstring.  Each result carries the wall time of its check in
+    `seconds`.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -625,10 +639,13 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         read_sample_csv(csv_from)  # a missing or malformed file stops the run before any check
     for suite in CHECKS if name == "all" else (name,):
         suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
-        ctx = Context(random.Random(rng_seed), suite_ms, csv_from)
-        for check in CHECKS[suite]:
+        rng = random.Random(rng_seed)
+        for check, tied in CHECKS[suite]:
+            check_ms = suite_ms if tied is None else tuple(m for m in tied if not ms or m in ms)
+            if check_ms == ():
+                continue
             start = time.perf_counter()
-            results = check(ctx)
+            results = check(Context(rng, check_ms, csv_from))
             seconds = time.perf_counter() - start
             yield [replace(res, seconds=seconds) for res in results]
 

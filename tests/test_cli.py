@@ -85,7 +85,11 @@ def test_verify_suite_without_csv_rejects_from(capsys, suite):
     assert "gauss_fund" in err and out == ""
 
 
-@pytest.mark.parametrize("text, code", [("x0,r\n", 2), ("", 2), (None, 5)], ids=["bad_header", "empty", "missing"])
+@pytest.mark.parametrize(
+    "text, code",
+    [("x0,r\n", 2), ("", 2), (None, 5), ("x0,r,scalar,|value|\n", 2), ("x0,x1,x2,r,scalar,e1,e2,|value|\n", 2)],
+    ids=["bad_header", "empty", "missing", "no_x_columns", "even_m"],
+)
 def test_verify_reads_from_before_any_check(capsys, tmp_path, text, code):
     path = tmp_path / "bad.csv"
     if text is not None:
@@ -95,6 +99,72 @@ def test_verify_reads_from_before_any_check(capsys, tmp_path, text, code):
         with pytest.raises(error):
             next(verify.iter_suite(suite, csv_from=path))
         assert run(capsys, "verify", "--suite", suite, "--from", str(path))[:2] == (code, "")
+
+
+# check ids each suite prints at every m it runs on
+UNTIED_CHECKS = {
+    "examples": (
+        "e1", "ex1.dupper_x0", "e2", "e3", "e4", "e5", "e6", "e7",
+        "coeff_a.boundary", "example1.closed", "example2.closed", "vekua.grid",
+    ),
+    "hermite": ("hermite.rec_eq_closed", "hermite.h2_h3"),
+    "gauss": (
+        "gauss.restriction_symbolic", "gauss.product_rule", "gauss.full_display",
+        "gauss.restriction_numeric", "gauss.taylor_coeffs_exact",
+    ),
+    "gauss_fund": ("gauss_fund.remainder_vekua",),
+}
+# check id -> the only dimensions it runs on
+TIED_CHECKS = {
+    "examples": {"example3.triangle": (3, 5), "transform.linearity": (3,)},
+    "hermite": {
+        "hermite.coeff_c": (3, 5),
+        "hermite.vector_power_parity": (1, 2, 3, 5),
+        "hermite.radial_coeffs_match": (1, 3, 5),
+        "ck.monogenic_and_restrict": (1, 2, 3, 4, 5),
+        "ck.examples": (3,),
+    },
+    "gauss": {
+        "gauss.m3_closed_form": (3,),
+        "gauss.series_vs_closed": (3, 5),
+        "gauss.series_tail_bound": (3, 5),
+        "gauss.restriction_m3_formula": (3,),
+    },
+    "gauss_fund": {
+        "gauss_fund.pole_cancellation": (3, 5),
+        "gauss_fund.pole_detected_control": (3, 5),
+        "gauss_fund.fd_two_sided": (3,),
+        "gauss_fund.fd_two_sided_m5": (5,),
+        "gauss_fund.fd_convergence_order": (3, 5),
+        "gauss_fund.decay_sup_stable": (3,),
+        "gauss_fund.decay_control_divergent": (3,),
+    },
+}
+# tied checks that take no random draw, so a run at one of their m prints the default line
+TIED_WITHOUT_DRAWS = (
+    "gauss_fund.decay_sup_stable",
+    "gauss_fund.decay_control_divergent",
+    "gauss.m3_closed_form",
+    "gauss.restriction_m3_formula",
+    "transform.linearity",
+    "ck.examples",
+)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+@pytest.mark.parametrize("suite", list(UNTIED_CHECKS))
+def test_verify_m_prints_only_checks_run_at_m(capsys, verdicts, suite, m):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--m", str(m))
+    lines = {line.split()[0]: line for line in out.splitlines()[:-1]}  # the last line is the suite verdict
+    expected = set(UNTIED_CHECKS[suite]) | {cid for cid, ms in TIED_CHECKS[suite].items() if m in ms}
+    assert code == 0
+    assert len(lines) == len(out.splitlines()) - 1 and set(lines) == expected
+    for check_id, line in lines.items():
+        # a detail names a dimension as `m=3` or `m in {3, 5}`
+        named = re.findall(r"\bm=(\d+)", line) + re.findall(r"\bm in \{([\d, ]+)\}", line)
+        assert all({int(d) for d in dims.split(",")} == {m} for dims in named), line
+        if m == 3 and check_id in TIED_WITHOUT_DRAWS:
+            assert line == verdicts[check_id].line()
 
 
 def test_verify_all_forwards_m(capsys):
@@ -183,6 +253,14 @@ def test_negative_scientific_values(capsys):
     # `--x0 -1e-3` is a value, not an unknown option
     code, out, _ = run(capsys, "ck-gauss", "--m", "3", "--x0", "-1e-3", "--r", "0")
     assert code == 0 and "closed (x_=0 axis)" in out
+
+
+@pytest.mark.parametrize("r", ["1", "0"])
+def test_ck_gauss_even_m_prints_nothing(capsys, r):
+    # the closed form needs odd m; the series is not printed before that is known
+    code, out, err = run(capsys, "ck-gauss", "--m", "4", "--r", r)
+    assert code == 3
+    assert out == "" and "odd" in err
 
 
 def test_ck_gauss_axis(capsys):

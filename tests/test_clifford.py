@@ -10,12 +10,9 @@ from fueterlab.clifford import (
     Multivector,
     blade_product,
     blade_product_naive,
-    conjugate,
     format_multivector,
     gp,
-    grade_project,
     indices_from_mask,
-    norm_sq,
     parse_multivector,
 )
 from fueterlab.sampling import random_multivector, random_vector
@@ -81,16 +78,16 @@ def test_vector_square_is_minus_norm():
     for _ in range(200):
         m = rng.randint(1, 6)
         v = random_vector(rng, m)
-        assert gp(v, v) == Multivector.scalar(m, -norm_sq(v))
+        assert gp(v, v) == Multivector.scalar(m, -v.norm_sq())
 
 
 def test_conjugate_signs_by_grade():
     m = 4
-    assert conjugate(Multivector.scalar(m, 1)) == Multivector.scalar(m, 1)
-    assert conjugate(Multivector.basis(m, 1)) == -Multivector.basis(m, 1)
-    assert conjugate(Multivector.basis(m, 1, 2)) == -Multivector.basis(m, 1, 2)
-    assert conjugate(Multivector.basis(m, 1, 2, 3)) == Multivector.basis(m, 1, 2, 3)
-    assert conjugate(Multivector.basis(m, 1, 2, 3, 4)) == Multivector.basis(m, 1, 2, 3, 4)
+    assert Multivector.scalar(m, 1).conjugate() == Multivector.scalar(m, 1)
+    assert Multivector.basis(m, 1).conjugate() == -Multivector.basis(m, 1)
+    assert Multivector.basis(m, 1, 2).conjugate() == -Multivector.basis(m, 1, 2)
+    assert Multivector.basis(m, 1, 2, 3).conjugate() == Multivector.basis(m, 1, 2, 3)
+    assert Multivector.basis(m, 1, 2, 3, 4).conjugate() == Multivector.basis(m, 1, 2, 3, 4)
 
 
 def test_conjugate_antihomomorphism_and_involution():
@@ -99,18 +96,18 @@ def test_conjugate_antihomomorphism_and_involution():
         m = rng.randint(1, 6)
         a = random_multivector(rng, m)
         b = random_multivector(rng, m)
-        assert conjugate(gp(a, b)) == gp(conjugate(b), conjugate(a))
-        assert conjugate(conjugate(a)) == a
+        assert gp(a, b).conjugate() == gp(b.conjugate(), a.conjugate())
+        assert a.conjugate().conjugate() == a
 
 
 def test_grade_projection():
     m = 3
     a = mv(m, "3 + 2*e1")
-    assert grade_project(a, 0) == Multivector.scalar(m, 3)
-    assert grade_project(a, 1) == mv(m, "2*e1")
-    assert grade_project(Multivector.basis(m, 1, 2), 1) == Multivector.zero(m)
+    assert a.grade(0) == Multivector.scalar(m, 3)
+    assert a.grade(1) == mv(m, "2*e1")
+    assert Multivector.basis(m, 1, 2).grade(1) == Multivector.zero(m)
     with pytest.raises(ValueError):
-        grade_project(a, 4)
+        a.grade(4)
 
 
 def test_grade_decomposition_random():
@@ -120,17 +117,17 @@ def test_grade_decomposition_random():
         a = random_multivector(rng, m)
         total = Multivector.zero(m)
         for k in range(m + 1):
-            total = total + grade_project(a, k)
+            total = total + a.grade(k)
         assert total == a
 
 
 def test_norm_sq():
     m = 3
-    assert norm_sq(mv(m, "1*e1 + 1*e2")) == 2
-    assert norm_sq(Multivector.zero(m)) == 0
+    assert mv(m, "1*e1 + 1*e2").norm_sq() == 2
+    assert Multivector.zero(m).norm_sq() == 0
     v = Multivector.vector(m, [Fraction(1, 2), Fraction(-2), Fraction(3)])
-    assert norm_sq(v) == Fraction(1, 4) + 4 + 9
-    assert gp(v, v).scalar_part() == -norm_sq(v)
+    assert v.norm_sq() == Fraction(1, 4) + 4 + 9
+    assert gp(v, v)[0] == -v.norm_sq()
 
 
 def test_norm_sq_equals_grade0_of_a_conj_a():
@@ -138,8 +135,8 @@ def test_norm_sq_equals_grade0_of_a_conj_a():
     for _ in range(200):
         m = rng.randint(1, 6)
         a = random_multivector(rng, m)
-        expect = Multivector.scalar(m, norm_sq(a))
-        assert grade_project(gp(a, conjugate(a)), 0) == expect
+        expect = Multivector.scalar(m, a.norm_sq())
+        assert gp(a, a.conjugate()).grade(0) == expect
 
 
 def test_dimension_mismatch():

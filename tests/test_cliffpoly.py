@@ -6,7 +6,6 @@ import pytest
 from fueterlab.clifford import MixedVariantError, Multivector
 from fueterlab.cliffpoly import (
     CliffPoly,
-    DegreeCapError,
     ck_extend_poly,
     coeff_c,
     cr_apply,
@@ -115,12 +114,6 @@ def test_ck_extension_is_monogenic_and_restricts():
 def test_ck_rejects_x0_dependence():
     with pytest.raises(ValueError):
         ck_extend_poly(CliffPoly.variable(3, 0))
-
-
-def test_degree_cap():
-    f = vector_power(3, 6)
-    with pytest.raises(DegreeCapError):
-        ck_extend_poly(f, degree_cap=3)
 
 
 def test_is_homogeneous_monogenic():

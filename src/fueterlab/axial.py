@@ -10,8 +10,9 @@ g in {0, 1}.  This family is closed under d/dx0, d/dr, division by r, and
 products in which at most one factor carries a trig tag and at most one
 carries the exp flag.  Trig phase shifts by multiples of pi/2 fold into
 the tag and the sign of the coefficient, so keys stay canonical.
-Coefficients are int where integral, else Fraction, never float; computed
-results bypass validation through the trusted `AxialExpr._of`.
+Coefficients are rational, never float, and are stored as int numerators
+over one denominator per expression; computed results bypass validation
+through the trusted `AxialExpr._of`.
 
 Equality of expressions is semantic: the six (exp flag, trig tag) classes
 are linearly independent over rational functions in (x0, r), so an
@@ -26,10 +27,11 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath
 
-from .clifford import MixedVariantError, _rational, join_signed, split_terms, tokenize
+from .clifford import MixedVariantError, join_signed, split_terms, tokenize
 
 TRIG_NONE = ""
 TRIG_COS = "cos"
@@ -47,6 +49,8 @@ class EvalDomainError(ValueError):
 
 
 def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
+    if not all(type(e) is int for e in (a, b, p, g)):
+        raise TypeError(f"exponents must be int, got key {(a, b, p, g, t)!r}")
     if a < 0:
         raise AlgebraClosureError("negative x0 exponent is outside the algebra")
     if p < 0:
@@ -58,31 +62,55 @@ def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
 
 
 class AxialExpr:
-    """Finite sum of terms keyed by (a, b, p, g, t), nonzero int or Fraction coefficients."""
+    """Finite sum of terms keyed by (a, b, p, g, t), stored as nonzero int numerators over one
+    positive denominator; `terms` is the read-only view {key: int or reduced Fraction}."""
 
-    __slots__ = ("terms", "_plan")
+    __slots__ = ("_num", "_den", "_terms", "_plan")
 
     def __init__(self, terms=None):
         clean = {}
+        den = 1
         for key, q in (terms or {}).items():
             a, b, p, g, t = key
             _check_key(a, b, p, g, t)
             if isinstance(q, float):
                 raise MixedVariantError(f"float coefficient {q!r} in exact expression; convert explicitly")
-            q = _rational(Fraction(q))
+            q = Fraction(q)
             if q:
                 clean[(a, b, p, g, t)] = q
-        object.__setattr__(self, "terms", clean)
+                den = math.lcm(den, q.denominator)
+        object.__setattr__(self, "_num", {key: q.numerator * (den // q.denominator) for key, q in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _of(cls, terms: dict) -> "AxialExpr":
-        """Trusted constructor for computed {key: int or Fraction}; drops zeros."""
+    def _of(cls, num: dict, den: int, grew: bool = False) -> "AxialExpr":
+        """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
+        If den grew past the operands' own, its common factor with the numerators divides out."""
+        num = {key: n for key, n in num.items() if n}
+        if grew:
+            c = math.gcd(den, *num.values())
+            if c != 1:
+                den //= c
+                num = {key: n // c for key, n in num.items()}
         e = object.__new__(cls)
-        object.__setattr__(e, "terms", {key: q if type(q) is int else _rational(q) for key, q in terms.items() if q})
+        object.__setattr__(e, "_num", num)
+        object.__setattr__(e, "_den", den)
         return e
 
     def __setattr__(self, name, value):
         raise AttributeError("AxialExpr is immutable")
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """{key: int or Fraction} in term order; built on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            d, terms = self._den, self._num
+            if d != 1:
+                terms = {key: n // d if n % d == 0 else Fraction(n, d) for key, n in terms.items()}
+            object.__setattr__(self, "_terms", MappingProxyType(terms))
+            return self._terms
 
     # --- constructors ---
 
@@ -101,34 +129,43 @@ class AxialExpr:
     # --- bookkeeping ---
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     # --- linear structure ---
+
+    def _combine(self, other: "AxialExpr", sign: int) -> "AxialExpr":
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        out = dict(self._num) if ma == 1 else {key: n * ma for key, n in self._num.items()}
+        get = out.get
+        for key, n in other._num.items():
+            out[key] = get(key, 0) + mb * n
+        return AxialExpr._of(out, den, den > da and den > db)
 
     def __add__(self, other):
         if not isinstance(other, AxialExpr):
             return NotImplemented
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            out[key] = out.get(key, 0) + q
-        return AxialExpr._of(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, AxialExpr):
             return NotImplemented
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            out[key] = out.get(key, 0) - q
-        return AxialExpr._of(out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return AxialExpr._of({key: -q for key, q in self.terms.items()})
+        return AxialExpr._of({key: -n for key, n in self._num.items()}, self._den)
 
     def scale(self, c) -> "AxialExpr":
         if isinstance(c, float):
             raise MixedVariantError("float scalar on exact expression; convert explicitly")
-        c = _rational(Fraction(c))
-        return AxialExpr._of({key: c * q for key, q in self.terms.items()})
+        c = Fraction(c)
+        n, d = c.numerator, c.denominator
+        # what the scalar's numerator shares with the denominator cancels at once
+        s = math.gcd(n, self._den)
+        n //= s
+        return AxialExpr._of({key: n * v for key, v in self._num.items()}, self._den // s * d, d != 1)
 
     def __mul__(self, other):
         if isinstance(other, AxialExpr):
@@ -140,19 +177,21 @@ class AxialExpr:
 
     def _mul_expr(self, other: "AxialExpr") -> "AxialExpr":
         out: dict = {}
-        for (a1, b1, p1, g1, t1), q1 in self.terms.items():
-            for (a2, b2, p2, g2, t2), q2 in other.terms.items():
+        get = out.get
+        for (a1, b1, p1, g1, t1), n1 in self._num.items():
+            for (a2, b2, p2, g2, t2), n2 in other._num.items():
                 if t1 and t2:
                     raise AlgebraClosureError("product of two trig factors leaves the algebra")
                 if g1 and g2:
                     raise AlgebraClosureError("product of two exp factors leaves the algebra")
                 key = (a1 + a2, b1 + b2, p1 + p2, g1 + g2, t1 or t2)
-                out[key] = out.get(key, 0) + q1 * q2
-        return AxialExpr._of(out)
+                out[key] = get(key, 0) + n1 * n2
+        da, db = self._den, other._den
+        return AxialExpr._of(out, da * db, da != 1 and db != 1)
 
     def div_r(self, n: int = 1) -> "AxialExpr":
         """Divide by r^n (exact in the algebra)."""
-        return AxialExpr._of({(a, b - n, p, g, t): q for (a, b, p, g, t), q in self.terms.items()})
+        return AxialExpr._of({(a, b - n, p, g, t): v for (a, b, p, g, t), v in self._num.items()}, self._den)
 
     # --- calculus ---
 
@@ -161,7 +200,7 @@ class AxialExpr:
         out: dict = {}
         get = out.get
         if var == "x0":
-            for (a, b, p, g, t), q in self.terms.items():
+            for (a, b, p, g, t), q in self._num.items():
                 if a:
                     key = (a - 1, b, p, g, t)
                     out[key] = get(key, 0) + a * q
@@ -176,7 +215,7 @@ class AxialExpr:
                     key = (a, b + 1, p, g, tag)
                     out[key] = get(key, 0) + sign * q
         elif var == "r":
-            for (a, b, p, g, t), q in self.terms.items():
+            for (a, b, p, g, t), q in self._num.items():
                 if b:
                     key = (a, b - 1, p, g, t)
                     out[key] = get(key, 0) + b * q
@@ -192,7 +231,7 @@ class AxialExpr:
                     out[key] = get(key, 0) + sign * q
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return AxialExpr._of(out)
+        return AxialExpr._of(out, self._den)
 
     def restrict_x0(self) -> "AxialExpr":
         """Substitute x0 = 0.
@@ -202,19 +241,19 @@ class AxialExpr:
         exp(-r^2/2); evaluate the result at x0 = 0 only.
         """
         out: dict = {}
-        for (a, b, p, g, t), q in self.terms.items():
+        for (a, b, p, g, t), q in self._num.items():
             if a > 0 or t == TRIG_SIN:
                 continue
             key = (0, b - 2 * p, 0, g, TRIG_NONE)
             out[key] = out.get(key, 0) + q
-        return AxialExpr._of(out)
+        return AxialExpr._of(out, self._den)
 
     # --- semantic equality -----------------------------------------------
 
     def is_zero(self) -> bool:
         """True iff the expression vanishes identically on {r > 0}."""
         classes: dict = {}
-        for (a, b, p, g, t), q in self.terms.items():
+        for (a, b, p, g, t), q in self._num.items():
             classes.setdefault((g, t), []).append((a, b, p, q))
         for items in classes.values():
             pmax = max(p for _, _, p, _ in items)

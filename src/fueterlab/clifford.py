@@ -35,6 +35,15 @@ def _rational(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def sum_squares(values) -> float:
+    """Float sum of squares, left to right, rounding after each addition; from Python 3.12
+    on the builtin `sum` compensates float additions, so its last bit depends on the version."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
+
+
 def blade_grade(mask: int) -> int:
     return mask.bit_count()
 
@@ -254,7 +263,8 @@ class Multivector:
 
     def norm_sq(self):
         """Squared norm [a conj(a)]_0 = sum of squared coefficients."""
-        return sum((v * v for v in self.coeffs.values()), Fraction(0) if self.exact else 0.0)
+        values = self.coeffs.values()
+        return sum((v * v for v in values), Fraction(0)) if self.exact else sum_squares(values)
 
     def norm(self) -> float:
         return math.sqrt(float(self.norm_sq()))

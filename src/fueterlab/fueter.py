@@ -117,8 +117,12 @@ class HoloSeed:
         return HoloSeed(f"{self.name}+{other.name}", self.u + other.u, self.v + other.v)
 
 
+@lru_cache(maxsize=64)
 def seed(name: str, n: int | None = None) -> HoloSeed:
-    """Built-in seeds: iz, inv_z, z_pow (needs n >= 0), gauss, gauss_fund."""
+    """Built-in seeds: iz, inv_z, z_pow (needs n >= 0), gauss, gauss_fund.
+
+    Seeds are immutable, so each is built, and its Cauchy-Riemann check run, once.
+    """
     if name == "iz":
         # iz = -y + ix
         return HoloSeed(name, -R, X0)

@@ -19,7 +19,7 @@ from operator import mul
 import mpmath
 
 from .axial import EvalDomainError, pair_plan
-from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product
+from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
 from .fueter import (
     AxialPair,
     EvenDimensionError,
@@ -50,7 +50,7 @@ class EvalPoint:
         return len(self.xs)
 
     def scale_estimate(self) -> float:
-        return math.sqrt(self.x0 * self.x0 + sum(x * x for x in self.xs))
+        return math.sqrt(self.x0 * self.x0 + sum_squares(self.xs))
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
             sign, key = blade_product(ej, mask) if left else blade_product(mask, ej)
             total[key] = total.get(key, 0) + (v if sign > 0 else -v)
         total = {mask: v for mask, v in total.items() if v}
-    return math.sqrt(sum((v * v for v in total.values()), 0.0))
+    return math.sqrt(sum_squares(total.values()))
 
 
 def fd_convergence_factor(f, pt: EvalPoint, side: str = "left", h: float = 2e-3) -> float:

@@ -24,7 +24,7 @@ from itertools import product
 
 from . import sampling
 from .axial import COS, E, R, SIN, X0, AxialExpr, d_lower, d_upper, q_inv
-from .clifford import Multivector, blade_product, blade_product_naive, indices_from_mask
+from .clifford import Multivector, blade_product, blade_product_naive, indices_from_mask, sum_squares
 from .cliffpoly import (
     CliffPoly,
     ck_extend_poly,
@@ -162,7 +162,7 @@ def _random_point(rng: random.Random, m: int, r_lo: float) -> EvalPoint:
     x0 = rng.uniform(-1, 1)
     r = rng.uniform(r_lo, 2.0)
     direction = [rng.gauss(0, 1) for _ in range(m)]
-    norm = math.sqrt(sum(d * d for d in direction)) or 1.0
+    norm = math.sqrt(sum_squares(direction)) or 1.0
     return EvalPoint(x0, tuple(r * d / norm for d in direction))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,169 @@ def test_integral_coefficients_are_int():
     assert term(Fraction(1, 2), b=1) * 2 == term(1, b=1)
     big = gauss_fund_pair(7).A
     assert parse_axial(format_axial(big)).terms == big.terms
+
+
+def test_rejects_exponents_that_are_not_int():
+    # a float exponent once evaluated as x0^1.5, or failed only later inside diff; True was kept as a key
+    for key in ((1.5, 0, 0, 0, ""), (1, 2.0, 0, 0, ""), (0, 0, 0, True, ""), (0, 0, Fraction(1), 0, "")):
+        with pytest.raises(TypeError, match=re.escape(repr(key))):
+            AxialExpr({key: 1})
+    with pytest.raises(TypeError):
+        term(1, b=2.0)
+
+
+def test_terms_is_a_read_only_view():
+    expr = term(Fraction(1, 2), a=1) + term(3, b=2)
+    assert expr.terms is expr.terms
+    for view in (expr.terms, (expr * 2).terms):
+        with pytest.raises(TypeError):
+            view[(0, 0, 0, 0, "")] = 1
+        with pytest.raises(TypeError):
+            del view[(1, 0, 0, 0, "")]
+    assert expr.terms == {(1, 0, 0, 0, ""): Fraction(1, 2), (0, 2, 0, 0, ""): 3}
+
+
+# --- the integer kernel against a plain Fraction reference -----------------------
+#
+# The reference keeps {key: int or Fraction} and computes each operation
+# term by term in Fraction arithmetic, as the algebra is defined.
+
+
+def _ref_of(terms):
+    return {key: q.numerator if q.denominator == 1 else q for key, q in terms.items() if q}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for key, q in y.items():
+        out[key] = out.get(key, 0) + sign * q
+    return _ref_of(out)
+
+
+def _ref_mul(x, y):
+    out = {}
+    for (a1, b1, p1, g1, t1), q1 in x.items():
+        for (a2, b2, p2, g2, t2), q2 in y.items():
+            key = (a1 + a2, b1 + b2, p1 + p2, g1 + g2, t1 or t2)
+            out[key] = out.get(key, 0) + Fraction(q1) * q2
+    return _ref_of(out)
+
+
+def _ref_diff(x, var):
+    """Product rule on q x0^a r^b Q^-p E^g T(x0 r), factor by factor."""
+    out = {}
+    for (a, b, p, g, t), q in x.items():
+        if var == "x0":
+            parts = [(a, (a - 1, b, p, g, t)), (-2 * p, (a + 1, b, p + 1, g, t)), (g, (a + 1, b, p, g, t))]
+        else:
+            parts = [(b, (a, b - 1, p, g, t)), (-2 * p, (a, b + 1, p + 1, g, t)), (-g, (a, b + 1, p, g, t))]
+        if t:
+            sign, tag = {"cos": (-1, "sin"), "sin": (1, "cos")}[t]
+            parts.append((sign, (a, b + 1, p, g, tag) if var == "x0" else (a + 1, b, p, g, tag)))
+        for c, key in parts:
+            if c:
+                out[key] = out.get(key, 0) + c * Fraction(q)
+    return _ref_of(out)
+
+
+def _ref_restrict_x0(x):
+    out = {}
+    for (a, b, p, g, t), q in x.items():
+        if a == 0 and t != "sin":
+            key = (0, b - 2 * p, 0, g, "")
+            out[key] = out.get(key, 0) + q
+    return _ref_of(out)
+
+
+def _ref_is_zero(x):
+    """Clear r^B Q^P in each (exp, trig) class and expand: zero iff every polynomial is."""
+    for cls in {(g, t) for _, _, _, g, t in x}:
+        items = [(a, b, p, q) for (a, b, p, g, t), q in x.items() if (g, t) == cls]
+        pmax, bmin = max(p for *_, p, _ in items), min(b for _, b, _, _ in items)
+        poly = {}
+        for a, b, p, q in items:
+            e = pmax - p
+            for i in range(e + 1):
+                key = (a + 2 * i, b - bmin + 2 * (e - i))
+                poly[key] = poly.get(key, 0) + q * math.comb(e, i)
+        if any(poly.values()):
+            return False
+    return True
+
+
+def _coeff(rng):
+    q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+    return q.numerator if q.denominator == 1 and rng.random() < 0.5 else q
+
+
+def _rand_terms(rng, rational=False, cancel=None):
+    """One to four random terms; with cancel, also some of that dict's terms negated."""
+    terms = {}
+    for key, q in (cancel or {}).items():
+        if rng.random() < 0.6:
+            terms[key] = -q
+    for _ in range(rng.randint(1, 4) if cancel is None or rng.random() < 0.5 else 0):
+        key = (rng.randint(0, 3), rng.randint(-3, 3), rng.randint(0, 2), 0, "")
+        if not rational:
+            key = key[:3] + (rng.randint(0, 1), rng.choice(("", "cos", "sin")))
+        terms[key] = _coeff(rng)
+    return terms
+
+
+def _assert_matches(expr, ref):
+    assert list(expr.terms.items()) == list(ref.items())
+    assert [type(q) for q in expr.terms.values()] == [type(q) for q in ref.values()]
+    assert bool(expr) == bool(ref)
+    assert expr.is_zero() == _ref_is_zero(ref)
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(2009)
+    semantic_zero = term(1, a=2, p=1) + term(1, b=2, p=1) - ONE
+    zeros = 0
+    for _ in range(80):
+        ref = _ref_of(_rand_terms(rng))
+        expr = AxialExpr(ref)
+        _assert_matches(expr, ref)
+        for _ in range(10):
+            op = rng.randrange(10)
+            if op in (0, 1):
+                other = _rand_terms(rng, cancel=ref if rng.random() < 0.7 else None)
+                if rng.random() < 0.1:
+                    other = {key: -q for key, q in ref.items()}  # the whole sum cancels
+                if op == 0:
+                    expr, ref = expr + AxialExpr(other), _ref_add(ref, _ref_of(other))
+                else:
+                    expr, ref = expr - AxialExpr(other), _ref_add(ref, _ref_of(other), -1)
+            elif op == 2:
+                expr, ref = -expr, _ref_of({key: -q for key, q in ref.items()})
+            elif op == 3:
+                c = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+                expr, ref = expr.scale(c), _ref_of({key: c * q for key, q in ref.items()})
+            elif op == 4 and len(ref) < 40:
+                other = _ref_of(_rand_terms(rng, rational=True))
+                expr, ref = expr * AxialExpr(other), _ref_mul(ref, other)
+            elif op in (5, 6):
+                var = "x0" if op == 5 else "r"
+                expr, ref = expr.diff(var), _ref_diff(ref, var)
+            elif op == 7:
+                n = rng.randint(-1, 2)
+                expr, ref = expr.div_r(n), _ref_of({(a, b - n, p, g, t): q for (a, b, p, g, t), q in ref.items()})
+            elif op == 8:
+                expr, ref = expr.restrict_x0(), _ref_restrict_x0(ref)
+            else:
+                vanishing = expr * semantic_zero
+                assert vanishing.is_zero() and _ref_is_zero(_ref_mul(ref, semantic_zero.terms))
+                assert expr + vanishing == expr
+            _assert_matches(expr, ref)
+            zeros += not ref
+    assert zeros  # some walks cancelled to zero
+
+
+def test_seeds_are_built_once():
+    for name, n in (("iz", None), ("gauss_fund", None), ("z_pow", 4)):
+        assert seed(name, n) is seed(name, n)
+    for _ in range(2):  # a failed build is not memoized
+        for n in (None, -1):
+            with pytest.raises(ValueError, match="n >= 0"):
+                seed("z_pow", n)

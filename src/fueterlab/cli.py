@@ -280,6 +280,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # an input whose floats leave binary64, as --x0 1e200 in a plan's x0 ** a
+        print(f"error: binary64 overflow: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

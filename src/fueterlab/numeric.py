@@ -166,20 +166,21 @@ def _neg_r2_powers(r2: float, n: int) -> list:
     return [(-r2) ** i for i in range(n // 2 + 1)]
 
 
-def _radial_split(coeffs, pows) -> tuple:
-    """(s, v) with sum_j c_j x_^j = s + v x_, since x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_.
+@lru_cache(maxsize=None)
+def _series_table(trunc: int, m: int) -> tuple:
+    """Per n = 0..trunc: float(n!) and H_n's nonzero c_j as floats with j // 2, even j, then odd j.
 
-    pows[i] is (-r^2)^i, computed once per point by `_neg_r2_powers`.
+    x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_ split H_n into s + v x_.
+    `int * float` and `float / int` convert the int as `float()` does, so the
+    floats give the bits the big-int coefficients and factorials give.
     """
-    s = v = 0.0
-    for j, c in enumerate(coeffs):
-        if c:
-            term = c * pows[j // 2]
-            if j % 2:
-                v += term
-            else:
-                s += term
-    return s, v
+    table = []
+    for n in range(trunc + 1):
+        coeffs = hermite_radial_coeffs(n, m)
+        even = tuple((float(c), j // 2) for j, c in enumerate(coeffs) if c and not j % 2)
+        odd = tuple((float(c), j // 2) for j, c in enumerate(coeffs) if c and j % 2)
+        table.append((float(math.factorial(n)), even, odd))
+    return tuple(table)
 
 
 def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
@@ -189,16 +190,20 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     """
     if pt.m != m:
         raise ValueError(f"point dimension {pt.m} vs m={m}")
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    if not 0 <= trunc <= 170:
+        raise ValueError(f"truncation order must be in 0..170 (171! overflows binary64), got {trunc}")
     r2 = math.fsum(x * x for x in pt.xs)
     scalar = 0.0
     vector = 0.0  # coefficient of x_ (the raw vector, not the unit one)
     x0_pow = 1.0
     pows = _neg_r2_powers(r2, trunc)
-    for n in range(trunc + 1):
-        s, v = _radial_split(hermite_radial_coeffs(n, m), pows)
-        factor = x0_pow / math.factorial(n)
+    for fact, even, odd in _series_table(trunc, m):
+        s = v = 0.0
+        for c, i in even:
+            s += c * pows[i]
+        for c, i in odd:
+            v += c * pows[i]
+        factor = x0_pow / fact
         scalar += factor * s
         vector += factor * v
         x0_pow *= pt.x0
@@ -211,10 +216,18 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
 
 def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
     """Magnitude of the first omitted series term, for truncation checks."""
+    if not 0 <= trunc <= 169:
+        raise ValueError(f"truncation order must be in 0..169 ((trunc + 1)! overflows binary64 past it), got {trunc}")
     r2 = math.fsum(x * x for x in pt.xs)
-    s, v = _radial_split(hermite_radial_coeffs(trunc + 1, m), _neg_r2_powers(r2, trunc + 1))
+    pows = _neg_r2_powers(r2, trunc + 1)
+    fact, even, odd = _series_table(trunc + 1, m)[trunc + 1]
+    s = v = 0.0
+    for c, i in even:
+        s += c * pows[i]
+    for c, i in odd:
+        v += c * pows[i]
     mag = math.hypot(s, v * math.sqrt(r2))
-    return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
+    return abs(pt.x0) ** (trunc + 1) / fact * mag * math.exp(-r2 / 2.0)
 
 
 def ck_gauss_restriction(x0: float, m: int) -> float:
@@ -435,22 +448,40 @@ def sample_header(m: int) -> list:
     )
 
 
-def sample_row(pair: AxialPair, pt: EvalPoint) -> list:
-    """One CSV row: the point, r, then the grade-0 and grade-1 parts and the norm."""
-    val = eval_axial(pair, pt)
-    return [pt.x0, *pt.xs, pt.r, float(val[0]), *(float(val[1 << j]) for j in range(pair.m)), val.norm()]
+def _sample_row(values, x0: float, xs: tuple, r: float) -> list:
+    """One CSV row: the point, r, then the grade-0 and grade-1 parts and the norm.
+
+    The row `eval_axial` gives from a P_0 pair's plan `values`: a grade-1 part
+    is b (x / r) for a nonzero x only, and a zero part (-0.0 too) reads 0.0, as
+    the float Multivector drops it.  The plan's sums start at +0.0, so A is never -0.0.
+    """
+    if r == 0:
+        raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
+    a_val, b_val = values(x0, r)
+    parts = [a_val, *((b_val * (x / r) or 0.0) if x else 0.0 for x in xs)]
+    return [x0, *xs, r, *parts, math.sqrt(sum_squares(parts))]
 
 
 def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
-    """Row-major grid of axial values along x_ = r e_1; grades 0 and 1 only."""
+    """Row-major grid of axial values along x_ = r e_1; grades 0 and 1 only.
+
+    A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
+    raises ValueError naming its grid point.  A row's norm is NaN exactly then.
+    """
     pair = sample_pair(target, m)
+    values = pair_plan(pair.A, pair.B).values
     zeros = (0.0,) * (m - 1)
     rows = []
     for x0 in x0_vals:
+        x0 = float(x0)
         for r in r_vals:
             if r <= 0:
                 raise EvalDomainError("sample region requires r > 0")
-            rows.append(sample_row(pair, EvalPoint(float(x0), (float(r),) + zeros)))
+            r = float(r)
+            row = _sample_row(values, x0, (r, *zeros), math.sqrt(r * r))
+            if math.isnan(row[-1]):
+                raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
+            rows.append(row)
     return rows
 
 
@@ -459,8 +490,7 @@ def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(sample_header(m))
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
+        writer.writerows(rows)  # csv writes a float as its repr
     return len(rows)
 
 
@@ -484,5 +514,9 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """Recompute every row of a sample CSV; True iff all values match bit-exactly."""
     m, header, rows = read_sample_csv(path)
     pair = sample_pair(target, m)
-    mismatches = sum(row != sample_row(pair, EvalPoint(row[0], tuple(row[1 : m + 1]))) for row in rows)
+    values = pair_plan(pair.A, pair.B).values
+    mismatches = 0
+    for row in rows:
+        xs = tuple(row[1 : m + 1])
+        mismatches += row != _sample_row(values, row[0], xs, math.sqrt(math.fsum(x * x for x in xs)))
     return mismatches == 0, len(rows)

@@ -303,6 +303,32 @@ def test_ck_gauss_rejects_non_finite(capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+def test_sample_rejects_nan_rows(capsys, tmp_path):
+    # r * r overflows from r ~ 1.34e154: the rows would read r = inf and hold NaN
+    out_csv = tmp_path / "g.csv"
+    code, _, err = run(
+        capsys, "sample", "--target", "ck-gauss", "--m", "3", "--x0", "0", "--r", "1e200:1e300:2", "--out", str(out_csv)
+    )
+    assert code == 2
+    assert "NaN at (x0=0.0, r=1e+200)" in err and not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ck-gauss", "--m", "3", "--trunc", "171"], "0..170"),
+        (["sample", "--target", "gauss-fund", "--m", "3", "--x0", "1e200", "--r", "1", "--out", "g.csv"], "overflow"),
+    ],
+    ids=["trunc_171", "sample_x0_1e200"],
+)
+def test_overflow_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_sample_io_failure_exit_code(capsys):
     code, _, err = run(
         capsys, "sample", "--target", "ck-gauss", "--m", "3",

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fueterlab.axial import EvalDomainError
+from fueterlab import numeric
+from fueterlab.axial import EvalDomainError, pair_plan
 from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
 from fueterlab.cliffpoly import coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
@@ -402,6 +404,34 @@ def test_verify_sample_csv_reads_pinned_files(name, target):
     assert verify_sample_csv(Path(__file__).parent / "data" / name, target) == (True, 25)
 
 
+@pytest.mark.parametrize(
+    "name, target, m, x0_vals, r_vals",
+    [
+        ("sample_gauss_fund_m3.csv", "gauss-fund", 3, lin_range(-1.0, 1.0, 5), lin_range(0.5, 2.5, 5)),
+        ("sample_ck_gauss_m5.csv", "ck-gauss", 5, lin_range(-1.0, 1.0, 5), lin_range(0.01, 2.0, 5)),
+    ],
+)
+def test_write_sample_csv_reproduces_pinned_files(tmp_path, name, target, m, x0_vals, r_vals):
+    # the commands named in test_verify_sample_csv_reads_pinned_files, byte for byte: this pins the text format too
+    path = tmp_path / name
+    assert write_sample_csv(path, target, m, x0_vals, r_vals) == 25
+    assert path.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+def test_sample_rows_rejects_nan_rows(tmp_path):
+    # from r ~ 1.34e154 on, r * r overflows: r reads inf and the values NaN, which `verify --from` cannot match
+    with pytest.raises(ValueError, match=r"NaN at \(x0=0.0, r=1e\+200\)"):
+        sample_rows("ck-gauss", 3, [0.0], [1.0, 1e200, 1e300])
+    with pytest.raises(ValueError, match="NaN"):
+        write_sample_csv(tmp_path / "g.csv", "ck-gauss", 3, [0.0], [1e200])
+    assert not (tmp_path / "g.csv").exists()
+    # an inf value is not NaN, and it still round-trips; B = -inf there, yet e2 and e3 read 0.0, not -inf * 0.0
+    inf = math.inf
+    assert sample_rows("ck-gauss", 3, [38.0], [5.0]) == [[38.0, 5.0, 0.0, 0.0, 5.0, inf, -inf, 0.0, 0.0, inf]]
+    write_sample_csv(tmp_path / "g.csv", "ck-gauss", 3, [38.0], [5.0])
+    assert verify_sample_csv(tmp_path / "g.csv", "ck-gauss") == (True, 1)
+
+
 def test_read_sample_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "g.csv"
     write_sample_csv(path, "gauss-fund", 3, [0.5], [3.0])
@@ -538,6 +568,127 @@ def test_series_bit_identical_to_per_term_powers():
             want = {0: damp * scalar} | {1 << j: damp * vector * x for j, x in enumerate(pt.xs)}
             got = ck_gauss_series(pt, m, trunc=60)
             assert list(got.coeffs.items()) == list(Multivector(m, want, exact=False).coeffs.items())
+
+
+def _ref_sample_row(pair, pt):
+    """The row as `eval_axial` and the float Multivector give it."""
+    val = eval_axial(pair, pt)
+    return [pt.x0, *pt.xs, pt.r, float(val[0]), *(float(val[1 << j]) for j in range(pair.m)), val.norm()]
+
+
+def _bits(row):
+    return [float(v).hex() for v in row]
+
+
+def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
+    rng = random.Random(83)
+    for target in numeric.SAMPLE_TARGETS:
+        for m in (1, 3, 5, 7):
+            pair = numeric.sample_pair(target, m)
+            zeros = (0.0,) * (m - 1)
+            lo = rng.uniform(-2.0, 1.0)
+            x0_vals = [0.0, -0.0] + lin_range(lo, lo + rng.uniform(0.1, 2.0), 4)
+            r_vals = [1e-6, 3e-4] + [10 ** rng.uniform(-3.0, 0.6) for _ in range(4)]
+            rows = sample_rows(target, m, x0_vals, r_vals)
+            want = [_ref_sample_row(pair, EvalPoint(x0, (r,) + zeros)) for x0 in x0_vals for r in r_vals]
+            assert list(map(_bits, rows)) == list(map(_bits, want)), (target, m)
+            # rows in general directions, with -0.0 components, through verify_sample_csv and the row builder
+            values = pair_plan(pair.A, pair.B).values
+            ref_rows = []
+            for i in range(12):
+                d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else (-0.0, 0.0)[i % 2] for j in range(m)]
+                norm = math.sqrt(sum(c * c for c in d))
+                r = 10 ** rng.uniform(-6.0, 0.6)
+                pt = EvalPoint((0.0, -0.0, rng.uniform(-2.0, 2.0))[i % 3], tuple(r * c / norm for c in d))
+                ref_rows.append(_ref_sample_row(pair, pt))
+                assert _bits(numeric._sample_row(values, pt.x0, pt.xs, pt.r)) == _bits(ref_rows[-1])
+            path = tmp_path / f"{target}_{m}.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([numeric.sample_header(m)] + ref_rows)
+            assert verify_sample_csv(path, target) == (True, 12)
+            # a row at r = 0 still raises, as eval_axial does
+            with open(path, "a", newline="") as fh:
+                csv.writer(fh).writerow([0.5, *(-0.0,) * m, 0.0, *(1.0,) * (m + 2)])
+            with pytest.raises(EvalDomainError):
+                verify_sample_csv(path, target)
+
+
+def _ref_radial_split(coeffs, r2):
+    """(s, v) with sum_j c_j x_^j = s + v x_, the big-int c_j times the powers (-r^2)^i."""
+    pows = [(-r2) ** i for i in range((len(coeffs) - 1) // 2 + 1)]
+    s = v = 0.0
+    for j, c in enumerate(coeffs):
+        if c:
+            term = c * pows[j // 2]
+            if j % 2:
+                v += term
+            else:
+                s += term
+    return s, v
+
+
+def _ref_ck_gauss_series(pt, m, trunc):
+    """The series as the radial split of big-int coefficients, with n! as an int, computes it."""
+    r2 = math.fsum(x * x for x in pt.xs)
+    scalar = vector = 0.0
+    x0_pow = 1.0
+    for n in range(trunc + 1):
+        s, v = _ref_radial_split(hermite_radial_coeffs(n, m), r2)
+        factor = x0_pow / math.factorial(n)
+        scalar += factor * s
+        vector += factor * v
+        x0_pow *= pt.x0
+    damp = math.exp(-r2 / 2.0)
+    return {0: damp * scalar} | {1 << j: damp * vector * x for j, x in enumerate(pt.xs)}
+
+
+def _ref_ck_gauss_series_tail(pt, m, trunc):
+    r2 = math.fsum(x * x for x in pt.xs)
+    s, v = _ref_radial_split(hermite_radial_coeffs(trunc + 1, m), r2)
+    mag = math.hypot(s, v * math.sqrt(r2))
+    return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def test_series_bit_identical_to_radial_split():
+    rng = random.Random(91)
+    for trunc in range(171):
+        m = (1, 3, 5, 7)[trunc % 4]
+        points = [
+            EvalPoint(rng.uniform(-2.0, 2.0), (0.0,) * m),  # the x_ = 0 axis
+            EvalPoint(rng.uniform(-1.0, 1.0), tuple(rng.uniform(-1.5, 1.5) if j % 2 else -0.0 for j in range(m))),
+            # r where (-r^2)^i may overflow
+            EvalPoint(rng.uniform(-1.0, 1.0), (10 ** rng.uniform(1.0, 3.0),) + (0.0,) * (m - 1)),
+        ]
+        for pt in points:
+            want = _outcome(_ref_ck_gauss_series, pt, m, trunc)
+            got = _outcome(ck_gauss_series, pt, m, trunc)
+            if want is OverflowError:
+                assert got is OverflowError, (trunc, pt)
+            else:
+                assert list(got.coeffs.items()) == list(Multivector(m, want, exact=False).coeffs.items()), (trunc, pt)
+            if trunc <= 169:
+                want = _outcome(_ref_ck_gauss_series_tail, pt, m, trunc)
+                got = _outcome(ck_gauss_series_tail, pt, m, trunc)
+                assert got is want is OverflowError or got.hex() == want.hex(), (trunc, pt)
+
+
+def test_series_order_limits():
+    pt = EvalPoint(0.5, (1.0, 0.0, 0.0))
+    ck_gauss_series(pt, 3, trunc=170)
+    ck_gauss_series_tail(pt, 3, 169)
+    with pytest.raises(ValueError, match="170"):
+        ck_gauss_series(pt, 3, trunc=171)
+    with pytest.raises(ValueError, match="169"):
+        ck_gauss_series_tail(pt, 3, 170)
+    with pytest.raises(ValueError, match="0..170"):
+        ck_gauss_series(pt, 3, trunc=-1)
 
 
 def test_no_numpy_import(tmp_path):

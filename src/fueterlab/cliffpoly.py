@@ -1,10 +1,15 @@
 """Exact polynomials in x0, x1, ..., xm with Clifford coefficients.
 
-A polynomial is one flat dict {(exps, mask): c}, c nonzero, int if integral
-and Fraction otherwise, exps holding the exponents of the commuting
-variables (slot 0 for x0) and mask the blade as encoded in `clifford`.
-Coefficients sit on the left of their monomials; noncommutativity only
-enters through `blade_product`.
+A polynomial is one flat dict {(packed, mask): c}, c nonzero, int if integral
+and Fraction otherwise.  `packed` holds the exponent of x_j in bits
+W*j .. W*j + W - 1 (slot 0 for x0), so multiplying monomials adds keys and
+differentiating subtracts a unit; mask is the blade as encoded in
+`clifford`.  Exponents stay below 2^(W-1): the sum of two valid keys then
+never carries into the next slot, and a product or shift whose result
+reaches the limit raises ValueError.  `coeffs` is the read-only view
+{(exps, mask): c} with exponent tuples, in store order.  Coefficients sit
+on the left of their monomials; noncommutativity only enters through
+`blade_product`.
 
 On top of the ring operations this module provides the Dirac operator,
 the generalized Cauchy-Riemann operator and its conjugate, the Laplacian,
@@ -16,9 +21,11 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from types import MappingProxyType
 
 from .clifford import (
     MAX_DIMENSION,
@@ -35,43 +42,104 @@ from .clifford import (
     tokenize,
 )
 
+# bits per exponent slot; the struct format "H" of _layout matches it
+W = 16
+EXP_LIMIT = 1 << (W - 1)
+_SLOT = (1 << W) - 1
+# the top bit of every slot: set in a key exactly when some exponent reached EXP_LIMIT
+_HIGH = sum(EXP_LIMIT << (W * j) for j in range(MAX_DIMENSION + 1))
+_ONE = {(0, 0): 1}
+
+
+@lru_cache(maxsize=None)
+def _layout(m: int) -> struct.Struct:
+    return struct.Struct(f"<{m + 1}H")
+
+
+def _pack(exps) -> int:
+    """Packed key of nonnegative int exponents; ValueError once one reaches EXP_LIMIT."""
+    if max(exps) >= EXP_LIMIT:
+        raise ValueError(f"exponent vector {tuple(exps)} reaches the limit {EXP_LIMIT}")
+    return int.from_bytes(_layout(len(exps) - 1).pack(*exps), "little")
+
+
+def _unpack(m: int, key: int) -> tuple:
+    return _layout(m).unpack(key.to_bytes(2 * (m + 1), "little"))
+
 
 def _unit(m: int, j: int) -> tuple:
     """Exponents of the monomial x_j."""
     return tuple(int(i == j) for i in range(m + 1))
 
 
-class CliffPoly:
-    """Multivariate polynomial with exact Clifford coefficients, stored flat."""
+def _exact_scalar(value):
+    if isinstance(value, float):
+        raise MixedVariantError("float scalar on exact polynomial; convert explicitly")
+    return _rational(Fraction(value))
 
-    __slots__ = ("m", "coeffs")
+
+def _check_shift(n: int) -> None:
+    if not 0 <= n < EXP_LIMIT:
+        raise ValueError(f"x0 shift {n} outside 0..{EXP_LIMIT - 1}")
+
+
+def _guarded(m: int, out: dict) -> "CliffPoly":
+    """CliffPoly._of after checking that no exponent of a computed key reached EXP_LIMIT."""
+    for key, _ in out:
+        if key & _HIGH:
+            raise ValueError(f"exponent vector {_unpack(m, key)} reaches the limit {EXP_LIMIT}")
+    return CliffPoly._of(m, out)
+
+
+class CliffPoly:
+    """Multivariate polynomial with exact Clifford coefficients, stored flat under packed keys."""
+
+    # _coeffs and _floats are built on first use: the tuple-keyed view and eval's binary64 table
+    __slots__ = ("m", "_d", "_coeffs", "_floats")
 
     def __init__(self, m: int, terms=None):
         """Validated constructor from {exponent tuple: exact Multivector}."""
-        coeffs = {}
+        d = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != m + 1 or any(e < 0 for e in exps):
+            if len(exps) != m + 1 or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponent vector {exps} invalid for m={m}")
             if not isinstance(coeff, Multivector) or not coeff.exact:
                 raise TypeError("CliffPoly coefficients must be exact Multivectors")
             if coeff.m != m:
                 raise DimensionMismatchError(f"coefficient m={coeff.m} vs poly m={m}")
+            key = _pack(exps)
             for mask, v in coeff.coeffs.items():
-                coeffs[exps, mask] = _rational(v)
+                d[key, mask] = _rational(v)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_d", d)
 
     @classmethod
-    def _of(cls, m: int, coeffs: dict) -> "CliffPoly":
-        """Trusted constructor for computed {(exps, mask): coeff}; drops zeros."""
+    def _of(cls, m: int, d: dict) -> "CliffPoly":
+        """Trusted constructor for a computed store; drops zeros, stores integral values as int."""
+        out = {}
+        for key, v in d.items():
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            if v:
+                out[key] = v
         p = object.__new__(cls)
         object.__setattr__(p, "m", m)
-        object.__setattr__(p, "coeffs", {key: v if type(v) is int else _rational(v) for key, v in coeffs.items() if v})
+        object.__setattr__(p, "_d", out)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffPoly is immutable")
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """{(exps, mask): c} with exponent tuples, in store order; built on first read and kept."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            view = {(_unpack(self.m, key), mask): v for (key, mask), v in self._d.items()}
+            object.__setattr__(self, "_coeffs", MappingProxyType(view))
+            return self._coeffs
 
     @property
     def terms(self) -> dict:
@@ -115,21 +183,24 @@ class CliffPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffPoly):
             return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
+        return self.m == other.m and self._d == other._d
 
     __hash__ = None
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._d)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._d
+
+    def is_one(self) -> bool:
+        return self._d == _ONE
 
     def depends_on_x0(self) -> bool:
-        return any(exps[0] for exps, _ in self.coeffs)
+        return any(key & _SLOT for key, _ in self._d)
 
     def grades(self) -> set:
-        return {blade_grade(mask) for _, mask in self.coeffs}
+        return {blade_grade(mask) for _, mask in self._d}
 
     # --- ring operations ---
 
@@ -141,22 +212,22 @@ class CliffPoly:
         if not isinstance(other, CliffPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0) + v
+        out = dict(self._d)
+        get = out.get
+        for key, v in other._d.items():
+            old = get(key)
+            out[key] = v if old is None else old + v
         return CliffPoly._of(self.m, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CliffPoly._of(self.m, {key: -v for key, v in self.coeffs.items()})
+        return CliffPoly._of(self.m, {key: -v for key, v in self._d.items()})
 
     def scale(self, value) -> "CliffPoly":
-        if isinstance(value, float):
-            raise MixedVariantError("float scalar on exact polynomial; convert explicitly")
-        c = _rational(Fraction(value))
-        return CliffPoly._of(self.m, {key: c * v for key, v in self.coeffs.items()})
+        c = _exact_scalar(value)
+        return CliffPoly._of(self.m, {key: c * v for key, v in self._d.items()})
 
     def coeff_mul_left(self, mv: Multivector) -> "CliffPoly":
         """Left multiplication by a constant Clifford number."""
@@ -171,34 +242,44 @@ class CliffPoly:
 
     def shift_x0(self, n: int) -> "CliffPoly":
         """Multiply by the monomial x0^n."""
-        return CliffPoly._of(self.m, {((e[0] + n,) + e[1:], mask): v for (e, mask), v in self.coeffs.items()})
+        _check_shift(n)
+        return _guarded(self.m, {(key + n, mask): v for (key, mask), v in self._d.items()})
 
     # --- calculus ---
 
     def diff(self, j: int) -> "CliffPoly":
         """Partial derivative with respect to x_j (j = 0 for x0)."""
+        if not 0 <= j <= self.m:
+            raise ValueError(f"variable index {j} outside 0..{self.m}")
+        shift = W * j
+        unit = 1 << shift
         out = {}
-        for (exps, mask), v in self.coeffs.items():
-            e = exps[j]
+        for (key, mask), v in self._d.items():
+            e = key >> shift & _SLOT
             if e:
-                out[exps[:j] + (e - 1,) + exps[j + 1:], mask] = e * v
+                out[key - unit, mask] = v * e
         return CliffPoly._of(self.m, out)
 
     def restrict_x0(self) -> "CliffPoly":
         """Substitute x0 = 0."""
-        return CliffPoly._of(self.m, {key: v for key, v in self.coeffs.items() if key[0][0] == 0})
+        return CliffPoly._of(self.m, {km: v for km, v in self._d.items() if not km[0] & _SLOT})
 
     def eval(self, x0: float, xs) -> Multivector:
         """Binary64 evaluation at a point of R^{m+1}."""
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
+        try:
+            table = self._floats
+        except AttributeError:
+            table = tuple((exps[0], exps[1:], mask, float(c)) for (exps, mask), c in self.coeffs.items())
+            object.__setattr__(self, "_floats", table)
         total: dict = {}
-        for (exps, mask), c in self.coeffs.items():
-            mono = x0 ** exps[0] if exps[0] else 1.0
-            for x, e in zip(xs, exps[1:]):
+        for e0, exps, mask, c in table:
+            mono = x0 ** e0 if e0 else 1.0
+            for x, e in zip(xs, exps):
                 if e:
                     mono *= x ** e
-            v = mono * float(c)
+            v = mono * c
             if v:
                 # a cancelled blade leaves the dict: blade order fixes the rounding of later products
                 total[mask] = total.get(mask, 0) + v
@@ -217,47 +298,106 @@ def poly_mul(p: CliffPoly, q: CliffPoly) -> CliffPoly:
     """Noncommutative product; coefficient blades multiply as e_A e_B."""
     p._check(q)
     out = {}
-    for (ep, mp), vp in p.coeffs.items():
-        for (eq, mq), vq in q.coeffs.items():
-            sign, mask = blade_product(mp, mq)
-            key = tuple(map(add, ep, eq)), mask
+    get = out.get
+    rows = {}
+    q_items = q._d.items()
+    for (ep, mp), vp in p._d.items():
+        row = rows.get(mp)
+        if row is None:
+            # q's terms with the blade product e_mp e_mq and its sign folded in
+            row = rows[mp] = []
+            for (eq, mq), vq in q_items:
+                sign, mask = blade_product(mp, mq)
+                row.append((eq, mask, vq if sign > 0 else -vq))
+        for eq, mask, vq in row:
+            key = ep + eq, mask
             prod = vp * vq
-            out[key] = out.get(key, 0) + (prod if sign > 0 else -prod)
-    return CliffPoly._of(p.m, out)
+            old = get(key)
+            out[key] = prod if old is None else old + prod
+    return _guarded(p.m, out)
+
+
+@lru_cache(maxsize=4096)
+def _generator_row(m: int, mask: int) -> tuple:
+    """(j, packed key of x_j, sign, blade) of e_j e_mask for j = 1..m."""
+    return tuple((j, 1 << (W * j), *blade_product(1 << (j - 1), mask)) for j in range(1, m + 1))
+
+
+def _dirac_into(out: dict, p: CliffPoly, sign: int) -> dict:
+    """Add sign * dirac(p) into out, term by term in store order."""
+    get = out.get
+    m = p.m
+    layout, size = _layout(m), 2 * (m + 1)
+    for (key, mask), v in p._d.items():
+        exps = layout.unpack(key.to_bytes(size, "little"))
+        for j, unit, s, blade in _generator_row(m, mask):
+            e = exps[j]
+            if e:
+                k = key - unit, blade
+                # a Fraction on the left: int * Fraction takes Fraction's slower reflected path
+                c = v * e if s == sign else v * -e
+                old = get(k)
+                out[k] = c if old is None else old + c
+    return out
 
 
 def dirac(p: CliffPoly) -> CliffPoly:
     """Dirac operator: sum of e_j (d/dx_j) acting by left multiplication."""
+    return CliffPoly._of(p.m, _dirac_into({}, p, 1))
+
+
+def _cr(p: CliffPoly, sign: int) -> CliffPoly:
+    """d/dx0 + sign * dirac, added into one dict."""
     out = {}
-    for (exps, mask), v in p.coeffs.items():
-        for j in range(1, p.m + 1):
-            e = exps[j]
-            if e:
-                sign, blade = blade_product(1 << (j - 1), mask)
-                key = exps[:j] + (e - 1,) + exps[j + 1:], blade
-                out[key] = out.get(key, 0) + (e * v if sign > 0 else -e * v)
-    return CliffPoly._of(p.m, out)
+    for (key, mask), v in p._d.items():
+        e = key & _SLOT
+        if e:
+            out[key - 1, mask] = v * e
+    return CliffPoly._of(p.m, _dirac_into(out, p, sign))
 
 
 def cr_apply(p: CliffPoly) -> CliffPoly:
     """Generalized Cauchy-Riemann operator d/dx0 + dirac."""
-    return p.diff(0) + dirac(p)
+    return _cr(p, 1)
 
 
 def cr_conj_apply(p: CliffPoly) -> CliffPoly:
     """Conjugate Cauchy-Riemann operator d/dx0 - dirac."""
-    return p.diff(0) - dirac(p)
+    return _cr(p, -1)
 
 
 def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
     out = {}
-    for (exps, mask), v in p.coeffs.items():
-        for j in range(0 if include_x0 else 1, p.m + 1):
+    get = out.get
+    m = p.m
+    layout, size = _layout(m), 2 * (m + 1)
+    for (key, mask), v in p._d.items():
+        exps = layout.unpack(key.to_bytes(size, "little"))
+        for j in range(0 if include_x0 else 1, m + 1):
             e = exps[j]
             if e > 1:
-                key = exps[:j] + (e - 2,) + exps[j + 1:], mask
-                out[key] = out.get(key, 0) + e * (e - 1) * v
-    return CliffPoly._of(p.m, out)
+                k = key - (2 << W * j), mask
+                c = v * (e * (e - 1))
+                old = get(k)
+                out[k] = c if old is None else old + c
+    return CliffPoly._of(m, out)
+
+
+def poly_sum(m: int, parts) -> CliffPoly:
+    """Sum of c * x0^s * p over the (c, s, p) in parts, added into one dict."""
+    out = {}
+    get = out.get
+    for c, s, p in parts:
+        if p.m != m:
+            raise DimensionMismatchError(f"m={p.m} vs m={m}")
+        c = _exact_scalar(c)
+        _check_shift(s)
+        for (key, mask), v in p._d.items():
+            k = key + s, mask
+            w = c * v if type(v) is int else v * c
+            old = get(k)
+            out[k] = w if old is None else old + w
+    return _guarded(m, out)
 
 
 def ck_extend_poly(f: CliffPoly) -> CliffPoly:
@@ -268,14 +408,13 @@ def ck_extend_poly(f: CliffPoly) -> CliffPoly:
     """
     if f.depends_on_x0():
         raise ValueError("CK extension input must not depend on x0")
-    out = CliffPoly.zero(f.m)
+    parts = []
     g = f
-    n = 0
     while g:
-        out = out + g.shift_x0(n).scale(Fraction((-1) ** n, math.factorial(n)))
+        n = len(parts)
+        parts.append((Fraction((-1) ** n, math.factorial(n)), n, g))
         g = dirac(g)
-        n += 1
-    return out
+    return poly_sum(f.m, parts)
 
 
 @dataclass(frozen=True)
@@ -295,13 +434,17 @@ def is_homogeneous_monogenic(p: CliffPoly, k: int) -> MonogenicityReport:
         return MonogenicityReport(False, "depends on x0")
     if p.is_zero():
         return MonogenicityReport(False, "zero polynomial")
-    for exps, _ in p.coeffs:
+    m = p.m
+    for key, _ in p._d:
+        exps = _unpack(m, key)
         if sum(exps) != k:
             return MonogenicityReport(False, "not homogeneous", witness=str(exps))
-    d = dirac(p)
+    d = dirac(p)._d
     if d:
-        exps, coeff = min(d.terms.items())
-        return MonogenicityReport(False, "not monogenic", witness=f"dirac term {exps} -> {coeff}")
+        low = min(_unpack(m, key) for key, _ in d)
+        packed = _pack(low)
+        coeff = Multivector(m, {mask: v for (key, mask), v in d.items() if key == packed})
+        return MonogenicityReport(False, "not monogenic", witness=f"dirac term {low} -> {coeff}")
     return MonogenicityReport(True)
 
 
@@ -363,14 +506,30 @@ def coeff_c(n: int, nu: int, m: int) -> Fraction:
     return out
 
 
+def hermite_step(h: CliffPoly) -> CliffPoly:
+    """x_ H - dirac(H), the step of the Hermite recurrence, added into one dict."""
+    out = {}
+    get = out.get
+    m = h.m
+    rows = [(key, v, _generator_row(m, mask)) for (key, mask), v in h._d.items()]
+    # x_ H = sum_j e_j x_j H, in the term order of poly_mul(vector_variable(m), h)
+    for i in range(m):
+        for key, v, row in rows:
+            _, unit, sign, blade = row[i]
+            k = key + unit, blade
+            w = v if sign > 0 else -v
+            old = get(k)
+            out[k] = w if old is None else old + w
+    return _guarded(m, _dirac_into(out, h, -1))
+
+
 def hermite_rec(n: int, m: int) -> HermiteResult:
     """H_0 = 1, H_{j+1} = x_ H_j - dirac(H_j)."""
     if n < 0:
         raise ValueError("Hermite index must be nonnegative")
-    x_ = CliffPoly.vector_variable(m)
     h = CliffPoly.one(m)
     for _ in range(n):
-        h = poly_mul(x_, h) - dirac(h)
+        h = hermite_step(h)
     return HermiteResult(n, m, h)
 
 
@@ -379,11 +538,11 @@ def hermite_closed(n: int, m: int) -> HermiteResult:
     if n < 0:
         raise ValueError("Hermite index must be nonnegative")
     half, odd = divmod(n, 2)
-    out = CliffPoly.zero(m)
-    for nu in range(half + 1):
-        c = math.comb(half, nu) * coeff_c(half + odd, nu, m)
-        out = out + vector_power(m, 2 * (half - nu) + odd).scale(c)
-    return HermiteResult(n, m, out)
+    parts = (
+        (math.comb(half, nu) * coeff_c(half + odd, nu, m), 0, vector_power(m, 2 * (half - nu) + odd))
+        for nu in range(half + 1)
+    )
+    return HermiteResult(n, m, poly_sum(m, parts))
 
 
 # --- text form -------------------------------------------------------------
@@ -436,7 +595,7 @@ def parse_poly(text: str, m: int) -> CliffPoly:
                 mask, value = apply_blade(tok, m, mask, value)
             else:
                 raise ValueError(f"unexpected token {tok!r} in polynomial")
-        key = tuple(exps), mask
+        key = _pack(exps), mask
         coeffs[key] = coeffs.get(key, 0) + value
     return CliffPoly._of(m, coeffs)
 

@@ -44,6 +44,7 @@ from .cliffpoly import (
     is_homogeneous_monogenic,
     laplacian,
     poly_mul,
+    poly_sum,
     sample_p0,
     sample_p1,
     vector_power,
@@ -185,30 +186,35 @@ def _require_odd(m: int) -> None:
         raise EvenDimensionError(f"the transform requires odd m >= 1, got {m}")
 
 
+def _check_pk(pk: CliffPoly, k: int) -> CliffPoly:
+    report = is_homogeneous_monogenic(pk, k)
+    if not report:
+        raise InvalidPkError(f"invalid P_k: {report.reason} {report.witness}".strip())
+    return pk
+
+
+@lru_cache(maxsize=64)
 def default_pk(k: int, m: int) -> CliffPoly | None:
-    """Shipped samples: 1 for k = 0, x1 e1 - x2 e2 for k = 1, none beyond."""
+    """Shipped samples: 1 for k = 0, x1 e1 - x2 e2 for k = 1, none beyond.
+    Built and checked once per (k, m); the same object comes back on every call."""
     if k == 0:
-        return sample_p0(m)
+        return _check_pk(sample_p0(m), k)
     if k == 1 and m >= 2:
-        return sample_p1(m)
+        return _check_pk(sample_p1(m), k)
     return None
 
 
 def fueter(s: HoloSeed, k: int, m: int, pk: CliffPoly | None = None) -> AxialPair:
     """Transform of a seed via the radial-operator closed formulas.
 
-    A generic P_k (pk = None) is allowed because A and B depend only on
-    (k, m); a concrete pk is validated and carried for evaluation.
+    Without pk the shipped sample of `default_pk` is carried, or a generic
+    P_k where there is none, since A and B depend only on (k, m); a pk the
+    caller passes is validated.
     """
     _require_odd(m)
     if k < 0:
         raise ValueError("degree k must be nonnegative")
-    if pk is None:
-        pk = default_pk(k, m)
-    if pk is not None:
-        report = is_homogeneous_monogenic(pk, k)
-        if not report:
-            raise InvalidPkError(f"invalid P_k: {report.reason} {report.witness}".strip())
+    pk = default_pk(k, m) if pk is None else _check_pk(pk, k)
     order = k + (m - 1) // 2
     const = double_factorial(2 * k + m - 1)
     return AxialPair(m, k, d_lower(order, s.u).scale(const), d_upper(order, s.v).scale(const), pk)
@@ -337,9 +343,7 @@ def fueter_via_laplacian(n: int, k: int, m: int, pk: CliffPoly) -> CliffPoly:
     _require_odd(m)
     if pk is None:
         raise ValueError("this route needs a concrete P_k")
-    w = CliffPoly.zero(m)
-    for nu in range(n + 1):
-        w = w + vector_power(m, nu).shift_x0(n - nu).scale(math.comb(n, nu))
+    w = poly_sum(m, ((math.comb(n, nu), n - nu, vector_power(m, nu)) for nu in range(n + 1)))
     w = poly_mul(w, pk)
     for _ in range(k + (m - 1) // 2):
         w = laplacian(w, include_x0=True)
@@ -356,13 +360,13 @@ def axial_to_poly(pair: AxialPair) -> CliffPoly:
     if pair.pk is None:
         raise ValueError("axial_to_poly needs a concrete P_k")
     m = pair.m
-    out = CliffPoly.zero(m)
+    parts = []
     for expr, parity, label in ((pair.A, 0, "A"), (pair.B, 1, "B")):
         for (a, b, p, g, t), q in expr.terms.items():
             if p or g or t or b < 0 or b % 2 != parity:
                 raise ValueError(f"{label} component outside the polynomial image")
-            out = out + vector_power(m, b).scale(q * (-1) ** (b // 2)).shift_x0(a)
-    return poly_mul(out, pair.pk)
+            parts.append((q * (-1) ** (b // 2), a, vector_power(m, b)))
+    return poly_mul(poly_sum(m, parts), pair.pk)
 
 
 @dataclass(frozen=True)
@@ -388,9 +392,9 @@ def triangle_check(n: int, k: int, m: int, pk: CliffPoly | None = None) -> Trian
     above it they must agree exactly and equal constant * CK[x_^(n-(2k+m-1)) pk],
     the constant read off from the x0 = 0 restriction.
     """
-    if pk is None:
-        pk = default_pk(k, m)
-    p_radial = axial_to_poly(fueter(seed("z_pow", n), k, m, pk))
+    pair = fueter(seed("z_pow", n), k, m, pk)
+    pk = pair.pk
+    p_radial = axial_to_poly(pair)
     p_laplace = fueter_via_laplacian(n, k, m, pk)
     routes_equal = p_radial == p_laplace
     d = n - (2 * k + m - 1)

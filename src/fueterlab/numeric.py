@@ -120,7 +120,7 @@ def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
 
 def _is_one(pk) -> bool:
     """P_k is the constant 1, as for every P_0 pair."""
-    return pk is not None and len(pk.coeffs) == 1 and pk.coeffs.get(((0,) * (pk.m + 1), 0)) == 1
+    return pk is not None and pk.is_one()
 
 
 def axial_evaluator(pair: AxialPair):

@@ -34,6 +34,7 @@ from .cliffpoly import (
     dirac,
     hermite_closed,
     hermite_rec,
+    hermite_step,
     laplacian,
     poly_mul,
     radius_sq_poly,
@@ -375,11 +376,10 @@ def _linearity(ctx):
 def _hermite_rec_eq_closed(ctx):
     for m in ctx.ms:
         h = CliffPoly.one(m)
-        x_ = CliffPoly.vector_variable(m)
         for n in range(HERMITE_N_MAX + 1):
             # H_n is scalar for even n and a vector for odd n
             yield (n, m), h == hermite_closed(n, m).poly and h.grades() in (set(), {n % 2})
-            h = poly_mul(x_, h) - dirac(h)
+            h = hermite_step(h)
 
 
 @exact("hermite", "hermite.h2_h3")

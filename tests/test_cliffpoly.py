@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fueterlab.clifford import MixedVariantError, Multivector
+from fueterlab.clifford import MixedVariantError, Multivector, blade_product
 from fueterlab.cliffpoly import (
+    EXP_LIMIT,
     CliffPoly,
     ck_extend_poly,
     coeff_c,
@@ -192,3 +194,201 @@ def test_text_roundtrip():
 def test_sample_p1_requires_two_generators():
     with pytest.raises(ValueError):
         sample_p1(1)
+
+
+# --- packed store against a plain reference kernel ----------------------------
+#
+# The reference keeps {(exps tuple, mask): c} and builds each result the way
+# the tuple-keyed kernel did: one operation at a time, sums through `+`.
+# Dict order is part of the contract, since eval rounds in it.
+
+
+def _ref_of(d):
+    out = {}
+    for key, v in d.items():
+        if v:
+            out[key] = v.numerator if type(v) is not int and v.denominator == 1 else v
+    return out
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + v
+    return _ref_of(out)
+
+
+def _ref_neg(a):
+    return {key: -v for key, v in a.items()}
+
+
+def _ref_scale(a, c):
+    c = Fraction(c)
+    return _ref_of({key: c * v for key, v in a.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ep, mp), vp in a.items():
+        for (eq, mq), vq in b.items():
+            sign, mask = blade_product(mp, mq)
+            key = tuple(x + y for x, y in zip(ep, eq)), mask
+            out[key] = out.get(key, 0) + sign * vp * vq
+    return _ref_of(out)
+
+
+def _ref_diff(a, j):
+    out = {}
+    for (exps, mask), v in a.items():
+        if exps[j]:
+            out[exps[:j] + (exps[j] - 1,) + exps[j + 1 :], mask] = exps[j] * v
+    return _ref_of(out)
+
+
+def _ref_dirac(a, m):
+    out = {}
+    for (exps, mask), v in a.items():
+        for j in range(1, m + 1):
+            if exps[j]:
+                sign, blade = blade_product(1 << (j - 1), mask)
+                key = exps[:j] + (exps[j] - 1,) + exps[j + 1 :], blade
+                out[key] = out.get(key, 0) + sign * exps[j] * v
+    return _ref_of(out)
+
+
+def _ref_laplacian(a, m, include_x0):
+    out = {}
+    for (exps, mask), v in a.items():
+        for j in range(0 if include_x0 else 1, m + 1):
+            e = exps[j]
+            if e > 1:
+                key = exps[:j] + (e - 2,) + exps[j + 1 :], mask
+                out[key] = out.get(key, 0) + e * (e - 1) * v
+    return _ref_of(out)
+
+
+def _ref_shift(a, n):
+    return {((exps[0] + n,) + exps[1:], mask): v for (exps, mask), v in a.items()}
+
+
+def _ref_ck(a, m):
+    out, g, n = {}, a, 0
+    while g:
+        out = _ref_add(out, _ref_scale(_ref_shift(g, n), Fraction((-1) ** n, math.factorial(n))))
+        g = _ref_dirac(g, m)
+        n += 1
+    return out
+
+
+def _ref_eval(a, m, x0, xs):
+    total = {}
+    for (exps, mask), c in a.items():
+        mono = x0 ** exps[0] if exps[0] else 1.0
+        for x, e in zip(xs, exps[1:]):
+            if e:
+                mono *= x**e
+        v = mono * float(c)
+        if v:
+            total[mask] = total.get(mask, 0) + v
+            if not total[mask]:
+                del total[mask]
+    return total
+
+
+def _assert_matches(p, ref, m):
+    assert [(k, type(v), v) for k, v in p.coeffs.items()] == [(k, type(v), v) for k, v in ref.items()]
+    xs = [0.3 - 0.17 * j for j in range(m)]
+    for x0 in (-0.7, 1.9):  # the second call reads the float table the first one built
+        got = p.eval(x0, xs).coeffs
+        want = _ref_eval(ref, m, x0, xs)
+        assert [(k, float.hex(v)) for k, v in got.items()] == [(k, float.hex(v)) for k, v in want.items()]
+
+
+def test_packed_store_matches_reference_kernel():
+    rng = random.Random(20240611)
+    for walk in range(40):
+        m = 1 + walk % 5
+        p = random_poly(rng, m, max_degree=3, with_x0=walk % 2 == 0)
+        ref = dict(p.coeffs)
+        for step in range(12):
+            q = random_poly(rng, m, max_degree=2, n_terms=3, with_x0=True)
+            q_ref = dict(q.coeffs)
+            op = rng.randrange(13)
+            if op == 0:
+                p, ref = p + q, _ref_add(ref, q_ref)
+            elif op == 1:
+                p, ref = p - q, _ref_add(ref, _ref_neg(q_ref))
+            elif op == 2:
+                p, ref = -p, _ref_neg(ref)
+            elif op == 3:
+                c = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                p, ref = p.scale(c), _ref_scale(ref, c)
+            elif op == 4:
+                p, ref = (poly_mul(p, q), _ref_mul(ref, q_ref)) if rng.random() < 0.5 else (poly_mul(q, p), _ref_mul(q_ref, ref))
+            elif op == 5:
+                j = rng.randint(0, m)
+                p, ref = p.diff(j), _ref_diff(ref, j)
+            elif op == 6:
+                p, ref = dirac(p), _ref_dirac(ref, m)
+            elif op == 7:
+                include_x0 = rng.random() < 0.5
+                p, ref = laplacian(p, include_x0), _ref_laplacian(ref, m, include_x0)
+            elif op == 8:
+                p, ref = cr_apply(p), _ref_add(_ref_diff(ref, 0), _ref_dirac(ref, m))
+            elif op == 9:
+                p, ref = cr_conj_apply(p), _ref_add(_ref_diff(ref, 0), _ref_neg(_ref_dirac(ref, m)))
+            elif op == 10:
+                n = rng.randint(0, 3)
+                p, ref = p.shift_x0(n), _ref_shift(ref, n)
+            elif op == 11:
+                p, ref = p.restrict_x0(), {k: v for k, v in ref.items() if k[0][0] == 0}
+            else:
+                f = p.restrict_x0()
+                f_ref = {k: v for k, v in ref.items() if k[0][0] == 0}
+                p, ref = ck_extend_poly(f), _ref_ck(f_ref, m)
+            _assert_matches(p, ref, m)
+            # the text form sorts by degree; parsing it back must give the same polynomial
+            back = parse_poly(format_poly(p), m)
+            assert back == p
+            assert list(back.coeffs) == sorted(ref, key=lambda k: (-sum(k[0]), tuple(-e for e in k[0]), k[1]))
+            assert (p == q) == (ref == q_ref)
+            assert (p + q == q + p) and (p - p).is_zero()
+            if len(ref) > 40:
+                p = random_poly(rng, m, max_degree=3)
+                ref = dict(p.coeffs)
+
+
+def test_coeffs_view_is_read_only_and_kept():
+    assert CliffPoly.one(3).is_one() and not CliffPoly.zero(3).is_one()
+    assert not any(p.is_one() for p in (CliffPoly.constant(3, 2), CliffPoly.constant(3, Multivector.basis(3, 1)), var(3, 1)))
+    p = parse_poly("3*x0 x1*e12 - 1/2*x2", 2)
+    assert p.coeffs is p.coeffs
+    assert dict(p.coeffs) == {((1, 1, 0), 3): 3, ((0, 0, 1), 0): Fraction(-1, 2)}
+    with pytest.raises(TypeError):
+        p.coeffs[(0, 0, 0), 0] = 1
+
+
+def test_exponent_limit():
+    m = 2
+    p = var(m, 1)
+    e = 1
+    while e < EXP_LIMIT // 2:
+        p = poly_mul(p, p)
+        e *= 2
+    assert p == CliffPoly(m, {(0, e, 0): Multivector.scalar(m, 1)})
+    # one more squaring would reach the limit in the x1 slot: it raises instead of carrying into x2
+    with pytest.raises(ValueError):
+        poly_mul(p, p)
+    top = poly_mul(p, CliffPoly(m, {(0, e - 1, 0): Multivector.scalar(m, 1)}))
+    assert top.coeffs == {((0, EXP_LIMIT - 1, 0), 0): 1}
+    with pytest.raises(ValueError):
+        poly_mul(top, var(m, 1))
+    assert var(m, 0).shift_x0(EXP_LIMIT - 2).coeffs == {((EXP_LIMIT - 1, 0, 0), 0): 1}
+    for n in (EXP_LIMIT - 1, EXP_LIMIT, -1):
+        with pytest.raises(ValueError):
+            var(m, 0).shift_x0(n)
+    with pytest.raises(ValueError):
+        CliffPoly(m, {(0, EXP_LIMIT, 0): Multivector.scalar(m, 1)})
+    CliffPoly(m, {(0, EXP_LIMIT - 1, 0): Multivector.scalar(m, 1)})
+    with pytest.raises(ValueError):
+        parse_poly(f"x1^{EXP_LIMIT}", m)

@@ -13,6 +13,7 @@ from fueterlab.fueter import (
     axial_to_poly,
     closed_form,
     coeff_a,
+    default_pk,
     double_factorial,
     entire_remainder_pair,
     fueter,
@@ -111,6 +112,18 @@ def test_fueter_rejects_invalid_pk():
     bad = CliffPoly.variable(3, 1).coeff_mul_left(Multivector.basis(3, 2))
     with pytest.raises(InvalidPkError):
         fueter(seed("iz"), 1, 3, bad)
+
+
+def test_default_pk_built_once():
+    for k, m in ((0, 3), (1, 3), (1, 5)):
+        pk = default_pk(k, m)
+        assert default_pk(k, m) is pk
+        assert fueter(seed("iz"), k, m).pk is pk
+    assert default_pk(2, 3) is None
+    # a P_k the caller passes is still checked, also one equal to a shipped sample
+    assert fueter(seed("iz"), 1, 3, sample_p1(3)).pk == default_pk(1, 3)
+    with pytest.raises(InvalidPkError):
+        fueter(seed("iz"), 0, 3, sample_p1(3))
 
 
 def test_fueter_abstract_pk_for_higher_degree():

@@ -152,16 +152,14 @@ def cmd_fueter(args) -> int:
     ok = vekua_ok(pair)
     print(f"VEKUA {'OK' if ok else 'FAIL'}")
     code = EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.seed == "z_pow":
-        poly = axial_to_poly(pair) if pair.pk is not None else None
-        if poly is not None:
-            print(f"poly = {format_poly(poly)}")
-            res = triangle_check(args.n, args.k, args.m, pair.pk)
-            label = "OK" if res.ok else "FAIL"
-            const = f" c={res.constant}" if res.constant is not None else ""
-            print(f"TRIANGLE {label}{const}")
-            if not res.ok:
-                code = EXIT_CHECK_FAILED
+    if args.seed == "z_pow" and pair.pk is not None:
+        print(f"poly = {format_poly(axial_to_poly(pair))}")
+        res = triangle_check(args.n, args.k, args.m, pair.pk)
+        label = "OK" if res.ok else "FAIL"
+        const = f" c={res.constant}" if res.constant is not None else ""
+        print(f"TRIANGLE {label}{const}")
+        if not res.ok:
+            code = EXIT_CHECK_FAILED
     return code
 
 
@@ -172,8 +170,9 @@ def cmd_ck_gauss(args) -> int:
     xs = (args.r,) + (0.0,) * (args.m - 1)
     pt = numeric.EvalPoint(args.x0, xs)
     series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
-    # the closed form needs odd m, so it is computed before anything is printed
-    if args.r == 0:
+    # the closed form needs odd m, so it is computed before anything is printed;
+    # the axis formula serves every point whose radius is 0, as r = 1e-200, whose r * r underflows
+    if pt.r == 0:
         closed = numeric.ck_gauss_restriction(args.x0, args.m)
         closed_line = f"closed (x_=0 axis): {closed!r}"
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)

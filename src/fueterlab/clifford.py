@@ -18,6 +18,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 MAX_DIMENSION = 16
 
@@ -215,23 +216,24 @@ class Multivector:
 
     # --- arithmetic ---
 
+    def _combine(self, other: "Multivector", sign: int) -> "Multivector":
+        """self + other for sign 1, self - other for sign -1, blade by blade."""
+        self._check_compatible(other)
+        op = add if sign > 0 else sub
+        out = dict(self.coeffs)
+        for mask, v in other.coeffs.items():
+            out[mask] = op(out.get(mask, 0), v)
+        return Multivector._of(self.m, out, self.exact)
+
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for mask, v in other.coeffs.items():
-            out[mask] = out.get(mask, 0) + v
-        return Multivector._of(self.m, out, self.exact)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for mask, v in other.coeffs.items():
-            out[mask] = out.get(mask, 0) - v
-        return Multivector._of(self.m, out, self.exact)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return Multivector._of(self.m, {mask: -v for mask, v in self.coeffs.items()}, self.exact)

@@ -94,8 +94,8 @@ def _guarded(m: int, out: dict) -> "CliffPoly":
 class CliffPoly:
     """Multivariate polynomial with exact Clifford coefficients, stored flat under packed keys."""
 
-    # _coeffs and _floats are built on first use: the tuple-keyed view and eval's binary64 table
-    __slots__ = ("m", "_d", "_coeffs", "_floats")
+    # _coeffs, the tuple-keyed view, is built on first use
+    __slots__ = ("m", "_d", "_coeffs")
 
     def __init__(self, m: int, terms=None):
         """Validated constructor from {exponent tuple: exact Multivector}."""
@@ -268,18 +268,13 @@ class CliffPoly:
         """Binary64 evaluation at a point of R^{m+1}."""
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
-        try:
-            table = self._floats
-        except AttributeError:
-            table = tuple((exps[0], exps[1:], mask, float(c)) for (exps, mask), c in self.coeffs.items())
-            object.__setattr__(self, "_floats", table)
         total: dict = {}
-        for e0, exps, mask, c in table:
-            mono = x0 ** e0 if e0 else 1.0
-            for x, e in zip(xs, exps):
+        for (exps, mask), c in self.coeffs.items():
+            mono = x0 ** exps[0] if exps[0] else 1.0
+            for x, e in zip(xs, exps[1:]):
                 if e:
                     mono *= x ** e
-            v = mono * c
+            v = mono * float(c)
             if v:
                 # a cancelled blade leaves the dict: blade order fixes the rounding of later products
                 total[mask] = total.get(mask, 0) + v

@@ -49,9 +49,6 @@ class EvalPoint:
     def m(self) -> int:
         return len(self.xs)
 
-    def scale_estimate(self) -> float:
-        return math.sqrt(self.x0 * self.x0 + sum_squares(self.xs))
-
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -60,7 +57,7 @@ class FDConfig:
     h: float = 1e-5
 
     def step(self, pt: EvalPoint) -> float:
-        return self.h * max(1.0, pt.scale_estimate())
+        return self.h * max(1.0, math.sqrt(pt.x0 * pt.x0 + sum_squares(pt.xs)))
 
 
 @dataclass(frozen=True)
@@ -81,11 +78,8 @@ class DecayReport:
         """The argmax is on the grid's edge, so the sup may grow beyond the strip."""
         return abs(self.argmax_x0) == self.K or self.argmax_r in (self.r_min, self.r_max)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "on_boundary": self.on_boundary}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps({**asdict(self), "on_boundary": self.on_boundary})
 
 
 @dataclass(frozen=True)
@@ -115,12 +109,7 @@ def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
             coeffs[1 << j] = b_val * (x / r)
     value = Multivector._of(pair.m, coeffs, False)
     # the float Multivector drops zeros and x * 1.0 == x, so P_k = 1 would change no coefficient
-    return value if _is_one(pair.pk) else value * pair.pk.eval(pt.x0, pt.xs)
-
-
-def _is_one(pk) -> bool:
-    """P_k is the constant 1, as for every P_0 pair."""
-    return pk is not None and pk.is_one()
+    return value if pair.pk.is_one() else value * pair.pk.eval(pt.x0, pt.xs)
 
 
 def axial_evaluator(pair: AxialPair):
@@ -314,10 +303,10 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
     return math.sqrt(sum_squares(total.values()))
 
 
-def fd_convergence_factor(f, pt: EvalPoint, side: str = "left", h: float = 2e-3) -> float:
-    """Residual ratio between steps h and h/2; near 4 for O(h^2) schemes."""
-    r1 = fd_cr_residual(f, pt, FDConfig(h), side)
-    r2 = fd_cr_residual(f, pt, FDConfig(h / 2.0), side)
+def fd_convergence_factor(f, pt: EvalPoint) -> float:
+    """Ratio of the left residuals at steps 2e-3 and 1e-3; near 4 for O(h^2) schemes."""
+    r1 = fd_cr_residual(f, pt, FDConfig(2e-3))
+    r2 = fd_cr_residual(f, pt, FDConfig(1e-3))
     if r2 == 0:
         return math.inf
     return r1 / r2
@@ -364,7 +353,7 @@ def decay_scan(
         raise ValueError("need 0 < r_min < r_max and K > 0")
     x0_vals = lin_range(-K, K, nx0)
     r_vals = lin_range(r_min, r_max, nr)
-    if _is_one(pair.pk):
+    if pair.pk is not None and pair.pk.is_one():
         values = pair_plan(pair.A, pair.B).values
 
         def magnitude(x0, r):
@@ -495,7 +484,8 @@ def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
 
 
 def read_sample_csv(path) -> tuple[int, list, list]:
-    """Returns (m, header, rows of floats); the header must be `sample_header(m)` for an odd m <= MAX_DIMENSION."""
+    """Returns (m, header, rows of floats); the header must be `sample_header(m)` for an odd m <= MAX_DIMENSION,
+    and at least one row must follow it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -507,6 +497,8 @@ def read_sample_csv(path) -> tuple[int, list, list]:
             if len(row) != len(header):
                 raise ValueError(f"sample CSV line {reader.line_num}: {len(row)} columns, header has {len(header)}")
             rows.append([float(v) for v in row])
+    if not rows:
+        raise ValueError("sample CSV has no rows")
     return m, header, rows
 
 

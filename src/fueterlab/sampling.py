@@ -14,9 +14,9 @@ from .clifford import Multivector
 from .cliffpoly import CliffPoly
 
 
-def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 4) -> Fraction:
-    num = rng.randint(-max_num, max_num)
-    den = rng.randint(1, max_den)
+def random_fraction(rng: random.Random) -> Fraction:
+    num = rng.randint(-9, 9)
+    den = rng.randint(1, 4)
     return Fraction(num, den)
 
 
@@ -28,11 +28,8 @@ def random_multivector(rng: random.Random, m: int, n_terms: int = 4) -> Multivec
     return Multivector(m, coeffs)
 
 
-def random_vector(rng: random.Random, m: int, nonzero: bool = False) -> Multivector:
-    while True:
-        xs = [random_fraction(rng) for _ in range(m)]
-        if not nonzero or any(xs):
-            return Multivector.vector(m, xs)
+def random_vector(rng: random.Random, m: int) -> Multivector:
+    return Multivector.vector(m, [random_fraction(rng) for _ in range(m)])
 
 
 def random_poly(
@@ -56,19 +53,13 @@ def random_poly(
     return CliffPoly(m, terms)
 
 
-def random_axial(
-    rng: random.Random,
-    n_terms: int = 3,
-    trig: bool = True,
-    exp_flag: bool = True,
-    min_b: int = -3,
-) -> AxialExpr:
+def random_axial(rng: random.Random, trig: bool = True, exp_flag: bool = True, min_b: int = -3) -> AxialExpr:
     """Random member of the closed term algebra (possibly structurally zero)."""
     tags = [TRIG_NONE]
     if trig:
         tags += [TRIG_COS, TRIG_SIN]
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         key = (
             rng.randint(0, 3),
             rng.randint(min_b, 3),
@@ -80,6 +71,6 @@ def random_axial(
     return AxialExpr(terms)
 
 
-def random_rational_axial(rng: random.Random, n_terms: int = 3) -> AxialExpr:
+def random_rational_axial(rng: random.Random) -> AxialExpr:
     """Random element of the trig- and exp-free class, safe to multiply by anything."""
-    return random_axial(rng, n_terms=n_terms, trig=False, exp_flag=False)
+    return random_axial(rng, trig=False, exp_flag=False)

@@ -571,7 +571,7 @@ def _fd_residuals(ctx):
             for side in ("left", "right"):
                 residuals[m] = max(residuals[m], fd_cr_residual(f, pt, FDConfig(), side))
             if i < 5:
-                fac = fd_convergence_factor(f, pt, "left")
+                fac = fd_convergence_factor(f, pt)
                 factor_lo = min(factor_lo, fac)
                 factor_hi = max(factor_hi, fac)
     results = []

@@ -12,6 +12,7 @@ import pytest
 
 from fueterlab import cli, verify
 from fueterlab.cli import main, parse_range
+from fueterlab.numeric import sample_header
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.golden"
 
@@ -345,3 +346,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "relative deviation" in proc.stdout
+
+
+def test_ck_gauss_radius_whose_square_underflows(capsys):
+    # r * r is 0 in binary64, so the point's radius is 0 and the axis formula applies
+    code, out, err = run(capsys, "ck-gauss", "--m", "3", "--r", "1e-200")
+    assert (code, err) == (0, "")
+    assert "closed (x_=0 axis): 1.0" in out
+
+
+def test_verify_refuses_csv_with_no_rows(capsys, tmp_path):
+    path = tmp_path / "gf.csv"
+    path.write_text(",".join(sample_header(3)) + "\n")
+    for suite in ("gauss_fund", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--from", str(path))
+        assert (code, out) == (2, "") and "no rows" in err

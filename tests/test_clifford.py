@@ -229,3 +229,25 @@ def test_text_high_dimension_labels():
     s = format_multivector(a)
     assert "e1_10_12" in s
     assert parse_multivector(s, 12) == a
+
+
+def test_subtraction_equals_adding_the_negation():
+    # a blade that cancels leaves the dict, and a zero input (+0.0 or -0.0) is never stored
+    a = Multivector(3, {0: 1.5, 1: -0.0, 2: 0.25, 4: 0.0, 7: -3.0}, exact=False)
+    b = Multivector(3, {0: 1.5, 1: 0.0, 2: -0.5, 5: -0.0, 7: 1e-300}, exact=False)
+    for x, y in ((a, b), (b, a), (a, a), (a, -a)):
+        diff = x - y
+        assert list(diff.coeffs.items()) == list((x + (-y)).coeffs.items())
+        assert all(v for v in diff.coeffs.values())
+    assert list((a - b).coeffs.items()) == [(2, 0.75), (7, -3.0)]
+    assert not (a - a).coeffs and not (-a - -a).coeffs
+    # exact: the same values, coefficient types and blade order
+    rng = random.Random(47)
+    for _ in range(100):
+        m = rng.randint(1, 5)
+        x = random_multivector(rng, m)
+        y = random_multivector(rng, m) + x.grade(rng.randint(0, m))
+        want = list((x + (-y)).coeffs.items())
+        got = list((x - y).coeffs.items())
+        assert got == want
+        assert [type(v) for _, v in got] == [type(v) for _, v in want]

@@ -710,3 +710,21 @@ def test_no_numpy_import(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_fd_convergence_factor_is_the_ratio_of_two_left_residuals():
+    f = axial_evaluator(gauss_fund_pair(3))
+    rng = random.Random(79)
+    for _ in range(5):
+        pt = EvalPoint(rng.uniform(-1, 1), (rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+        ratio = fd_cr_residual(f, pt, FDConfig(2e-3)) / fd_cr_residual(f, pt, FDConfig(1e-3))
+        assert fd_convergence_factor(f, pt).hex() == ratio.hex()
+
+
+def test_sample_csv_with_no_rows_is_refused(tmp_path):
+    path = tmp_path / "g.csv"
+    write_sample_csv(path, "gauss-fund", 3, [], [3.0])
+    assert path.read_text().splitlines() == [",".join(numeric.sample_header(3))]  # the header alone
+    for read in (read_sample_csv, lambda p: verify_sample_csv(p, "gauss-fund")):
+        with pytest.raises(ValueError, match="no rows"):
+            read(path)

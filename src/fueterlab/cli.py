@@ -15,9 +15,11 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 from . import numeric, verify
 from .axial import format_axial
+from .clifford import _check_dimension
 from .cliffpoly import format_poly, hermite_closed, hermite_rec, parse_poly
 from .fueter import (
     SEED_NAMES,
@@ -104,10 +106,7 @@ def cmd_verify(args) -> int:
             "rng_seed": args.rng_seed,
             "passed": passed,
             **run_environment(),
-            "checks": [
-                {"id": r.id, "passed": r.passed, "max_error": r.max_error, "detail": r.detail, "seconds": r.seconds}
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -164,6 +163,7 @@ def cmd_fueter(args) -> int:
 
 
 def cmd_ck_gauss(args) -> int:
+    _check_dimension(args.m)
     if args.r < 0:
         print("error: r must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
@@ -187,6 +187,7 @@ def cmd_ck_gauss(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_dimension(args.m)
     try:
         nrows = numeric.write_sample_csv(args.out, args.target, args.m, args.x0, args.r)
     except OSError as exc:

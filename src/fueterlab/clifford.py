@@ -31,6 +31,11 @@ class MixedVariantError(TypeError):
     """Exact and numeric values were combined without explicit conversion."""
 
 
+def _check_dimension(m: int) -> None:
+    if not 1 <= m <= MAX_DIMENSION:
+        raise ValueError(f"dimension m must be in 1..{MAX_DIMENSION}, got {m}")
+
+
 def _rational(v):
     """Integral values are stored as int, whose arithmetic is far cheaper than Fraction's."""
     return v.numerator if v.denominator == 1 else v
@@ -132,8 +137,7 @@ class Multivector:
     __slots__ = ("m", "exact", "coeffs")
 
     def __init__(self, m: int, coeffs=None, exact: bool = True):
-        if not 1 <= m <= MAX_DIMENSION:
-            raise ValueError(f"dimension m must be in 1..{MAX_DIMENSION}, got {m}")
+        _check_dimension(m)
         conv = Fraction if exact else float
         clean = {}
         for mask, val in (coeffs or {}).items():

@@ -32,6 +32,7 @@ from .clifford import (
     DimensionMismatchError,
     MixedVariantError,
     Multivector,
+    _check_dimension,
     _rational,
     apply_blade,
     blade_grade,
@@ -491,14 +492,27 @@ class HermiteResult:
     poly: CliffPoly
 
 
+def _c_product(n: int, nu: int, m: int) -> int:
+    """`coeff_c` in int, with no range check on nu."""
+    return math.prod(range(m + 2 * (n - 1), m + 2 * (n - nu) - 1, -2))
+
+
 def coeff_c(n: int, nu: int, m: int) -> Fraction:
     """Product of m + 2(n-l) over l = 1..nu; empty product for nu = 0."""
     if nu < 0 or nu > n:
         raise ValueError(f"nu={nu} outside 0..{n}")
-    out = Fraction(1)
-    for l in range(1, nu + 1):
-        out *= m + 2 * (n - l)
-    return out
+    return Fraction(_c_product(n, nu, m))
+
+
+@lru_cache(maxsize=None)
+def hermite_radial_coeffs(n: int, m: int) -> tuple:
+    """Coefficients (c_0, ..., c_n) of H_n = sum_j c_j x_^j, by the closed form:
+    c_(n-2nu) = C(n//2, nu) coeff_c(n - n//2, nu, m), and 0 at the other parity."""
+    half = n // 2
+    out = [0] * (n + 1)
+    for nu in range(half + 1):
+        out[n - 2 * nu] = math.comb(half, nu) * _c_product(n - half, nu, m)
+    return tuple(out)
 
 
 def hermite_step(h: CliffPoly) -> CliffPoly:
@@ -529,15 +543,11 @@ def hermite_rec(n: int, m: int) -> HermiteResult:
 
 
 def hermite_closed(n: int, m: int) -> HermiteResult:
-    """Binomial sums over even/odd vector powers with coeff_c weights."""
+    """Sum of c_j x_^j over `hermite_radial_coeffs`, highest power first."""
     if n < 0:
         raise ValueError("Hermite index must be nonnegative")
-    half, odd = divmod(n, 2)
-    parts = (
-        (math.comb(half, nu) * coeff_c(half + odd, nu, m), 0, vector_power(m, 2 * (half - nu) + odd))
-        for nu in range(half + 1)
-    )
-    return HermiteResult(n, m, poly_sum(m, parts))
+    coeffs = hermite_radial_coeffs(n, m)
+    return HermiteResult(n, m, poly_sum(m, ((coeffs[j], 0, vector_power(m, j)) for j in range(n, -1, -2))))
 
 
 # --- text form -------------------------------------------------------------
@@ -570,8 +580,7 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 def parse_poly(text: str, m: int) -> CliffPoly:
     """Round-trip parser for the polynomial grammar."""
-    if not 1 <= m <= MAX_DIMENSION:
-        raise ValueError(f"dimension m must be in 1..{MAX_DIMENSION}, got {m}")
+    _check_dimension(m)
     coeffs: dict = {}
     for sign, factors in split_terms(tokenize(text, _POLY_TOKEN_RE)):
         value = Fraction(sign)

@@ -307,20 +307,20 @@ def closed_form(ident: str, n: int | None = None, m: int | None = None, k: int |
 
 def gauss_ck_pair(m: int) -> AxialPair:
     """Gaussian transform scaled so its x0 = 0 restriction is exp(-r^2/2)."""
-    pair = fueter(seed("gauss"), 0, m, sample_p0(m))
+    pair = fueter(seed("gauss"), 0, m)
     return pair.scaled(Fraction((-1) ** ((m - 1) // 2), double_factorial(m - 1)))
 
 
 def gauss_fund_pair(m: int) -> AxialPair:
     """Transform of exp(z^2/2)/z against P_0 = 1 (unscaled)."""
-    return fueter(seed("gauss_fund"), 0, m, sample_p0(m))
+    return fueter(seed("gauss_fund"), 0, m)
 
 
 def pole_pair(m: int) -> AxialPair:
     """conj(x)/|x|^(m+1) in axial components: (x0 Q^-(m+1)/2, -r Q^-(m+1)/2)."""
     _require_odd(m)
     p = (m + 1) // 2
-    return AxialPair(m, 0, AxialExpr.term(1, a=1, p=p), AxialExpr.term(-1, b=1, p=p), sample_p0(m))
+    return AxialPair(m, 0, AxialExpr.term(1, a=1, p=p), AxialExpr.term(-1, b=1, p=p), default_pk(0, m))
 
 
 def normalized_gauss_fund_pair(m: int) -> AxialPair:

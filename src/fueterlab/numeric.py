@@ -20,6 +20,7 @@ import mpmath
 
 from .axial import EvalDomainError, pair_plan
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
+from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
     AxialPair,
     EvenDimensionError,
@@ -124,32 +125,6 @@ def axial_evaluator(pair: AxialPair):
 # --- CK series of the Gaussian -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def hermite_radial_coeffs(n: int, m: int) -> tuple:
-    """Coefficients (c_0, ..., c_n) of H_n = sum_j c_j x_^j.
-
-    Same recurrence as the polynomial route, expressed on the radial
-    representation: multiplication by x_ shifts j up, and the Dirac
-    operator maps x_^(2s) -> -2s x_^(2s-1), x_^(2s+1) -> -(m+2s) x_^(2s).
-    """
-    if n == 0:
-        return (1,)
-    prev = hermite_radial_coeffs(n - 1, m)
-
-    def at(j):
-        return prev[j] if 0 <= j <= n - 1 else 0
-
-    out = []
-    for j in range(n + 1):
-        val = at(j - 1)
-        if (j + 1) % 2 == 0:
-            val += (j + 1) * at(j + 1)
-        else:
-            val += (m + j) * at(j + 1)
-        out.append(val)
-    return tuple(out)
-
-
 def _neg_r2_powers(r2: float, n: int) -> list:
     """(-r^2)^i for i = 0..n // 2: the powers the radial split of H_0, ..., H_n reads."""
     return [(-r2) ** i for i in range(n // 2 + 1)]
@@ -157,7 +132,8 @@ def _neg_r2_powers(r2: float, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _series_table(trunc: int, m: int) -> tuple:
-    """Per n = 0..trunc: float(n!) and H_n's nonzero c_j as floats with j // 2, even j, then odd j.
+    """Per n = 0..trunc: float(n!) and the nonzero c_j of `hermite_radial_coeffs(n, m)`
+    as floats with j // 2, even j, then odd j.
 
     x_^(2i) = (-r^2)^i and x_^(2i+1) = (-r^2)^i x_ split H_n into s + v x_.
     `int * float` and `float / int` convert the int as `float()` does, so the
@@ -224,11 +200,19 @@ def ck_gauss_restriction(x0: float, m: int) -> float:
     if m < 1 or m % 2 == 0:
         raise EvenDimensionError(f"restriction formula needs odd m, got {m}")
     total = 1.0
-    prod = 1.0
-    for n in range(1, (m - 1) // 2 + 1):
-        prod *= m - (2 * n - 1)
+    # int * float converts the int as float() does; every product is exact in binary64 for m <= MAX_DIMENSION
+    for n, prod in enumerate(_restriction_products(m)[1:], 1):
         total += prod * x0 ** (2 * n) / math.factorial(2 * n)
     return math.exp(x0 * x0 / 2.0) * total
+
+
+@lru_cache(maxsize=None)
+def _restriction_products(m: int) -> tuple:
+    """(m-1)(m-3)...(m-(2j-1)) for j = 0..(m-1)//2, the numerators of the x_ = 0 correction polynomial."""
+    prods = [1]
+    for j in range(1, (m - 1) // 2 + 1):
+        prods.append(prods[-1] * (m - (2 * j - 1)))
+    return tuple(prods)
 
 
 def restriction_taylor_coeff(n: int, m: int) -> Fraction:
@@ -238,19 +222,10 @@ def restriction_taylor_coeff(n: int, m: int) -> Fraction:
     c_n(n)/(2n)! term by term.
     """
     total = Fraction(0)
-    for j in range(0, n + 1):
-        # contribution exp part x0^(2(n-j)) / (2^(n-j) (n-j)!) times polynomial part at 2j
-        if j == 0:
-            poly_coeff = Fraction(1)
-        elif j <= (m - 1) // 2:
-            prod = 1
-            for nu in range(1, j + 1):
-                prod *= m - (2 * nu - 1)
-            poly_coeff = Fraction(prod, math.factorial(2 * j))
-        else:
-            continue
+    for j, prod in enumerate(_restriction_products(m)[: n + 1]):
+        # polynomial part prod / (2j)! at x0^(2j) times exp part x0^(2(n-j)) / (2^(n-j) (n-j)!)
         i = n - j
-        total += poly_coeff * Fraction(1, 2 ** i * math.factorial(i))
+        total += Fraction(prod, math.factorial(2 * j) * 2 ** i * math.factorial(i))
     return total
 
 
@@ -456,7 +431,10 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
 
     A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
     raises ValueError naming its grid point.  A row's norm is NaN exactly then.
+    An empty x0 or r list raises ValueError too: `read_sample_csv` refuses a file with no rows.
     """
+    if not x0_vals or not r_vals:
+        raise ValueError("sample grid needs at least one x0 and one r value")
     pair = sample_pair(target, m)
     values = pair_plan(pair.A, pair.B).values
     zeros = (0.0,) * (m - 1)

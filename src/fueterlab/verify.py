@@ -24,7 +24,7 @@ from itertools import product
 
 from . import sampling
 from .axial import COS, E, R, SIN, X0, AxialExpr, d_lower, d_upper, q_inv
-from .clifford import Multivector, blade_product, blade_product_naive, indices_from_mask, sum_squares
+from .clifford import Multivector, _check_dimension, blade_product, blade_product_naive, indices_from_mask, sum_squares
 from .cliffpoly import (
     CliffPoly,
     ck_extend_poly,
@@ -633,6 +633,8 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if ms and name != "all" and SUITE_MS[name] is None:
         raise ValueError(f"suite {name!r} takes no dimension")
+    for m in ms or ():
+        _check_dimension(m)
     if csv_from is not None:
         if name not in ("gauss_fund", "all"):
             raise ValueError(f"suite {name!r} re-verifies no sample CSV; only gauss_fund and all do")

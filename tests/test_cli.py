@@ -15,6 +15,7 @@ from fueterlab.cli import main, parse_range
 from fueterlab.numeric import sample_header
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.golden"
+GOLDEN_SEED7 = Path(__file__).parent / "data" / "verify_all_seed7.golden"
 
 
 def run(capsys, *argv):
@@ -361,3 +362,32 @@ def test_verify_refuses_csv_with_no_rows(capsys, tmp_path):
     for suite in ("gauss_fund", "all"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--from", str(path))
         assert (code, out) == (2, "") and "no rows" in err
+
+
+def test_verify_all_seed7_matches_golden(capsys):
+    # the random draws of every suite come from --rng-seed; the golden file was written at seed 7
+    code, out, err = run(capsys, "verify", "--suite", "all", "--rng-seed", "7")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SEED7.read_text()
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "17", "18"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ck-gauss", "--r", "1"],
+        ["ck-gauss", "--r", "0"],
+        ["sample", "--target", "gauss-fund", "--x0", "0", "--r", "1", "--out", "g.csv"],
+        ["verify", "--suite", "examples"],
+        ["verify", "--suite", "gauss_fund"],
+        ["verify", "--suite", "all"],
+    ],
+    ids=["ck_gauss", "ck_gauss_axis", "sample", "verify_examples", "verify_gauss_fund", "verify_all"],
+)
+def test_dimension_out_of_range_is_named(capsys, tmp_path, monkeypatch, argv, m):
+    # --m 0 used to build a one-coordinate point and report "point dimension 1 vs m=0"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--m", m)
+    assert (code, out) == (2, "")
+    assert err == f"error: dimension m must be in 1..16, got {m}\n"
+    assert not (tmp_path / "g.csv").exists()

@@ -723,8 +723,83 @@ def test_fd_convergence_factor_is_the_ratio_of_two_left_residuals():
 
 def test_sample_csv_with_no_rows_is_refused(tmp_path):
     path = tmp_path / "g.csv"
-    write_sample_csv(path, "gauss-fund", 3, [], [3.0])
-    assert path.read_text().splitlines() == [",".join(numeric.sample_header(3))]  # the header alone
+    # the writer refuses an empty grid before it opens the file
+    for x0_vals, r_vals in (([], [3.0]), ([0.5], []), ([], [])):
+        with pytest.raises(ValueError, match="at least one x0 and one r"):
+            write_sample_csv(path, "gauss-fund", 3, x0_vals, r_vals)
+        assert not path.exists()
+    path.write_text(",".join(numeric.sample_header(3)) + "\n")  # the header alone
     for read in (read_sample_csv, lambda p: verify_sample_csv(p, "gauss-fund")):
         with pytest.raises(ValueError, match="no rows"):
             read(path)
+
+
+def _ref_hermite_radial_rows(n_max, m):
+    """Rows n = 0..n_max of the radial Hermite recurrence: x_ shifts c_j up to j + 1, and the
+    Dirac operator maps x_^(2s) -> -2s x_^(2s-1), x_^(2s+1) -> -(m+2s) x_^(2s)."""
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+
+        def at(j):
+            return prev[j] if 0 <= j <= n - 1 else 0
+
+        out = []
+        for j in range(n + 1):
+            val = at(j - 1)
+            if (j + 1) % 2 == 0:
+                val += (j + 1) * at(j + 1)
+            else:
+                val += (m + j) * at(j + 1)
+            out.append(val)
+        rows.append(tuple(out))
+    return rows
+
+
+def test_hermite_radial_coeffs_equal_the_recurrence():
+    for m in range(1, 17):
+        for n, want in enumerate(_ref_hermite_radial_rows(170, m)):
+            got = hermite_radial_coeffs(n, m)
+            assert got == want, (n, m)
+            assert all(type(c) is int for c in got)
+            assert not any(got[j] for j in range(n - 1, -1, -2)), (n, m)  # 0 at the other parity
+
+
+def _ref_ck_gauss_restriction(x0, m):
+    """The axis value with the running float product of m - (2n - 1)."""
+    total = 1.0
+    prod = 1.0
+    for n in range(1, (m - 1) // 2 + 1):
+        prod *= m - (2 * n - 1)
+        total += prod * x0 ** (2 * n) / math.factorial(2 * n)
+    return math.exp(x0 * x0 / 2.0) * total
+
+
+def _ref_restriction_taylor_coeff(n, m):
+    total = Fraction(0)
+    for j in range(0, n + 1):
+        if j == 0:
+            poly_coeff = Fraction(1)
+        elif j <= (m - 1) // 2:
+            prod = 1
+            for nu in range(1, j + 1):
+                prod *= m - (2 * nu - 1)
+            poly_coeff = Fraction(prod, math.factorial(2 * j))
+        else:
+            continue
+        i = n - j
+        total += poly_coeff * Fraction(1, 2 ** i * math.factorial(i))
+    return total
+
+
+def test_restriction_bit_identical_to_running_float_product():
+    rng = random.Random(97)
+    x0_vals = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5] + [rng.uniform(-30.0, 30.0) for _ in range(40)]
+    x0_vals += [rng.uniform(-1e-3, 1e-3) for _ in range(10)]
+    for m in range(1, 16, 2):
+        for x0 in x0_vals:
+            assert ck_gauss_restriction(x0, m).hex() == _ref_ck_gauss_restriction(x0, m).hex(), (x0, m)
+    for m in range(-3, 17):
+        for n in range(0, 25):
+            got = restriction_taylor_coeff(n, m)
+            assert type(got) is Fraction and got == _ref_restriction_taylor_coeff(n, m), (n, m)

@@ -61,6 +61,60 @@ def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
         raise ValueError(f"unknown trig tag {t!r}")
 
 
+def _add_diff(out: dict, num: dict, var: str, c: int = 1, pre: int = 0, post: int = 0) -> dict:
+    """Add c * d/dvar of the terms {key: int} num into out, in one pass, and return out.
+
+    For d/dr each r exponent is shifted by pre before the derivative and by
+    post after it, so pre = s, post = -s gives r^-s d/dr(r^s f) = df/dr + s f/r.
+    The only statement of the product rules on x0^a r^b Q^-p E^g T(x0 r).
+    """
+    get = out.get
+    if var == "x0":
+        for (a, b, p, g, t), q in num.items():
+            q *= c
+            if a:
+                key = (a - 1, b, p, g, t)
+                out[key] = get(key, 0) + a * q
+            if p:
+                key = (a + 1, b, p + 1, g, t)
+                out[key] = get(key, 0) - 2 * p * q
+            if g:
+                key = (a + 1, b, p, g, t)
+                out[key] = get(key, 0) + q
+            if t:
+                sign, tag = _TRIG_DIFF[t]
+                key = (a, b + 1, p, g, tag)
+                out[key] = get(key, 0) + sign * q
+    elif var == "r":
+        s = pre + post
+        for (a, b, p, g, t), q in num.items():
+            q *= c
+            e = b + pre  # the r exponent the derivative sees
+            b += s
+            if e:
+                key = (a, b - 1, p, g, t)
+                out[key] = get(key, 0) + e * q
+            if p:
+                key = (a, b + 1, p + 1, g, t)
+                out[key] = get(key, 0) - 2 * p * q
+            if g:
+                key = (a, b + 1, p, g, t)
+                out[key] = get(key, 0) - q
+            if t:
+                sign, tag = _TRIG_DIFF[t]
+                key = (a + 1, b, p, g, tag)
+                out[key] = get(key, 0) + sign * q
+    else:
+        raise ValueError(f"unknown variable {var!r}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(e: int) -> tuple:
+    """(C(e, 0), ..., C(e, e))."""
+    return tuple(math.comb(e, i) for i in range(e + 1))
+
+
 class AxialExpr:
     """Finite sum of terms keyed by (a, b, p, g, t), stored as nonzero int numerators over one
     positive denominator; `terms` is the read-only view {key: int or reduced Fraction}."""
@@ -86,7 +140,8 @@ class AxialExpr:
     def _of(cls, num: dict, den: int, grew: bool = False) -> "AxialExpr":
         """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
         If den grew past the operands' own, its common factor with the numerators divides out."""
-        num = {key: n for key, n in num.items() if n}
+        if 0 in num.values():
+            num = {key: n for key, n in num.items() if n}
         if grew:
             c = math.gcd(den, *num.values())
             if c != 1:
@@ -197,41 +252,7 @@ class AxialExpr:
 
     def diff(self, var: str) -> "AxialExpr":
         """Exact partial derivative with respect to 'x0' or 'r'."""
-        out: dict = {}
-        get = out.get
-        if var == "x0":
-            for (a, b, p, g, t), q in self._num.items():
-                if a:
-                    key = (a - 1, b, p, g, t)
-                    out[key] = get(key, 0) + a * q
-                if p:
-                    key = (a + 1, b, p + 1, g, t)
-                    out[key] = get(key, 0) - 2 * p * q
-                if g:
-                    key = (a + 1, b, p, g, t)
-                    out[key] = get(key, 0) + q
-                if t:
-                    sign, tag = _TRIG_DIFF[t]
-                    key = (a, b + 1, p, g, tag)
-                    out[key] = get(key, 0) + sign * q
-        elif var == "r":
-            for (a, b, p, g, t), q in self._num.items():
-                if b:
-                    key = (a, b - 1, p, g, t)
-                    out[key] = get(key, 0) + b * q
-                if p:
-                    key = (a, b + 1, p + 1, g, t)
-                    out[key] = get(key, 0) - 2 * p * q
-                if g:
-                    key = (a, b + 1, p, g, t)
-                    out[key] = get(key, 0) - q
-                if t:
-                    sign, tag = _TRIG_DIFF[t]
-                    key = (a + 1, b, p, g, tag)
-                    out[key] = get(key, 0) + sign * q
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return AxialExpr._of(out, self._den)
+        return AxialExpr._of(_add_diff({}, self._num, var), self._den)
 
     def restrict_x0(self) -> "AxialExpr":
         """Substitute x0 = 0.
@@ -257,13 +278,18 @@ class AxialExpr:
             classes.setdefault((g, t), []).append((a, b, p, q))
         for items in classes.values():
             pmax = max(p for _, _, p, _ in items)
-            bshift = max(0, -min(b for _, b, _, _ in items))
+            bmin = min(b for _, b, _, _ in items)
+            # x0^A r^B with 0 <= B < 2^w packs into the one int A << w | B
+            w = (max(b for _, b, _, _ in items) - bmin + 2 * pmax).bit_length()
+            step = (2 << w) - 2  # x0^2 in, r^2 out
             acc: dict = {}
+            get = acc.get
             for a, b, p, q in items:
                 e = pmax - p
-                for i in range(e + 1):
-                    key = (a + 2 * i, b + bshift + 2 * (e - i))
-                    acc[key] = acc.get(key, 0) + q * math.comb(e, i)
+                key = (a << w) + b - bmin + 2 * e
+                for c in _binomial_row(e):
+                    acc[key] = get(key, 0) + c * q
+                    key += step
             if any(acc.values()):
                 return False
         return True
@@ -393,24 +419,22 @@ def pair_plan(expr_a: AxialExpr, expr_b: AxialExpr) -> EvalPlan:
 # --- module-level operator interface ----------------------------------------
 
 
-def d_lower(n: int, expr: AxialExpr) -> AxialExpr:
-    """n-fold (1/r d/dr); order 0 is the identity."""
+def _radial(n: int, expr: AxialExpr, pre: int, post: int) -> AxialExpr:
     if n < 0:
         raise ValueError("operator order must be nonnegative")
-    out = expr
     for _ in range(n):
-        out = out.diff("r").div_r()
-    return out
+        expr = AxialExpr._of(_add_diff({}, expr._num, "r", pre=pre, post=post), expr._den)
+    return expr
+
+
+def d_lower(n: int, expr: AxialExpr) -> AxialExpr:
+    """n-fold (1/r d/dr), one pass per order; order 0 is the identity."""
+    return _radial(n, expr, 0, -1)
 
 
 def d_upper(n: int, expr: AxialExpr) -> AxialExpr:
-    """n-fold d/dr(./r), innermost first; order 0 is the identity."""
-    if n < 0:
-        raise ValueError("operator order must be nonnegative")
-    out = expr
-    for _ in range(n):
-        out = out.div_r().diff("r")
-    return out
+    """n-fold d/dr(./r), innermost first, one pass per order; order 0 is the identity."""
+    return _radial(n, expr, -1, 0)
 
 
 def trig_shift(base: str, nu: int) -> tuple[int, str]:

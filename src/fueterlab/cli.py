@@ -114,8 +114,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hermite(args) -> int:
-    if args.n < 0 or args.m < 1:
-        print("error: need n >= 0 and m >= 1", file=sys.stderr)
+    _check_dimension(args.m)
+    if args.n < 0:
+        print("error: need n >= 0", file=sys.stderr)
         return EXIT_USAGE
     if args.form in ("rec", "both"):
         rec = hermite_rec(args.n, args.m).poly
@@ -131,6 +132,7 @@ def cmd_hermite(args) -> int:
 
 
 def cmd_fueter(args) -> int:
+    _check_dimension(args.m)
     pk = None
     if args.pk_file:
         try:
@@ -171,8 +173,9 @@ def cmd_ck_gauss(args) -> int:
     pt = numeric.EvalPoint(args.x0, xs)
     series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
     # the closed form needs odd m, so it is computed before anything is printed;
-    # the axis formula serves every point whose radius is 0, as r = 1e-200, whose r * r underflows
-    if pt.r == 0:
+    # the axis formula serves every point whose r * r is 0 or subnormal (r below about 1.49e-154):
+    # off the axis, such a radius drives the closed form's negative powers of r and Q past binary64
+    if pt.r * pt.r < sys.float_info.min:
         closed = numeric.ck_gauss_restriction(args.x0, args.m)
         closed_line = f"closed (x_=0 axis): {closed!r}"
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)

@@ -33,6 +33,7 @@ from .axial import (
     TRIG_SIN,
     X0,
     AxialExpr,
+    _add_diff,
     d_lower,
     d_upper,
     q_inv,
@@ -221,10 +222,18 @@ def fueter(s: HoloSeed, k: int, m: int, pk: CliffPoly | None = None) -> AxialPai
 
 
 def vekua_residual(pair: AxialPair) -> tuple[AxialExpr, AxialExpr]:
-    """Both components vanish identically iff (A + w B) P_k is monogenic."""
-    r1 = pair.A.diff("x0") - pair.B.diff("r") - pair.B.scale(pair.kappa).div_r()
-    r2 = pair.B.diff("x0") + pair.A.diff("r")
-    return r1, r2
+    """Both components vanish identically iff (A + w B) P_k is monogenic.
+
+    r1 = dA/dx0 - dB/dr - kappa B/r and r2 = dB/dx0 + dA/dr are each built
+    in one dict over the lcm of the two denominators; dB/dr + kappa B/r is
+    r^-kappa d/dr(r^kappa B).
+    """
+    a, b, kappa = pair.A, pair.B, pair.kappa
+    den = math.lcm(a._den, b._den)
+    ma, mb = den // a._den, den // b._den
+    r1 = _add_diff(_add_diff({}, a._num, "x0", ma), b._num, "r", -mb, pre=kappa, post=-kappa)
+    r2 = _add_diff(_add_diff({}, b._num, "x0", mb), a._num, "r", ma)
+    return AxialExpr._of(r1, den), AxialExpr._of(r2, den)
 
 
 def vekua_ok(pair: AxialPair) -> bool:

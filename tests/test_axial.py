@@ -23,10 +23,12 @@ from fueterlab.axial import (
     trig_shift,
 )
 from fueterlab.clifford import MixedVariantError
-from fueterlab.fueter import gauss_fund_pair, seed
+from fueterlab.fueter import SEED_NAMES, AxialPair, fueter, gauss_fund_pair, seed, vekua_residual
 from fueterlab.sampling import random_axial, random_rational_axial
 
 term = AxialExpr.term
+# gauss_fund at radial order k + (m-1)/2 from 1 to 10
+VEKUA_LADDER = ((3, 0), (3, 1), (5, 1), (7, 1), (9, 1), (11, 1), (13, 1), (13, 2), (13, 3), (13, 4))
 
 
 def test_diff_basics():
@@ -292,6 +294,11 @@ def _ref_diff(x, var):
     return _ref_of(out)
 
 
+def _ref_shift(x, s):
+    """x times r^s."""
+    return _ref_of({(a, b + s, p, g, t): q for (a, b, p, g, t), q in x.items()})
+
+
 def _ref_restrict_x0(x):
     out = {}
     for (a, b, p, g, t), q in x.items():
@@ -352,7 +359,7 @@ def test_integer_kernel_matches_fraction_reference():
         expr = AxialExpr(ref)
         _assert_matches(expr, ref)
         for _ in range(10):
-            op = rng.randrange(10)
+            op = rng.randrange(11)
             if op in (0, 1):
                 other = _rand_terms(rng, cancel=ref if rng.random() < 0.7 else None)
                 if rng.random() < 0.1:
@@ -374,9 +381,14 @@ def test_integer_kernel_matches_fraction_reference():
                 expr, ref = expr.diff(var), _ref_diff(ref, var)
             elif op == 7:
                 n = rng.randint(-1, 2)
-                expr, ref = expr.div_r(n), _ref_of({(a, b - n, p, g, t): q for (a, b, p, g, t), q in ref.items()})
+                expr, ref = expr.div_r(n), _ref_shift(ref, -n)
             elif op == 8:
                 expr, ref = expr.restrict_x0(), _ref_restrict_x0(ref)
+            elif op == 10:
+                n, lower = rng.randint(0, 4), rng.random() < 0.5
+                expr = (d_lower if lower else d_upper)(n, expr)
+                for _ in range(n):
+                    ref = _ref_shift(_ref_diff(ref, "r"), -1) if lower else _ref_diff(_ref_shift(ref, -1), "r")
             else:
                 vanishing = expr * semantic_zero
                 assert vanishing.is_zero() and _ref_is_zero(_ref_mul(ref, semantic_zero.terms))
@@ -393,3 +405,33 @@ def test_seeds_are_built_once():
         for n in (None, -1):
             with pytest.raises(ValueError, match="n >= 0"):
                 seed("z_pow", n)
+
+
+def _store(expr):
+    """The stored numerators in dict order with their types, and the denominator."""
+    return [(key, type(n), n) for key, n in expr._num.items()], expr._den
+
+
+def test_radial_operators_equal_the_composed_chain():
+    # one pass per order builds what diff("r").div_r() and div_r().diff("r") build: same store, same order
+    for name in SEED_NAMES:
+        for n in (0, 3, 7) if name == "z_pow" else (None,):
+            s = seed(name, n)
+            for f in (s.u, s.v, s.u.scale(Fraction(3, 14)) + s.v.div_r(-2)):
+                lower = upper = f
+                for order in range(11):
+                    assert _store(d_lower(order, f)) == _store(lower), (name, n, order)
+                    assert _store(d_upper(order, f)) == _store(upper), (name, n, order)
+                    lower, upper = lower.diff("r").div_r(), upper.div_r().diff("r")
+
+
+def test_is_zero_matches_reference_on_vekua_ladder():
+    # the residuals of the gauss_fund ladder vanish; a bumped coefficient leaves some that do not
+    rng = random.Random(14)
+    for m, k in VEKUA_LADDER:
+        pair = fueter(seed("gauss_fund"), k, m)
+        keys = sorted(pair.A.terms)
+        bumped = AxialPair(m, k, pair.A + term(Fraction(rng.randint(1, 9), 4), *keys[rng.randrange(len(keys))]), pair.B)
+        for res in (*vekua_residual(pair), *vekua_residual(bumped)):
+            assert res.is_zero() == _ref_is_zero(dict(res.terms)), (m, k)
+        assert not all(res.is_zero() for res in vekua_residual(bumped)), (m, k)

@@ -213,6 +213,11 @@ def test_hermite_both(capsys):
 def test_hermite_usage(capsys):
     code, _, err = run(capsys, "hermite", "--m", "0", "--n", "2")
     assert code == 2
+    # the dimension is checked first, then the order
+    code, out, err = run(capsys, "hermite", "--m", "0", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: dimension m must be in 1..16, got 0\n")
+    code, out, err = run(capsys, "hermite", "--m", "3", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: need n >= 0\n")
 
 
 def test_fueter_inv_z(capsys):
@@ -227,6 +232,9 @@ def test_fueter_even_m_exit_code(capsys):
     code, _, err = run(capsys, "fueter", "--seed", "gauss", "--m", "4", "--k", "0")
     assert code == 3
     assert "odd" in err
+    # an even m at the top of 1..16 passes the range check and is still the transform's exit 3
+    code, _, err = run(capsys, "fueter", "--seed", "gauss", "--m", "16")
+    assert code == 3 and "odd" in err
 
 
 def test_fueter_invalid_pk_exit_code(capsys, tmp_path):
@@ -356,6 +364,18 @@ def test_ck_gauss_radius_whose_square_underflows(capsys):
     assert "closed (x_=0 axis): 1.0" in out
 
 
+@pytest.mark.parametrize(
+    "r, formula",
+    [("1e-150", "axial"), ("1.5e-154", "axial"), ("1.49e-154", "x_=0 axis"), ("1e-160", "x_=0 axis"), ("1e-170", "x_=0 axis")],
+)
+def test_ck_gauss_radius_whose_square_is_subnormal(capsys, r, formula):
+    # from r ~ 1.49e-154 down, r * r is subnormal: off the axis, r^-2 of the closed form overflowed (exit 2)
+    assert (float(r) ** 2 < sys.float_info.min) == (formula == "x_=0 axis")
+    code, out, err = run(capsys, "ck-gauss", "--m", "3", "--r", r)
+    assert (code, err) == (0, "")
+    assert f"closed ({formula}):" in out and "relative deviation: 0.000e+00" in out
+
+
 def test_verify_refuses_csv_with_no_rows(capsys, tmp_path):
     path = tmp_path / "gf.csv"
     path.write_text(",".join(sample_header(3)) + "\n")
@@ -381,8 +401,10 @@ def test_verify_all_seed7_matches_golden(capsys):
         ["verify", "--suite", "examples"],
         ["verify", "--suite", "gauss_fund"],
         ["verify", "--suite", "all"],
+        ["fueter", "--seed", "gauss"],
+        ["hermite", "--n", "2"],
     ],
-    ids=["ck_gauss", "ck_gauss_axis", "sample", "verify_examples", "verify_gauss_fund", "verify_all"],
+    ids=["ck_gauss", "ck_gauss_axis", "sample", "verify_examples", "verify_gauss_fund", "verify_all", "fueter", "hermite"],
 )
 def test_dimension_out_of_range_is_named(capsys, tmp_path, monkeypatch, argv, m):
     # --m 0 used to build a one-coordinate point and report "point dimension 1 vs m=0"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -251,3 +252,30 @@ def test_transform_linearity():
     p2 = fueter(s2, 0, 5)
     assert combo.A == p1.A.scale(Fraction(2, 3)) - p2.A
     assert combo.B == p1.B.scale(Fraction(2, 3)) - p2.B
+
+
+def _composed_residual(pair):
+    """The Vekua residuals built operation by operation."""
+    r1 = pair.A.diff("x0") - pair.B.diff("r") - pair.B.scale(pair.kappa).div_r()
+    r2 = pair.B.diff("x0") + pair.A.diff("r")
+    return r1, r2
+
+
+def test_vekua_residual_equals_composed_form():
+    # the whole vekua.grid, then gauss_fund at radial order k + (m-1)/2 from 1 to 10; a pair with one
+    # non-constant term of A bumped (or x0 added to an empty A) fails, with the same residuals as composed
+    seeds = [seed(name) for name in ("iz", "inv_z", "gauss", "gauss_fund")] + [seed("z_pow", n) for n in range(11)]
+    pairs = [fueter(s, k, m) for s in seeds for m in (3, 5, 7) for k in (0, 1, 2)]
+    ladder = ((3, 0), (3, 1), (5, 1), (7, 1), (9, 1), (11, 1), (13, 1), (13, 2), (13, 3), (13, 4))
+    pairs += [fueter(seed("gauss_fund"), k, m) for m, k in ladder]
+    rng = random.Random(1414)
+    for pair in pairs:
+        keys = sorted(key for key in pair.A.terms if key != (0, 0, 0, 0, ""))
+        key = rng.choice(keys) if keys else (1, 0, 0, 0, "")
+        bump = term(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)), *key)
+        bumped = AxialPair(pair.m, pair.k, pair.A + bump, pair.B, pair.pk)
+        for p, ok in ((pair, True), (bumped, False)):
+            r1, r2 = vekua_residual(p)
+            c1, c2 = _composed_residual(p)
+            assert r1 == c1 and r2 == c2, (p.m, p.k)
+            assert vekua_ok(p) is ok and (r1.is_zero() and r2.is_zero()) is ok, (p.m, p.k)

@@ -309,8 +309,7 @@ class AxialExpr:
 
     def evaluate_mp(self, x0, r):
         """High-precision evaluation under the ambient mpmath precision."""
-        x0, r = mpmath.mpf(x0), mpmath.mpf(r)
-        return self.plan().values(x0, r, lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)[0]
+        return self.plan().values_mp(x0, r)[0]
 
     def plan(self) -> "EvalPlan":
         """The expression compiled for evaluation, built on first use and kept."""
@@ -400,6 +399,14 @@ class EvalPlan:
                 total += c * f[ia] * f[ib] * f[ip] * f[ig] * f[it]
             out.append(total)
         return out
+
+    def values_mp(self, x0, r) -> list:
+        """`values` under the ambient mpmath precision, from the exact coefficients."""
+        return self.values(mpmath.mpf(x0), mpmath.mpf(r), _mpf_of, mpmath)
+
+
+def _mpf_of(q) -> "mpmath.mpf":
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 @lru_cache(maxsize=64)

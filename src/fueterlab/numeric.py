@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from operator import mul
 
 import mpmath
 
-from .axial import EvalDomainError, pair_plan
+from .axial import EvalDomainError, EvalPlan, pair_plan
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
@@ -94,30 +95,41 @@ class ProbeReport:
     subtract_pole: bool = True
 
 
-def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
-    """(A + w B) P_k at a point with r > 0, in binary64."""
-    if pair.pk is None:
+def _axial_value(m: int, values, pk, x0, xs: tuple, r: float) -> Multivector:
+    """(A + w B) P_k at (x0, xs) with |xs| = r, from the pair plan's `values`."""
+    if pk is None:
         raise ValueError("evaluation needs a concrete P_k")
-    if pt.m != pair.m:
-        raise ValueError(f"point dimension {pt.m} vs pair dimension {pair.m}")
-    r = pt.r
+    if len(xs) != m:
+        raise ValueError(f"point dimension {len(xs)} vs pair dimension {m}")
     if r == 0:
         raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
-    a_val, b_val = pair_plan(pair.A, pair.B).values(pt.x0, r)
+    a_val, b_val = values(x0, r)
     coeffs = {0: a_val}
-    for j, x in enumerate(pt.xs):
+    for j, x in enumerate(xs):
         if x:
             coeffs[1 << j] = b_val * (x / r)
-    value = Multivector._of(pair.m, coeffs, False)
+    value = Multivector._of(m, coeffs, False)
     # the float Multivector drops zeros and x * 1.0 == x, so P_k = 1 would change no coefficient
-    return value if pair.pk.is_one() else value * pair.pk.eval(pt.x0, pt.xs)
+    return value if pk.is_one() else value * pk.eval(x0, xs)
+
+
+def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
+    """(A + w B) P_k at a point with r > 0, in binary64."""
+    return _axial_value(pair.m, pair_plan(pair.A, pair.B).values, pair.pk, pt.x0, pt.xs, pt.r)
 
 
 def axial_evaluator(pair: AxialPair):
-    """Adapter (x0, xs) -> Multivector for the finite-difference oracle."""
+    """Adapter (x0, xs) -> Multivector for the finite-difference oracle.
+
+    Gives `eval_axial(pair, EvalPoint(x0, xs))` bit for bit; the pair plan
+    is bound once, and r is computed as `EvalPoint` computes it.
+    """
+    m, pk = pair.m, pair.pk
+    values = pair_plan(pair.A, pair.B).values
 
     def f(x0, xs):
-        return eval_axial(pair, EvalPoint(x0, tuple(xs)))
+        xs = tuple(xs)
+        return _axial_value(m, values, pk, x0, xs, math.sqrt(math.fsum(map(mul, xs, xs))))
 
     return f
 
@@ -232,27 +244,27 @@ def restriction_taylor_coeff(n: int, m: int) -> Fraction:
 # --- finite-difference monogenicity oracle ------------------------------------
 
 
-def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "left") -> float:
-    """Norm of the central-difference Cauchy-Riemann residual at a point.
+# (id(f), bits of the step and the point) -> (f, partials) of the last two stencils: the
+# left and right residuals at one point and step read the same partials.  The entry holds f,
+# so its id cannot be reused while the entry lives.  The library starts no threads.
+_FD_PARTIALS: dict = {}
 
-    f maps (x0, xs) to a float Multivector.  'left' applies e_j from the
-    left of each partial, 'right' from the right; both residuals are
-    O(h^2) for functions monogenic on that side.
 
-    The partials add into one {mask: coeff} dict with the rounding and the
-    order of the float Multivector sum of e_j (f(x + h u_j) - f(x - h u_j))
-    scaled by 1/(2h): entries that are zero after a coordinate leave the
-    dict, as the Multivector sum drops them, so the norm sums the squares
-    in the same order.
+def _fd_partials(f, pt: EvalPoint, h: float) -> list:
+    """For j = 0..m, {mask: coeff} of f(x + h u_j) - f(x - h u_j), u_0 the x0 direction.
+
+    f must be a function of the point: the partials of the last two (f, point,
+    step) calls are kept and handed out again.  A point or step that is not all
+    floats is never kept, since an int coordinate reaches f unshifted.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    cfg = cfg or FDConfig()
-    h = cfg.step(pt)
     m = pt.m
     coords = (pt.x0, *pt.xs)
-    inv_2h = 1.0 / (2.0 * h)
-    left = side == "left"
+    key = None
+    if type(h) is float and all(type(c) is float for c in coords):
+        key = (id(f), struct.pack(f"{m + 2}d", h, *coords))
+        hit = _FD_PARTIALS.get(key)
+        if hit is not None:
+            return hit[1]
 
     def shifted(j, step):
         c = list(coords)
@@ -264,17 +276,47 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
             raise MixedVariantError("f must return float multivectors")
         return value.coeffs
 
-    total: dict = {}
+    partials = []
     for j in range(m + 1):
         diff = dict(shifted(j, h))
         for mask, v in shifted(j, -h).items():
             diff[mask] = diff.get(mask, 0) - v
+        partials.append(diff)
+    if key is not None:
+        if len(_FD_PARTIALS) >= 2:
+            del _FD_PARTIALS[next(iter(_FD_PARTIALS))]
+        _FD_PARTIALS[key] = (f, partials)
+    return partials
+
+
+def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "left") -> float:
+    """Norm of the central-difference Cauchy-Riemann residual at a point.
+
+    f maps (x0, xs) to a float Multivector and must be a function of the
+    point: the left and right residuals at one point and step share one
+    stencil.  'left' applies e_j from the left of each partial, 'right' from
+    the right; both residuals are O(h^2) for functions monogenic on that side.
+
+    The partials add into one {mask: coeff} dict with the rounding and the
+    order of the float Multivector sum of e_j (f(x + h u_j) - f(x - h u_j))
+    scaled by 1/(2h): entries that are zero after a coordinate leave the
+    dict, as the Multivector sum drops them, so the norm sums the squares
+    in the same order.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    h = (cfg or FDConfig()).step(pt)
+    inv_2h = 1.0 / (2.0 * h)
+    left = side == "left"
+    total: dict = {}
+    for j, diff in enumerate(_fd_partials(f, pt, h)):
         ej = 1 << (j - 1) if j else 0  # e_j, and the identity for the x0 partial
         for mask, v in diff.items():
             v *= inv_2h
             sign, key = blade_product(ej, mask) if left else blade_product(mask, ej)
             total[key] = total.get(key, 0) + (v if sign > 0 else -v)
-        total = {mask: v for mask, v in total.items() if v}
+        if 0 in total.values():
+            total = {mask: v for mask, v in total.items() if v}
     return math.sqrt(sum_squares(total.values()))
 
 
@@ -376,13 +418,12 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
     pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
-    a0 = pair.A.restrict_x0()
-    b0 = pair.B.restrict_x0()
+    # one plan for both restrictions, so each mpmath factor is computed once per radius
+    plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
     values = []
     with mpmath.workdps(dps):
         for r in radii:
-            av = a0.evaluate_mp(0, r)
-            bv = b0.evaluate_mp(0, r)
+            av, bv = plan.values_mp(0, r)
             values.append(float(mpmath.sqrt(av * av + bv * bv)))
     cap = max(1.0, 10.0 * values[0])
     bounded = all(v <= cap for v in values)

@@ -8,19 +8,22 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from fueterlab import numeric
 from fueterlab.axial import EvalDomainError, pair_plan
 from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
-from fueterlab.cliffpoly import coeff_c, hermite_rec, vector_power
+from fueterlab.cliffpoly import CliffPoly, coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
     SEED_NAMES,
     EvenDimensionError,
     default_pk,
+    entire_remainder_pair,
     fueter,
     gauss_ck_pair,
     gauss_fund_pair,
+    normalized_gauss_fund_pair,
     seed,
 )
 from fueterlab.numeric import (
@@ -196,6 +199,10 @@ def _ref_fd_total(f, pt, h, side):
     return total
 
 
+# (side, factor of the step): both sides at one step, then left h, left h/2, right h, right h/2
+_FD_ORDERS = ((("left", 1.0), ("right", 1.0)), (("left", 1.0), ("left", 0.5), ("right", 1.0), ("right", 0.5)))
+
+
 def test_fd_residual_bit_identical_to_multivector_formula():
     rng = random.Random(61)
     steps = (1e-8, 1e-6, 1e-5, 1e-4, 2e-3)
@@ -209,9 +216,10 @@ def test_fd_residual_bit_identical_to_multivector_formula():
                     norm = math.sqrt(sum(c * c for c in d))
                     pt = EvalPoint(rng.uniform(-1.5, 1.5), tuple(r * c / norm for c in d))
                     h = steps[(i + m + k) % len(steps)]
-                    for side in ("left", "right"):
-                        want = _ref_fd_total(f, pt, FDConfig(h).step(pt), side).norm()
-                        assert fd_cr_residual(f, pt, FDConfig(h), side) == want, (name, m, k, pt, h, side)
+                    # one side after the other, then interleaved as the benchmark's h-halving runs them
+                    for side, step in _FD_ORDERS[0] + _FD_ORDERS[1]:
+                        want = _ref_fd_total(f, pt, FDConfig(h * step).step(pt), side).norm()
+                        assert fd_cr_residual(f, pt, FDConfig(h * step), side) == want, (name, m, k, pt, h, side)
 
 
 def test_fd_residual_keeps_order_when_a_blade_cancels():
@@ -242,6 +250,116 @@ def test_fd_residual_keeps_order_when_a_blade_cancels():
             for side in ("left", "right"):
                 want = _ref_fd_total(g, ptm, FDConfig(step).step(ptm), side).norm()
                 assert fd_cr_residual(g, ptm, FDConfig(step), side) == want
+
+
+class _Counting:
+    """A pure f that counts its evaluations; `c` scales it, so two of them differ."""
+
+    def __init__(self, m, c=1.0):
+        self.m, self.c, self.calls = m, c, 0
+
+    def __call__(self, x0, xs):
+        self.calls += 1
+        c = self.c
+        coeffs = {0: c * x0 * xs[0], 1: c * (x0 - xs[1] * xs[1]), 3: math.copysign(c, xs[1]) * x0 + xs[0] ** 3}
+        return Multivector(self.m, coeffs, exact=False)
+
+
+def test_fd_sides_share_one_stencil():
+    m, h = 3, 2e-3
+    pt = EvalPoint(0.3, (0.7, -0.4, 0.2))
+    ref = _Counting(m)
+    for order, stencils in zip(_FD_ORDERS, (1, 2)):
+        f = _Counting(m)
+        for side, step in order:
+            want = _ref_fd_total(ref, pt, FDConfig(h * step).step(pt), side).norm()
+            assert fd_cr_residual(f, pt, FDConfig(h * step), side) == want, (side, step)
+        assert f.calls == stencils * 2 * (m + 1), order
+
+
+def test_fd_stencils_apart_by_bits_type_and_function():
+    m, h = 3, 1e-3
+
+    def fresh_residual(f, pt, side="left"):
+        before = f.calls
+        got = fd_cr_residual(f, pt, FDConfig(h), side)
+        evaluated = f.calls - before
+        assert got == _ref_fd_total(f, pt, FDConfig(h).step(pt), side).norm(), (pt, side)
+        return evaluated
+
+    # -0.0 and 0.0 in one coordinate: f reads the sign of xs[1]
+    for zeros in ((-0.0, 0.0), (0.0, -0.0)):
+        f = _Counting(m)
+        for zero in zeros:
+            assert fresh_residual(f, EvalPoint(0.3, (0.7, zero, 0.2))) == 2 * (m + 1)
+    # an int coordinate and the same float
+    for ones in ((1, 1.0), (1.0, 1)):
+        f = _Counting(m)
+        for one in ones:
+            assert fresh_residual(f, EvalPoint(0.5, (one, 0.25, 0.5))) == 2 * (m + 1)
+    # distinct functions at one point, also ones made and dropped in turn
+    pt = EvalPoint(0.3, (0.7, -0.4, 0.2))
+    kept = [_Counting(m, 1.0), _Counting(m, 2.0)]
+    for f in kept + kept[::-1]:
+        fresh_residual(f, pt, "right")
+    for i in range(20):
+        f = _Counting(m, 1.0 + i)
+        assert fresh_residual(f, pt) == 2 * (m + 1)
+        assert fresh_residual(f, pt, "right") == 0
+
+
+def test_fd_stencil_memo_holds_two_entries():
+    rng = random.Random(17)
+    f = _Counting(3)
+    for _ in range(200):
+        pt = EvalPoint(rng.uniform(-1, 1), tuple(rng.uniform(0.2, 1) for _ in range(3)))
+        for side, step in _FD_ORDERS[1]:
+            fd_cr_residual(f, pt, FDConfig(1e-3 * step), side)
+        assert len(numeric._FD_PARTIALS) <= 2
+    assert f.calls == 200 * 4 * 4
+
+
+def test_axial_evaluator_bit_identical_to_eval_axial():
+    rng = random.Random(29)
+    for name in SEED_NAMES:
+        for m in (3, 5, 7):
+            for k in (0, 1):
+                for pk in (default_pk(k, m), _non_unit_pk(k, m)):
+                    pair = fueter(seed(name, 5 if name == "z_pow" else None), k, m, pk)
+                    f = axial_evaluator(pair)
+                    for i in range(6):
+                        # x_1 nonzero, each later component nonzero or a signed zero
+                        xs = [rng.uniform(-2.0, 2.0) if j == 0 or rng.random() < 0.5 else (0.0, -0.0)[j % 2] for j in range(m)]
+                        x0 = rng.uniform(-2.0, 2.0) if i else 0.0
+                        got = f(x0, xs if i % 2 else tuple(xs))
+                        want = eval_axial(pair, EvalPoint(x0, tuple(xs)))
+                        assert [(key, v.hex()) for key, v in got.coeffs.items()] == [
+                            (key, v.hex()) for key, v in want.coeffs.items()
+                        ], (name, m, k, x0, xs)
+
+
+def _non_unit_pk(k, m):
+    """3 - e12/2 for k = 0, x1 e2 + x2 e1 for k = 1."""
+    if k == 0:
+        return CliffPoly.constant(m, Multivector(m, {0: 3, 0b11: Fraction(-1, 2)}))
+    e1, e2 = (CliffPoly.constant(m, Multivector.basis(m, j)) for j in (1, 2))
+    return CliffPoly.variable(m, 1) * e2 + CliffPoly.variable(m, 2) * e1
+
+
+def test_axial_evaluator_raises_as_eval_axial():
+    generic = fueter(seed("iz"), 2, 3)
+    assert generic.pk is None
+    pair = gauss_fund_pair(3)
+    cases = [
+        (generic, 0.5, (1.0, 0.0, 0.0), ValueError, "evaluation needs a concrete P_k"),
+        (pair, 0.5, (1.0, 0.0, 0.0, 0.0), ValueError, "point dimension 4 vs pair dimension 3"),
+        (pair, 0.5, (0.0, -0.0, 0.0), EvalDomainError, "axial evaluation needs r > 0; use the restriction formulas at x_ = 0"),
+    ]
+    for p, x0, xs, exc, msg in cases:
+        for call in (lambda: eval_axial(p, EvalPoint(x0, xs)), lambda: axial_evaluator(p)(x0, xs)):
+            with pytest.raises(exc) as info:
+                call()
+            assert str(info.value) == msg
 
 
 def test_decay_scan_gauss_fund():
@@ -303,6 +421,21 @@ def test_entire_part_probe_control_grows_like_pole():
         # |value| ~ r^-m
         ratio = report.values[-1] / report.values[-2]
         assert ratio == pytest.approx(10 ** m, rel=0.2)
+
+
+def test_entire_part_probe_bit_identical_to_two_evaluations():
+    radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
+    for m in (3, 5, 7):
+        for subtract_pole in (True, False):
+            pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
+            a0, b0 = pair.A.restrict_x0(), pair.B.restrict_x0()
+            want = []
+            with mpmath.workdps(60):
+                for r in radii:
+                    av, bv = a0.evaluate_mp(0, r), b0.evaluate_mp(0, r)
+                    want.append(float(mpmath.sqrt(av * av + bv * bv)))
+            got = entire_part_probe(m, radii, subtract_pole=subtract_pole).values
+            assert [v.hex() for v in got] == [v.hex() for v in want], (m, subtract_pole)
 
 
 def test_entire_part_probe_validation():

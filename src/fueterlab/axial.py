@@ -24,14 +24,13 @@ vanishes.  `AxialExpr.__eq__` implements exactly this decision.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 import mpmath
 
-from .clifford import MixedVariantError, join_signed, split_terms, tokenize
+from .clifford import MixedVariantError, _read_terms, power_text, write_terms
 
 TRIG_NONE = ""
 TRIG_COS = "cos"
@@ -467,61 +466,25 @@ def _term_sort_key(item):
 
 
 def format_axial(expr: AxialExpr) -> str:
-    terms = []
-    for (a, b, p, g, t), q in sorted(expr.terms.items(), key=_term_sort_key):
-        factors = [str(abs(q))]
-        if a == 1:
-            factors.append("x0")
-        elif a:
-            factors.append(f"x0^{a}")
-        if b == 1:
-            factors.append("r")
-        elif b:
-            factors.append(f"r^{b}")
-        if p:
-            factors.append(f"Q^-{p}")
-        if g:
-            factors.append("E")
-        if t:
-            factors.append(t)
-        terms.append((q < 0, "*".join(factors)))
-    return join_signed(terms)
+    def factors(a, b, p, g, t):
+        out = [power_text(name, e) for name, e in (("x0", a), ("r", b), ("Q", -p), ("E", g)) if e]
+        return out + [t] * bool(t)
 
-
-_AXIAL_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<x0>x0(?:\^-?\d+)?)"
-    r"|(?P<r>r(?:\^-?\d+)?)"
-    r"|(?P<q>Q\^-\d+)"
-    r"|(?P<exp>E\b|exp\(\(x0\^2-r\^2\)/2\))"
-    r"|(?P<trig>cos|sin)"
-    r"|(?P<op>[+\-*])"
-    r")"
-)
+    return write_terms((q, factors(*key)) for key, q in sorted(expr.terms.items(), key=_term_sort_key))
 
 
 def parse_axial(text: str) -> AxialExpr:
-    """Round-trip parser for the axial term grammar."""
+    """Round-trip parser for the axial term grammar: the factors x0, r, Q, E, cos and sin."""
     terms: dict = {}
-    for sign, factors in split_terms(tokenize(text, _AXIAL_TOKEN_RE)):
-        q, a, b, p, g, t = Fraction(sign), 0, 0, 0, 0, TRIG_NONE
-        for kind, tok in factors:
-            if kind == "rat":
-                q *= Fraction(tok)
-            elif kind == "x0":
-                a += int(tok[3:]) if "^" in tok else 1
-            elif kind == "r":
-                b += int(tok[2:]) if "^" in tok else 1
-            elif kind == "q":
-                p += int(tok[3:])
-            elif kind == "exp":
-                g += 1
-            elif t:  # the only kind left is trig
-                raise AlgebraClosureError("two trig factors in one term")
-            else:
-                t = tok
-        terms[(a, b, p, g, t)] = terms.get((a, b, p, g, t), 0) + q
+    for q, _, f in _read_terms(text, None, None):
+        cos, sin = f.pop(TRIG_COS, 0), f.pop(TRIG_SIN, 0)
+        t = TRIG_COS if cos else TRIG_SIN if sin else TRIG_NONE
+        key = f.pop("x0", 0), f.pop("r", 0), -f.pop("Q", 0), f.pop("E", 0), t
+        if f:
+            raise ValueError(f"unexpected factor {next(iter(f))!r} in axial expression")
+        if cos + sin > 1:
+            raise AlgebraClosureError("two trig factors in one term")
+        terms[key] = terms.get(key, 0) + q
     return AxialExpr(terms)
 
 

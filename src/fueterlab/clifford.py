@@ -302,111 +302,114 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
 
 # --- text form -------------------------------------------------------------
 #
-# Multivectors render as coefficient*blade terms sorted by mask, e.g.
-#   3 - 2*e1 + 1*e12
-# Exact coefficients print as integers or fractions; numeric ones as
-# round-trip floats with an uppercase exponent marker so that the blade
-# token 'e...' stays unambiguous.
+# One grammar serves multivectors, polynomials and axial expressions.  A text
+# is terms joined by + and -; a term is factors joined by * or blanks:
+# numbers, blades e{indices} ('_'-separated above m = 9) and the factors
+# x<j>, r and Q, each with an optional ^-?\d+, E (long form
+# exp((x0^2-r^2)/2)), cos and sin.  Exact numbers print as integers or
+# fractions; floats as round-trip reprs with an uppercase exponent marker, so
+# that the blade token 'e...' stays unambiguous.  Multivector text has no
+# factors, polynomial and axial text no floats, and axial text no blades; the
+# polynomial and axial parsers take the factors their form knows and refuse
+# the rest.
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<float>\d+\.\d*(?:E[+-]?\d+)?|\.\d+(?:E[+-]?\d+)?|\d+E[+-]?\d+)"
     r"|(?P<rat>\d+(?:/\d+)?)"
     r"|(?P<blade>e\d+(?:_\d+)*)"
+    r"|(?P<power>(?:x\d+|r|Q)(?:\^-?\d+)?)"
+    r"|(?P<flag>E\b|exp\(\(x0\^2-r\^2\)/2\)|cos|sin)"
     r"|(?P<op>[+\-*])"
     r")"
 )
 
 
-def _format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    s = repr(float(v))
-    return s.replace("e", "E")
+def _read_terms(text: str, m, exact):
+    """Yield (value, blade mask, {factor: exponent}) per term of `text`.
+
+    exact is True or False for a multivector, whose text has numbers as
+    Fractions or floats and no factors, and None for a polynomial or an
+    axial expression, whose text has factors and no floats; m is the
+    dimension blades are read in, None for an axial expression, which has
+    none.  The kinds a form lacks stop the tokenizer, and the whole text is
+    tokenized before the first term is read.
+    """
+    lacks = ("power", "flag") if exact is not None else ("float", "blade") if m is None else ("float",)
+    tokens, pos = [], 0
+    while (mo := _TOKEN_RE.match(text, pos)) and mo.lastgroup not in lacks:
+        pos = mo.end()
+        tokens.append((mo.lastgroup, mo.group(mo.lastgroup)))
+    if text[pos:].strip():
+        raise ValueError(f"cannot tokenize {text[pos:]!r}")
+    sign, run = 1, []
+    for kind, tok in tokens + [("op", "+")]:
+        if kind != "op":
+            run.append((kind, tok))
+        elif tok != "*":  # '*' is implicit between factors
+            if run:
+                yield _read_term(sign, run, m, exact)
+                sign, run = 1, []
+            if tok == "-":
+                sign = -sign
 
 
-def join_signed(terms) -> str:
-    """Join (negative, magnitude text) pairs as `a - b + c`; '0' when empty."""
+def _read_term(sign: int, run, m, exact):
+    value = Fraction(sign) if exact is not False else float(sign)
+    mask, factors = 0, {}
+    for kind, tok in run:
+        if kind == "rat":
+            try:
+                q = Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {tok!r}") from None
+            value *= q if exact is not False else float(q)
+        elif kind == "float":
+            if exact:
+                raise MixedVariantError(f"float literal {tok!r} in exact multivector")
+            value *= float(tok)
+        elif kind == "blade":
+            body = tok[1:]
+            idx = body.split("_") if "_" in body or m > 9 else body
+            s, mask = blade_product(mask, mask_from_indices(map(int, idx), m))
+            value = -value if s < 0 else value
+        elif kind == "power":
+            name, _, e = tok.partition("^")
+            factors[name] = factors.get(name, 0) + (int(e) if e else 1)
+        else:  # E or its long form, cos or sin
+            name = tok if tok in ("cos", "sin") else "E"
+            factors[name] = factors.get(name, 0) + 1
+    return value, mask, factors
+
+
+def power_text(name: str, e: int) -> str:
+    """The factor name^e, or name alone for e = 1."""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def write_terms(terms) -> str:
+    """Write (coefficient, factor texts) pairs as `c*f*g - d*h + ...`; '0' when empty.
+
+    int and Fraction coefficients print by str, floats by repr with 'E' for 'e'.
+    """
     parts = []
-    for neg, body in terms:
+    for c, factors in terms:
+        v = abs(c)
+        body = "*".join((str(v) if isinstance(v, (int, Fraction)) else repr(v).replace("e", "E"), *factors))
         if parts:
-            parts.append(("- " if neg else "+ ") + body)
+            parts.append(("- " if c < 0 else "+ ") + body)
         else:
-            parts.append(("-" if neg else "") + body)
+            parts.append(("-" if c < 0 else "") + body)
     return " ".join(parts) or "0"
 
 
 def format_multivector(a: Multivector) -> str:
-    terms = []
-    for mask, v in sorted(a.coeffs.items()):
-        body = _format_value(abs(v))
-        if mask:
-            body += "*" + blade_label(mask, a.m)
-        terms.append((v < 0, body))
-    return join_signed(terms)
-
-
-def tokenize(text: str, token_re) -> list:
-    """Split text into (group name, lexeme) pairs with a named-group regex."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        mo = token_re.match(text, pos)
-        if mo is None or mo.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = mo.end()
-        tokens.append((mo.lastgroup, mo.group(mo.lastgroup)))
-    return tokens
-
-
-def split_terms(tokens):
-    """Group tokens into (sign, factors) runs at top-level +/-."""
-    terms = []
-    sign = 1
-    factors = []
-    for kind, tok in tokens:
-        if kind == "op" and tok in "+-":
-            if factors:
-                terms.append((sign, factors))
-                factors = []
-                sign = 1
-            if tok == "-":
-                sign = -sign
-        elif kind == "op":
-            continue  # '*' is implicit between factors
-        else:
-            factors.append((kind, tok))
-    if factors:
-        terms.append((sign, factors))
-    return terms
-
-
-def apply_blade(tok: str, m: int, mask: int, value):
-    """Right-multiply the blade token `tok` onto value * e_mask; returns (mask, value)."""
-    body = tok[1:]
-    idx = [int(s) for s in body.split("_")] if "_" in body or m > 9 else [int(c) for c in body]
-    sign, mask = blade_product(mask, mask_from_indices(idx, m))
-    return mask, (-value if sign < 0 else value)
+    return write_terms((v, [blade_label(mask, a.m)] if mask else []) for mask, v in sorted(a.coeffs.items()))
 
 
 def parse_multivector(text: str, m: int, exact: bool = True) -> Multivector:
     """Parse the `c*e{indices}` grammar produced by `format_multivector`."""
     coeffs: dict = {}
-    for sign, factors in split_terms(tokenize(text, _TOKEN_RE)):
-        value = Fraction(sign) if exact else float(sign)
-        mask = 0
-        for kind, tok in factors:
-            if kind == "rat":
-                value = value * (Fraction(tok) if exact else float(Fraction(tok)))
-            elif kind == "float":
-                if exact:
-                    raise MixedVariantError(f"float literal {tok!r} in exact multivector")
-                value = value * float(tok)
-            elif kind == "blade":
-                mask, value = apply_blade(tok, m, mask, value)
-            else:
-                raise ValueError(f"unexpected token {tok!r} in multivector")
+    for value, mask, _ in _read_terms(text, m, exact):
         coeffs[mask] = coeffs.get(mask, 0) + value
     return Multivector(m, coeffs, exact)

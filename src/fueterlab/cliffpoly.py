@@ -20,7 +20,6 @@ and the generalized Hermite polynomials attached to the Gaussian.
 from __future__ import annotations
 
 import math
-import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,13 +33,12 @@ from .clifford import (
     Multivector,
     _check_dimension,
     _rational,
-    apply_blade,
+    _read_terms,
     blade_grade,
     blade_label,
     blade_product,
-    join_signed,
-    split_terms,
-    tokenize,
+    power_text,
+    write_terms,
 )
 
 # bits per exponent slot; the struct format "H" of _layout matches it
@@ -240,11 +238,6 @@ class CliffPoly:
         return self.scale(other)
 
     __rmul__ = scale
-
-    def shift_x0(self, n: int) -> "CliffPoly":
-        """Multiply by the monomial x0^n."""
-        _check_shift(n)
-        return _guarded(self.m, {(key + n, mask): v for (key, mask), v in self._d.items()})
 
     # --- calculus ---
 
@@ -557,59 +550,25 @@ def hermite_closed(n: int, m: int) -> HermiteResult:
 # coefficients and exponent 1 prints without the caret.
 
 
-def _format_monomial(exps) -> str:
-    return " ".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(exps) if e)
-
-
 def format_poly(p: CliffPoly) -> str:
-    terms = []
-    for exps, mask in sorted(p.coeffs, key=lambda k: (-sum(k[0]), tuple(-e for e in k[0]), k[1])):
-        v = p.coeffs[exps, mask]
-        body = str(abs(v))
-        mono = _format_monomial(exps)
-        if mono:
-            body += "*" + mono
-        if mask:
-            body += "*" + blade_label(mask, p.m)
-        terms.append((v < 0, body))
-    return join_signed(terms)
+    def factors(exps, mask):
+        mono = " ".join(power_text(f"x{j}", e) for j, e in enumerate(exps) if e)
+        return [mono] * bool(mono) + [blade_label(mask, p.m)] * bool(mask)
 
-
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+    keys = sorted(p.coeffs, key=lambda k: (-sum(k[0]), tuple(-e for e in k[0]), k[1]))
+    return write_terms((p.coeffs[k], factors(*k)) for k in keys)
 
 
 def parse_poly(text: str, m: int) -> CliffPoly:
-    """Round-trip parser for the polynomial grammar."""
+    """Round-trip parser for the polynomial grammar: the factors x0..xm, exponents >= 0."""
     _check_dimension(m)
     coeffs: dict = {}
-    for sign, factors in split_terms(tokenize(text, _POLY_TOKEN_RE)):
-        value = Fraction(sign)
+    for value, mask, factors in _read_terms(text, m, None):
         exps = [0] * (m + 1)
-        mask = 0
-        for kind, tok in factors:
-            if kind == "rat":
-                value *= Fraction(tok)
-            elif kind == "var":
-                mo = _VAR_RE.fullmatch(tok)
-                j = int(mo.group(1))
-                if j > m:
-                    raise ValueError(f"variable x{j} invalid for m={m}")
-                exps[j] += int(mo.group(2) or 1)
-            elif kind == "blade":
-                mask, value = apply_blade(tok, m, mask, value)
-            else:
-                raise ValueError(f"unexpected token {tok!r} in polynomial")
+        for name, e in factors.items():
+            if name[0] != "x" or int(name[1:]) > m or e < 0:
+                raise ValueError(f"factor {power_text(name, e)} invalid in a polynomial at m={m}")
+            exps[int(name[1:])] += e
         key = _pack(exps), mask
         coeffs[key] = coeffs.get(key, 0) + value
     return CliffPoly._of(m, coeffs)
-
-
-_POLY_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<var>x\d+(?:\^\d+)?)"
-    r"|(?P<blade>e\d+(?:_\d+)*)"
-    r"|(?P<op>[+\-*])"
-    r")"
-)
-

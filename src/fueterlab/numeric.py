@@ -9,10 +9,9 @@ double precision.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -79,9 +78,6 @@ class DecayReport:
     def on_boundary(self) -> bool:
         """The argmax is on the grid's edge, so the sup may grow beyond the strip."""
         return abs(self.argmax_x0) == self.K or self.argmax_r in (self.r_min, self.r_max)
-
-    def to_json(self) -> str:
-        return json.dumps({**asdict(self), "on_boundary": self.on_boundary})
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,41 @@ def test_text_roundtrip():
     assert format_axial(combo) == "1/2*x0^2*r^-3*Q^-1*E*sin"
     assert parse_axial(format_axial(combo)).terms == combo.terms
     assert not parse_axial("0").terms
+    # E's long form reads as E
+    long_form = "-1/2*x0*exp((x0^2-r^2)/2)*sin + 3*r^-1*Q^-2*exp((x0^2-r^2)/2)"
+    assert parse_axial(long_form).terms == parse_axial("-1/2*x0*E*sin + 3*r^-1*Q^-2*E").terms
+    for _ in range(20):
+        expr = random_axial(rng)
+        assert parse_axial(format_axial(expr).replace("E", "exp((x0^2-r^2)/2)")).terms == expr.terms
+
+
+@pytest.mark.parametrize(
+    "text, exc",
+    [
+        ("cos*cos", AlgebraClosureError),
+        ("cos*sin", AlgebraClosureError),
+        ("2*x0*sin*r*cos", AlgebraClosureError),
+        ("E*E", ValueError),
+        ("Q", ValueError),
+        ("Q^2", ValueError),
+        ("1*x1", ValueError),
+        ("1*e1", ValueError),
+        ("1.5*x0", ValueError),
+        ("x0^-1", AlgebraClosureError),
+        ("cos^2", ValueError),
+        ("E^2", ValueError),
+        ("x0 #", ValueError),
+    ],
+)
+def test_text_malformed(text, exc):
+    with pytest.raises(exc):
+        parse_axial(text)
+
+
+def test_text_zero_denominator_is_a_value_error():
+    # Fraction("1/0") raises ZeroDivisionError, which is not a ValueError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_axial("1/0*x0")
 
 
 def test_structural_vs_semantic_zero():

@@ -244,6 +244,15 @@ def test_fueter_invalid_pk_exit_code(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("text", ["1/0*x1*e1", "1*x1^-1*e1", "1*r*e1", "1.5*x1*e1", "1*x1*e1 #"])
+def test_fueter_unparsable_pk_exit_code(capsys, tmp_path, text):
+    # a zero denominator raised ZeroDivisionError, which left a traceback and exit 1
+    pk_file = tmp_path / "pk.txt"
+    pk_file.write_text(text + "\n")
+    code, out, err = run(capsys, "fueter", "--seed", "iz", "--m", "3", "--k", "1", "--pk-file", str(pk_file))
+    assert code == 4 and "cannot parse P_k" in err and not out
+
+
 def test_fueter_custom_pk_accepted(capsys, tmp_path):
     pk_file = tmp_path / "pk.txt"
     pk_file.write_text("1*x1*e1 - 1*x2*e2\n")

@@ -215,6 +215,11 @@ def test_text_roundtrip_exact():
         assert parse_multivector(format_multivector(x), mm) == x
     assert parse_multivector("0", m) == Multivector.zero(m)
     assert format_multivector(mv(m, "1/2 + 5/3*e2")) == "1/2 + 5/3*e2"
+    # above m = 9 blade indices are '_'-separated
+    for _ in range(20):
+        mm = rng.randint(10, 16)
+        x = random_multivector(rng, mm)
+        assert parse_multivector(format_multivector(x), mm) == x
 
 
 def test_text_roundtrip_numeric():
@@ -222,6 +227,34 @@ def test_text_roundtrip_numeric():
     a = Multivector(m, {0: 0.125, 1: -2e-05, 3: 3.5}, exact=False)
     s = format_multivector(a)
     assert parse_multivector(s, m, exact=False) == a
+
+
+@pytest.mark.parametrize(
+    "text, m, exact, exc",
+    [
+        ("1.5", 3, True, MixedVariantError),
+        ("1.5*e1 - 2", 3, True, MixedVariantError),
+        ("x1", 3, True, ValueError),
+        ("1.5*x1", 3, True, ValueError),
+        ("2*r*e1", 3, False, ValueError),
+        ("E*e1", 3, True, ValueError),
+        ("cos", 3, True, ValueError),
+        ("e11", 3, True, ValueError),
+        ("e4", 3, True, ValueError),
+        ("e1_11", 10, True, ValueError),
+        ("1 # 2", 3, True, ValueError),
+    ],
+)
+def test_text_malformed(text, m, exact, exc):
+    with pytest.raises(exc):
+        parse_multivector(text, m, exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_text_zero_denominator_is_a_value_error(exact):
+    # Fraction("1/0") raises ZeroDivisionError, which is not a ValueError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_multivector("1/0*e1", 3, exact)
 
 
 def test_text_high_dimension_labels():

@@ -20,6 +20,7 @@ from fueterlab.cliffpoly import (
     laplacian,
     parse_poly,
     poly_mul,
+    poly_sum,
     radius_sq_poly,
     sample_p1,
     vector_power,
@@ -189,6 +190,30 @@ def test_text_roundtrip():
     h2 = hermite_rec(2, m).poly
     assert format_poly(h2) == "-1*x1^2 - 1*x2^2 - 1*x3^2 + 3"
     assert parse_poly("0", m).is_zero()
+    # above m = 9 blade indices are '_'-separated
+    texts = []
+    for _ in range(10):
+        mm = rng.randint(10, 12)
+        p = random_poly(rng, mm, max_degree=2)
+        texts.append(format_poly(p))
+        assert parse_poly(texts[-1], mm) == p
+    assert any("_" in text for text in texts)
+    assert parse_poly("2*x10 x12^2*e1_11", 12) == CliffPoly(12, {(0,) * 10 + (1, 0, 2): 2 * Multivector.basis(12, 1, 11)})
+
+
+@pytest.mark.parametrize(
+    "text, m",
+    [("x4", 3), ("x1^-1", 3), ("r", 3), ("1*x1*Q^-1", 3), ("E*x1", 3), ("cos", 3), ("1.5*x1", 3), ("e11", 3), ("x1 #", 3)],
+)
+def test_text_malformed(text, m):
+    with pytest.raises(ValueError):
+        parse_poly(text, m)
+
+
+def test_text_zero_denominator_is_a_value_error():
+    # Fraction("1/0") raises ZeroDivisionError, which is not a ValueError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("1/0*x1*e1", 3)
 
 
 def test_sample_p1_requires_two_generators():
@@ -339,7 +364,7 @@ def test_packed_store_matches_reference_kernel():
                 p, ref = cr_conj_apply(p), _ref_add(_ref_diff(ref, 0), _ref_neg(_ref_dirac(ref, m)))
             elif op == 10:
                 n = rng.randint(0, 3)
-                p, ref = p.shift_x0(n), _ref_shift(ref, n)
+                p, ref = poly_sum(m, [(1, n, p)]), _ref_shift(ref, n)
             elif op == 11:
                 p, ref = p.restrict_x0(), {k: v for k, v in ref.items() if k[0][0] == 0}
             else:
@@ -383,10 +408,10 @@ def test_exponent_limit():
     assert top.coeffs == {((0, EXP_LIMIT - 1, 0), 0): 1}
     with pytest.raises(ValueError):
         poly_mul(top, var(m, 1))
-    assert var(m, 0).shift_x0(EXP_LIMIT - 2).coeffs == {((EXP_LIMIT - 1, 0, 0), 0): 1}
+    assert poly_sum(m, [(1, EXP_LIMIT - 2, var(m, 0))]).coeffs == {((EXP_LIMIT - 1, 0, 0), 0): 1}
     for n in (EXP_LIMIT - 1, EXP_LIMIT, -1):
         with pytest.raises(ValueError):
-            var(m, 0).shift_x0(n)
+            poly_sum(m, [(1, n, var(m, 0))])
     with pytest.raises(ValueError):
         CliffPoly(m, {(0, EXP_LIMIT, 0): Multivector.scalar(m, 1)})
     CliffPoly(m, {(0, EXP_LIMIT - 1, 0): Multivector.scalar(m, 1)})

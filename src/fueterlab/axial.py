@@ -118,7 +118,7 @@ class AxialExpr:
     """Finite sum of terms keyed by (a, b, p, g, t), stored as nonzero int numerators over one
     positive denominator; `terms` is the read-only view {key: int or reduced Fraction}."""
 
-    __slots__ = ("_num", "_den", "_terms", "_plan")
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms=None):
         clean = {}
@@ -304,19 +304,11 @@ class AxialExpr:
 
     def evaluate(self, x0: float, r: float) -> float:
         """Binary64 evaluation; factors computed as written (Q stays factored)."""
-        return self.plan().values(x0, r)[0]
+        return EvalPlan(self.terms).values(x0, r)[0]
 
     def evaluate_mp(self, x0, r):
         """High-precision evaluation under the ambient mpmath precision."""
-        return self.plan().values_mp(x0, r)[0]
-
-    def plan(self) -> "EvalPlan":
-        """The expression compiled for evaluation, built on first use and kept."""
-        try:
-            return self._plan
-        except AttributeError:
-            object.__setattr__(self, "_plan", EvalPlan(self.terms))
-            return self._plan
+        return EvalPlan(self.terms).values_mp(x0, r)[0]
 
     def __str__(self) -> str:
         return format_axial(self)
@@ -340,11 +332,10 @@ class EvalPlan:
     the sums run in dict order.
     """
 
-    __slots__ = ("terms", "x_exps", "r_exps", "q_exps", "has_e", "has_cos", "has_sin", "neg_r", "rows", "float_rows")
+    __slots__ = ("x_exps", "r_exps", "q_exps", "has_e", "has_cos", "has_sin", "neg_r", "rows", "float_rows")
 
     def __init__(self, *term_dicts):
         keys = [key for terms in term_dicts for key in terms]
-        self.terms = term_dicts
         self.x_exps = sorted({a for a, _, _, _, _ in keys if a})
         self.r_exps = sorted({b for _, b, _, _, _ in keys if b})
         self.q_exps = sorted({p for _, _, p, _, _ in keys if p})
@@ -406,20 +397,6 @@ class EvalPlan:
 
 def _mpf_of(q) -> "mpmath.mpf":
     return mpmath.mpf(q.numerator) / q.denominator
-
-
-@lru_cache(maxsize=64)
-def _joint_plan(plan_a: EvalPlan, plan_b: EvalPlan) -> EvalPlan:
-    return EvalPlan(*plan_a.terms, *plan_b.terms)
-
-
-def pair_plan(expr_a: AxialExpr, expr_b: AxialExpr) -> EvalPlan:
-    """One plan for two expressions, so that a point computes each factor they share once.
-
-    `values(x0, r)` of the result gives the two floats `evaluate` gives.
-    Recent plans are kept, keyed by the expressions' own plans.
-    """
-    return _joint_plan(expr_a.plan(), expr_b.plan())
 
 
 # --- module-level operator interface ----------------------------------------

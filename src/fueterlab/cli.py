@@ -183,6 +183,9 @@ def cmd_ck_gauss(args) -> int:
         closed_mv = numeric.eval_axial(gauss_ck_pair(args.m), pt)
         closed_line = f"closed (axial):     {closed_mv}"
         err = (series - closed_mv).norm() / max(closed_mv.norm(), 1e-300)
+    # a NaN or infinite value, or a norm that squares a finite value past binary64, leaves no deviation to print
+    if not math.isfinite(err):
+        raise OverflowError(f"relative deviation {err} is not finite")
     print(f"series (N={args.trunc}): {series}")
     print(closed_line)
     print(f"relative deviation: {err:.3e}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .axial import (
     COS,
@@ -33,6 +33,7 @@ from .axial import (
     TRIG_SIN,
     X0,
     AxialExpr,
+    EvalPlan,
     _add_diff,
     d_lower,
     d_upper,
@@ -172,6 +173,12 @@ class AxialPair:
     @property
     def kappa(self) -> int:
         return 2 * self.k + self.m - 1
+
+    @cached_property
+    def plan(self) -> EvalPlan:
+        """A and B compiled into one plan on first evaluation, so a point computes each shared factor once;
+        `plan.values(x0, r)` gives `[A.evaluate(x0, r), B.evaluate(x0, r)]`."""
+        return EvalPlan(self.A.terms, self.B.terms)
 
     def scaled(self, c) -> "AxialPair":
         return AxialPair(self.m, self.k, self.A.scale(c), self.B.scale(c), self.pk)

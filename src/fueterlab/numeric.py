@@ -18,7 +18,7 @@ from operator import mul
 
 import mpmath
 
-from .axial import EvalDomainError, EvalPlan, pair_plan
+from .axial import EvalDomainError, EvalPlan
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
@@ -111,17 +111,17 @@ def _axial_value(m: int, values, pk, x0, xs: tuple, r: float) -> Multivector:
 
 def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
     """(A + w B) P_k at a point with r > 0, in binary64."""
-    return _axial_value(pair.m, pair_plan(pair.A, pair.B).values, pair.pk, pt.x0, pt.xs, pt.r)
+    return _axial_value(pair.m, pair.plan.values, pair.pk, pt.x0, pt.xs, pt.r)
 
 
 def axial_evaluator(pair: AxialPair):
     """Adapter (x0, xs) -> Multivector for the finite-difference oracle.
 
-    Gives `eval_axial(pair, EvalPoint(x0, xs))` bit for bit; the pair plan
+    Gives `eval_axial(pair, EvalPoint(x0, xs))` bit for bit; the pair's plan
     is bound once, and r is computed as `EvalPoint` computes it.
     """
     m, pk = pair.m, pair.pk
-    values = pair_plan(pair.A, pair.B).values
+    values = pair.plan.values
 
     def f(x0, xs):
         xs = tuple(xs)
@@ -367,7 +367,7 @@ def decay_scan(
     x0_vals = lin_range(-K, K, nx0)
     r_vals = lin_range(r_min, r_max, nr)
     if pair.pk is not None and pair.pk.is_one():
-        values = pair_plan(pair.A, pair.B).values
+        values = pair.plan.values
 
         def magnitude(x0, r):
             # the float `eval_axial(pair, EvalPoint(x0, (r, 0, ...))).norm()`, whose radius is sqrt(r * r)
@@ -473,7 +473,7 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     if not x0_vals or not r_vals:
         raise ValueError("sample grid needs at least one x0 and one r value")
     pair = sample_pair(target, m)
-    values = pair_plan(pair.A, pair.B).values
+    values = pair.plan.values
     zeros = (0.0,) * (m - 1)
     rows = []
     for x0 in x0_vals:
@@ -521,7 +521,7 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """Recompute every row of a sample CSV; True iff all values match bit-exactly."""
     m, header, rows = read_sample_csv(path)
     pair = sample_pair(target, m)
-    values = pair_plan(pair.A, pair.B).values
+    values = pair.plan.values
     mismatches = 0
     for row in rows:
         xs = tuple(row[1 : m + 1])

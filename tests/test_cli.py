@@ -337,8 +337,11 @@ def test_sample_rejects_nan_rows(capsys, tmp_path):
     [
         (["ck-gauss", "--m", "3", "--trunc", "171"], "0..170"),
         (["sample", "--target", "gauss-fund", "--m", "3", "--x0", "1e200", "--r", "1", "--out", "g.csv"], "overflow"),
+        # NaN values; then a finite closed value (~ -4.8e196) whose norm squares it past binary64
+        (["ck-gauss", "--m", "3", "--x0", "1e200"], "binary64 overflow"),
+        (["ck-gauss", "--m", "3", "--x0", "30", "--r", "1"], "binary64 overflow"),
     ],
-    ids=["trunc_171", "sample_x0_1e200"],
+    ids=["trunc_171", "sample_x0_1e200", "ck_gauss_x0_1e200", "ck_gauss_norm"],
 )
 def test_overflow_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

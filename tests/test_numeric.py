@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from fueterlab import numeric
-from fueterlab.axial import EvalDomainError, pair_plan
+from fueterlab.axial import EvalDomainError, EvalPlan
 from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
 from fueterlab.cliffpoly import CliffPoly, coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
@@ -24,6 +24,7 @@ from fueterlab.fueter import (
     gauss_fund_pair,
     normalized_gauss_fund_pair,
     seed,
+    vekua_ok,
 )
 from fueterlab.numeric import (
     EvalPoint,
@@ -359,6 +360,41 @@ def test_axial_evaluator_raises_as_eval_axial():
             with pytest.raises(exc) as info:
                 call()
             assert str(info.value) == msg
+
+
+def test_pair_plan_is_lazy_and_built_once(monkeypatch):
+    pair = gauss_fund_pair(5)
+    assert vekua_ok(pair)
+    # the exact checks never compile the pair for evaluation
+    assert "plan" not in pair.__dict__
+    eval_axial(pair, EvalPoint(0.5, (1.0, 0.0, 0.0, 0.0, 0.0)))
+    plan = pair.plan
+    assert pair.plan is plan and pair.__dict__["plan"] is plan
+    # decay_scan and axial_evaluator evaluate through that same plan
+    users = []
+    values = EvalPlan.values
+
+    def spy(self, *args):
+        users.append(self)
+        return values(self, *args)
+
+    monkeypatch.setattr(EvalPlan, "values", spy)
+    decay_scan(pair, K=1.0, r_min=0.5, r_max=2.0, nx0=3, nr=3)
+    axial_evaluator(pair)(0.5, (1.0, 0.0, 0.0, 0.0, 0.0))
+    assert len(users) == 10 and all(user is plan for user in users)
+
+
+def test_pair_plan_matches_per_expression_evaluation():
+    rng = random.Random(61)
+    for pair_of in (gauss_ck_pair, gauss_fund_pair):
+        for m in (3, 5, 7):
+            pair = pair_of(m)
+            for _ in range(8):
+                x0, r = rng.uniform(-3.0, 3.0), rng.uniform(1e-4, 5.0)
+                got = pair.plan.values(x0, r)
+                assert [v.hex() for v in got] == [pair.A.evaluate(x0, r).hex(), pair.B.evaluate(x0, r).hex()], (m, x0, r)
+                with mpmath.workdps(60):
+                    assert pair.plan.values_mp(x0, r) == [pair.A.evaluate_mp(x0, r), pair.B.evaluate_mp(x0, r)]
 
 
 def test_decay_scan_gauss_fund():
@@ -723,7 +759,7 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
             want = [_ref_sample_row(pair, EvalPoint(x0, (r,) + zeros)) for x0 in x0_vals for r in r_vals]
             assert list(map(_bits, rows)) == list(map(_bits, want)), (target, m)
             # rows in general directions, with -0.0 components, through verify_sample_csv and the row builder
-            values = pair_plan(pair.A, pair.B).values
+            values = pair.plan.values
             ref_rows = []
             for i in range(12):
                 d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else (-0.0, 0.0)[i % 2] for j in range(m)]

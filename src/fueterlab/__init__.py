@@ -21,10 +21,10 @@ from .cliffpoly import (
     format_poly,
     hermite_closed,
     hermite_rec,
-    is_homogeneous_monogenic,
     laplacian,
     parse_poly,
     poly_mul,
+    require_homogeneous_monogenic,
     sample_p0,
     sample_p1,
 )

@@ -2,6 +2,8 @@
 
 Exit codes: 0 all requested checks pass, 1 identity failure, 2 usage
 error, 3 unsupported hypothesis (even m), 4 invalid P_k, 5 I/O failure.
+A command returns 0 or 1 and raises every other outcome; `main` alone
+checks --m, prints the error and maps its class to a code.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from dataclasses import asdict
 from . import numeric, verify
 from .axial import format_axial
 from .clifford import _check_dimension
-from .cliffpoly import format_poly, hermite_closed, hermite_rec, parse_poly
+from .cliffpoly import InvalidPkError, format_poly, hermite_closed, hermite_rec, parse_poly
 from .fueter import (
     SEED_NAMES,
     EvenDimensionError,
-    InvalidPkError,
     axial_to_poly,
     fueter,
     gauss_ck_pair,
@@ -114,10 +115,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hermite(args) -> int:
-    _check_dimension(args.m)
-    if args.n < 0:
-        print("error: need n >= 0", file=sys.stderr)
-        return EXIT_USAGE
     if args.form in ("rec", "both"):
         rec = hermite_rec(args.n, args.m).poly
         print(f"rec:    {format_poly(rec)}")
@@ -132,18 +129,14 @@ def cmd_hermite(args) -> int:
 
 
 def cmd_fueter(args) -> int:
-    _check_dimension(args.m)
     pk = None
     if args.pk_file:
+        # the read stays inside: text that is not in the file's encoding is a P_k that does not parse
         try:
             with open(args.pk_file) as fh:
                 pk = parse_poly(fh.read().strip(), args.m)
-        except OSError as exc:
-            print(f"error: cannot read {args.pk_file}: {exc}", file=sys.stderr)
-            return EXIT_IO
         except ValueError as exc:
-            print(f"error: cannot parse P_k: {exc}", file=sys.stderr)
-            return EXIT_BAD_PK
+            raise InvalidPkError(f"cannot parse P_k: {exc}") from None
     s = make_seed(args.seed, args.n)
     pair = fueter(s, args.k, args.m, pk)
     pk_text = format_poly(pair.pk) if pair.pk is not None else "(generic)"
@@ -165,10 +158,8 @@ def cmd_fueter(args) -> int:
 
 
 def cmd_ck_gauss(args) -> int:
-    _check_dimension(args.m)
     if args.r < 0:
-        print("error: r must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("r must be nonnegative")
     xs = (args.r,) + (0.0,) * (args.m - 1)
     pt = numeric.EvalPoint(args.x0, xs)
     series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
@@ -193,12 +184,7 @@ def cmd_ck_gauss(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_dimension(args.m)
-    try:
-        nrows = numeric.write_sample_csv(args.out, args.target, args.m, args.x0, args.r)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    nrows = numeric.write_sample_csv(args.out, args.target, args.m, args.x0, args.r)
     print(f"wrote {nrows} rows to {args.out}")
     return EXIT_OK
 
@@ -273,6 +259,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(list(argv) if argv is not None else sys.argv[1:]))
     try:
+        if args.m is not None:  # every command has --m; only verify's is optional
+            _check_dimension(args.m)
         return args.func(args)
     except EvenDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)

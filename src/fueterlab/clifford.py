@@ -212,12 +212,6 @@ class Multivector:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def grades(self) -> set:
-        return {blade_grade(mask) for mask in self.coeffs}
-
     # --- arithmetic ---
 
     def _combine(self, other: "Multivector", sign: int) -> "Multivector":

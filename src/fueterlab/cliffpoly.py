@@ -406,35 +406,29 @@ def ck_extend_poly(f: CliffPoly) -> CliffPoly:
     return poly_sum(f.m, parts)
 
 
-@dataclass(frozen=True)
-class MonogenicityReport:
-    ok: bool
-    reason: str = ""
-    witness: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+class InvalidPkError(ValueError):
+    """The supplied polynomial is not homogeneous monogenic of the right degree."""
 
 
-def is_homogeneous_monogenic(p: CliffPoly, k: int) -> MonogenicityReport:
-    """Check that p is homogeneous of degree k in the vector variable
-    and annihilated by the Dirac operator."""
+def require_homogeneous_monogenic(p: CliffPoly, k: int) -> CliffPoly:
+    """p itself if it is homogeneous of degree k in the vector variable and
+    annihilated by the Dirac operator; otherwise InvalidPkError names the first failure."""
     if p.depends_on_x0():
-        return MonogenicityReport(False, "depends on x0")
+        raise InvalidPkError("invalid P_k: depends on x0")
     if p.is_zero():
-        return MonogenicityReport(False, "zero polynomial")
+        raise InvalidPkError("invalid P_k: zero polynomial")
     m = p.m
     for key, _ in p._d:
         exps = _unpack(m, key)
         if sum(exps) != k:
-            return MonogenicityReport(False, "not homogeneous", witness=str(exps))
+            raise InvalidPkError(f"invalid P_k: not homogeneous {exps}")
     d = dirac(p)._d
     if d:
         low = min(_unpack(m, key) for key, _ in d)
         packed = _pack(low)
         coeff = Multivector(m, {mask: v for (key, mask), v in d.items() if key == packed})
-        return MonogenicityReport(False, "not monogenic", witness=f"dirac term {low} -> {coeff}")
-    return MonogenicityReport(True)
+        raise InvalidPkError(f"invalid P_k: not monogenic dirac term {low} -> {coeff}")
+    return p
 
 
 def sample_p0(m: int) -> CliffPoly:

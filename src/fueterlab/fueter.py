@@ -30,6 +30,7 @@ from .axial import (
     R,
     SIN,
     TRIG_COS,
+    TRIG_NONE,
     TRIG_SIN,
     X0,
     AxialExpr,
@@ -42,11 +43,12 @@ from .axial import (
 )
 from .cliffpoly import (
     CliffPoly,
+    InvalidPkError,  # raised by require_homogeneous_monogenic; fueter.InvalidPkError is the same class
     ck_extend_poly,
-    is_homogeneous_monogenic,
     laplacian,
     poly_mul,
     poly_sum,
+    require_homogeneous_monogenic,
     sample_p0,
     sample_p1,
     vector_power,
@@ -57,10 +59,6 @@ SEED_NAMES = ("iz", "inv_z", "z_pow", "gauss", "gauss_fund")
 
 class EvenDimensionError(ValueError):
     """The transform hypothesis requires odd m."""
-
-
-class InvalidPkError(ValueError):
-    """The supplied polynomial is not homogeneous monogenic of the right degree."""
 
 
 def double_factorial(j: int) -> int:
@@ -100,7 +98,8 @@ def coeff_a(n: int, nu: int) -> int:
 class HoloSeed:
     """Real and imaginary part of a holomorphic f(z), with x -> x0, y -> r.
 
-    The Cauchy-Riemann equations are checked exactly at construction.
+    The Cauchy-Riemann equations are checked exactly at construction: at
+    k = 0 and m = 1 the Vekua system is exactly that system for (u, v).
     """
 
     name: str
@@ -109,7 +108,7 @@ class HoloSeed:
     n: int | None = None
 
     def __post_init__(self):
-        if not (self.u.diff("x0") == self.v.diff("r") and self.u.diff("r") == -self.v.diff("x0")):
+        if not vekua_ok(AxialPair(1, 0, self.u, self.v)):
             raise ValueError(f"seed {self.name!r} fails the Cauchy-Riemann equations")
 
     def scaled(self, c) -> "HoloSeed":
@@ -135,16 +134,11 @@ def seed(name: str, n: int | None = None) -> HoloSeed:
     if name == "z_pow":
         if n is None or n < 0:
             raise ValueError("z_pow seed needs an order n >= 0")
-        u = AxialExpr.zero()
-        v = AxialExpr.zero()
+        # real part from the even nu, imaginary part from the odd nu; the keys are distinct
+        parts = ({}, {})
         for nu in range(n + 1):
-            c = Fraction((-1) ** (nu // 2) * math.comb(n, nu))
-            term = AxialExpr.term(c, a=n - nu, b=nu)
-            if nu % 2 == 0:
-                u = u + term
-            else:
-                v = v + term
-        return HoloSeed(name, u, v, n)
+            parts[nu % 2][(n - nu, nu, 0, 0, TRIG_NONE)] = (-1) ** (nu // 2) * math.comb(n, nu)
+        return HoloSeed(name, AxialExpr(parts[0]), AxialExpr(parts[1]), n)
     if name == "gauss":
         # exp(z^2/2) = E (cos(xy) + i sin(xy))
         return HoloSeed(name, E * COS, E * SIN)
@@ -194,21 +188,14 @@ def _require_odd(m: int) -> None:
         raise EvenDimensionError(f"the transform requires odd m >= 1, got {m}")
 
 
-def _check_pk(pk: CliffPoly, k: int) -> CliffPoly:
-    report = is_homogeneous_monogenic(pk, k)
-    if not report:
-        raise InvalidPkError(f"invalid P_k: {report.reason} {report.witness}".strip())
-    return pk
-
-
 @lru_cache(maxsize=64)
 def default_pk(k: int, m: int) -> CliffPoly | None:
     """Shipped samples: 1 for k = 0, x1 e1 - x2 e2 for k = 1, none beyond.
     Built and checked once per (k, m); the same object comes back on every call."""
     if k == 0:
-        return _check_pk(sample_p0(m), k)
+        return require_homogeneous_monogenic(sample_p0(m), k)
     if k == 1 and m >= 2:
-        return _check_pk(sample_p1(m), k)
+        return require_homogeneous_monogenic(sample_p1(m), k)
     return None
 
 
@@ -222,7 +209,7 @@ def fueter(s: HoloSeed, k: int, m: int, pk: CliffPoly | None = None) -> AxialPai
     _require_odd(m)
     if k < 0:
         raise ValueError("degree k must be nonnegative")
-    pk = default_pk(k, m) if pk is None else _check_pk(pk, k)
+    pk = default_pk(k, m) if pk is None else require_homogeneous_monogenic(pk, k)
     order = k + (m - 1) // 2
     const = double_factorial(2 * k + m - 1)
     return AxialPair(m, k, d_lower(order, s.u).scale(const), d_upper(order, s.v).scale(const), pk)
@@ -255,12 +242,12 @@ CLOSED_FORM_IDS = RADIAL_FORM_IDS + ("ex1_full", "ex2_full", "prop2_m3_A", "prop
 
 
 def _trig_sum(base: str, pairs) -> AxialExpr:
-    """Sum of coeff * x0^nu * r^(nu-2n) * trig(x0 r + nu pi/2) terms."""
-    out = AxialExpr.zero()
+    """Sum of coeff * x0^nu * r^(nu-2n) * trig(x0 r + nu pi/2) terms; each nu gives a distinct key."""
+    terms = {}
     for coeff, nu, b in pairs:
         sign, tag = trig_shift(base, nu)
-        out = out + AxialExpr.term(Fraction(sign) * coeff, a=nu, b=b, t=tag)
-    return out
+        terms[(nu, b, 0, 0, tag)] = sign * coeff
+    return AxialExpr(terms)
 
 
 def closed_form(ident: str, n: int | None = None, m: int | None = None, k: int | None = None):

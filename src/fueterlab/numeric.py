@@ -23,7 +23,7 @@ from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, 
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
     AxialPair,
-    EvenDimensionError,
+    _require_odd,
     entire_remainder_pair,
     gauss_ck_pair,
     gauss_fund_pair,
@@ -205,8 +205,7 @@ def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
 
 def ck_gauss_restriction(x0: float, m: int) -> float:
     """Value of the Gaussian extension on the x_ = 0 axis (odd m only)."""
-    if m < 1 or m % 2 == 0:
-        raise EvenDimensionError(f"restriction formula needs odd m, got {m}")
+    _require_odd(m)
     total = 1.0
     # int * float converts the int as float() does; every product is exact in binary64 for m <= MAX_DIMENSION
     for n, prod in enumerate(_restriction_products(m)[1:], 1):
@@ -468,6 +467,7 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
 
     A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
     raises ValueError naming its grid point.  A row's norm is NaN exactly then.
+    A radius whose square is 0 in binary64 (r <= 0, or r below about 1.6e-162) names itself too.
     An empty x0 or r list raises ValueError too: `read_sample_csv` refuses a file with no rows.
     """
     if not x0_vals or not r_vals:
@@ -479,10 +479,11 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     for x0 in x0_vals:
         x0 = float(x0)
         for r in r_vals:
-            if r <= 0:
-                raise EvalDomainError("sample region requires r > 0")
             r = float(r)
-            row = _sample_row(values, x0, (r, *zeros), math.sqrt(r * r))
+            rr = r * r
+            if r < 0 or rr == 0:
+                raise EvalDomainError(f"sample region requires r > 0 with r * r > 0 in binary64, got r={r!r}")
+            row = _sample_row(values, x0, (r, *zeros), math.sqrt(rr))
             if math.isnan(row[-1]):
                 raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
             rows.append(row)

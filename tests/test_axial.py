@@ -23,7 +23,7 @@ from fueterlab.axial import (
     trig_shift,
 )
 from fueterlab.clifford import MixedVariantError
-from fueterlab.fueter import SEED_NAMES, AxialPair, fueter, gauss_fund_pair, seed, vekua_residual
+from fueterlab.fueter import SEED_NAMES, AxialPair, closed_form, coeff_a, fueter, gauss_fund_pair, seed, vekua_residual
 from fueterlab.sampling import random_axial, random_rational_axial
 
 term = AxialExpr.term
@@ -445,6 +445,34 @@ def test_seeds_are_built_once():
 def _store(expr):
     """The stored numerators in dict order with their types, and the denominator."""
     return [(key, type(n), n) for key, n in expr._num.items()], expr._den
+
+
+def test_term_sums_built_in_one_dict_match_repeated_addition():
+    # z^n's parts and the trig sums of e5-e7 are built as one term dict; the keys are distinct,
+    # so term order and denominator are those of adding one term at a time
+    def added(terms):
+        out = AxialExpr.zero()
+        for key, q in terms:
+            out = out + AxialExpr({key: q})
+        return out
+
+    for n in range(12):
+        s = seed("z_pow", n)
+        for part, parity in ((s.u, 0), (s.v, 1)):
+            ref = added(
+                ((n - nu, nu, 0, 0, ""), Fraction((-1) ** (nu // 2) * math.comb(n, nu)))
+                for nu in range(parity, n + 1, 2)
+            )
+            assert list(part.terms.items()) == list(ref.terms.items()) and _store(part) == _store(ref), (n, parity)
+        for ident, base, coeffs in (
+            ("e5", "cos", [(coeff_a(n, nu), nu) for nu in range(1, n + 1)]),
+            ("e6", "sin", [(coeff_a(n, nu), nu) for nu in range(1, n + 1)]),
+            ("e7", "sin", [(coeff_a(n + 1, nu + 1), nu) for nu in range(n + 1)]),
+        ):
+            shifted = (trig_shift(base, nu) + (c, nu) for c, nu in coeffs)
+            ref = added(((nu, nu - 2 * n, 0, 0, tag), Fraction(sign) * c) for sign, tag, c, nu in shifted)
+            expr = closed_form(ident, n)
+            assert list(expr.terms.items()) == list(ref.terms.items()) and _store(expr) == _store(ref), (ident, n)
 
 
 def test_radial_operators_equal_the_composed_chain():

@@ -217,7 +217,7 @@ def test_hermite_usage(capsys):
     code, out, err = run(capsys, "hermite", "--m", "0", "--n", "-1")
     assert (code, out, err) == (2, "", "error: dimension m must be in 1..16, got 0\n")
     code, out, err = run(capsys, "hermite", "--m", "3", "--n", "-1")
-    assert (code, out, err) == (2, "", "error: need n >= 0\n")
+    assert (code, out, err) == (2, "", "error: Hermite index must be nonnegative\n")
 
 
 def test_fueter_inv_z(capsys):
@@ -251,6 +251,23 @@ def test_fueter_unparsable_pk_exit_code(capsys, tmp_path, text):
     pk_file.write_text(text + "\n")
     code, out, err = run(capsys, "fueter", "--seed", "iz", "--m", "3", "--k", "1", "--pk-file", str(pk_file))
     assert code == 4 and "cannot parse P_k" in err and not out
+
+
+def test_fueter_pk_file_not_utf8_is_an_invalid_pk(capsys, tmp_path):
+    # the decode error comes from the read, which stays inside the parse: exit 4, not a usage error
+    pk_file = tmp_path / "pk.txt"
+    pk_file.write_bytes(b"1*x1*e1 \xff\xfe\n")
+    code, out, err = run(capsys, "fueter", "--seed", "iz", "--m", "3", "--k", "1", "--pk-file", str(pk_file))
+    assert code == 4 and "cannot parse P_k" in err and not out
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "a-directory"])
+def test_fueter_unreadable_pk_file_is_an_io_error(capsys, tmp_path, name):
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "fueter", "--seed", "iz", "--m", "3", "--k", "1", "--pk-file", path)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and path in err
 
 
 def test_fueter_custom_pk_accepted(capsys, tmp_path):
@@ -357,6 +374,18 @@ def test_sample_io_failure_exit_code(capsys):
         "--x0", "0", "--r", "1:2:5", "--out", "/nonexistent-dir/g.csv",
     )
     assert code == 5
+    assert err.startswith("error: ") and "/nonexistent-dir/g.csv" in err
+
+
+def test_sample_radius_whose_square_underflows(capsys, tmp_path):
+    # r > 0, but r * r is 0 in binary64: the grid point has no radius, and the message names it
+    out_csv = tmp_path / "g.csv"
+    code, out, err = run(
+        capsys, "sample", "--target", "gauss-fund", "--m", "3", "--x0", "0", "--r", "1e-200", "--out", str(out_csv)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "got r=1e-200" in err
+    assert not out_csv.exists()
 
 
 def test_console_entry_point():

@@ -8,6 +8,7 @@ from fueterlab.clifford import MixedVariantError, Multivector, blade_product
 from fueterlab.cliffpoly import (
     EXP_LIMIT,
     CliffPoly,
+    InvalidPkError,
     ck_extend_poly,
     coeff_c,
     cr_apply,
@@ -16,12 +17,12 @@ from fueterlab.cliffpoly import (
     format_poly,
     hermite_closed,
     hermite_rec,
-    is_homogeneous_monogenic,
     laplacian,
     parse_poly,
     poly_mul,
     poly_sum,
     radius_sq_poly,
+    require_homogeneous_monogenic,
     sample_p1,
     vector_power,
 )
@@ -119,16 +120,20 @@ def test_ck_rejects_x0_dependence():
         ck_extend_poly(CliffPoly.variable(3, 0))
 
 
-def test_is_homogeneous_monogenic():
+def test_require_homogeneous_monogenic():
     m = 2
-    assert is_homogeneous_monogenic(CliffPoly.one(m), 0).ok
-    assert is_homogeneous_monogenic(sample_p1(m), 1).ok
+    one, p1 = CliffPoly.one(m), sample_p1(m)
+    assert require_homogeneous_monogenic(one, 0) is one
+    assert require_homogeneous_monogenic(p1, 1) is p1
     bad = var(m, 1).coeff_mul_left(Multivector.basis(m, 2))
-    report = is_homogeneous_monogenic(bad, 1)
-    assert not report.ok
-    assert "e12" in report.witness
-    assert not is_homogeneous_monogenic(var(m, 1) + CliffPoly.one(m), 1).ok
-    assert not is_homogeneous_monogenic(var(m, 0), 1).ok
+    with pytest.raises(InvalidPkError, match=r"^invalid P_k: not monogenic dirac term .*e12"):
+        require_homogeneous_monogenic(bad, 1)
+    with pytest.raises(InvalidPkError, match=r"^invalid P_k: not homogeneous \(0, 0, 0\)$"):
+        require_homogeneous_monogenic(var(m, 1) + CliffPoly.one(m), 1)
+    with pytest.raises(InvalidPkError, match=r"^invalid P_k: depends on x0$"):
+        require_homogeneous_monogenic(var(m, 0), 1)
+    with pytest.raises(InvalidPkError, match=r"^invalid P_k: zero polynomial$"):
+        require_homogeneous_monogenic(CliffPoly.zero(m), 1)
 
 
 def test_coeff_c():

@@ -73,9 +73,15 @@ def test_seed_components():
         seed("z_pow")
 
 
-def test_seed_rejects_non_holomorphic_parts():
-    with pytest.raises(ValueError):
-        HoloSeed("bad", X0, X0)
+@pytest.mark.parametrize(
+    "u, v",
+    [(X0, X0), (R, AxialExpr.zero())],
+    ids=["first_equation", "second_equation_only"],
+)
+def test_seed_rejects_non_holomorphic_parts(u, v):
+    # (X0, X0) breaks du/dx0 = dv/dr; (R, 0) keeps it and breaks only du/dr = -dv/dx0
+    with pytest.raises(ValueError, match="Cauchy-Riemann"):
+        HoloSeed("bad", u, v)
 
 
 def test_seed_linear_combinations():

@@ -28,8 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-import mpmath
-
 from .clifford import MixedVariantError, _read_terms, power_text, write_terms
 
 TRIG_NONE = ""
@@ -391,12 +389,13 @@ class EvalPlan:
         return out
 
     def values_mp(self, x0, r) -> list:
-        """`values` under the ambient mpmath precision, from the exact coefficients."""
-        return self.values(mpmath.mpf(x0), mpmath.mpf(r), _mpf_of, mpmath)
+        """`values` under the ambient mpmath precision, from the exact coefficients.
 
+        mpmath is imported when this is called, so importing fueterlab does not load it.
+        """
+        import mpmath
 
-def _mpf_of(q) -> "mpmath.mpf":
-    return mpmath.mpf(q.numerator) / q.denominator
+        return self.values(mpmath.mpf(x0), mpmath.mpf(r), lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)
 
 
 # --- module-level operator interface ----------------------------------------

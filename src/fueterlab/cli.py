@@ -9,13 +9,10 @@ checks --m, prints the error and maps its class to a code.
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import json
 import math
 import os
-import platform
 import re
-import subprocess
 import sys
 from dataclasses import asdict
 
@@ -65,6 +62,8 @@ def parse_range(text: str) -> list:
 
 
 def _dist_version(dist: str):
+    import importlib.metadata
+
     try:
         return importlib.metadata.version(dist)
     except importlib.metadata.PackageNotFoundError:
@@ -73,6 +72,8 @@ def _dist_version(dist: str):
 
 def _git_revision():
     """HEAD of the git checkout holding this package's source, or None outside one."""
+    import subprocess
+
     try:
         proc = subprocess.run(
             ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "HEAD"],
@@ -86,7 +87,11 @@ def _git_revision():
 
 
 def run_environment() -> dict:
-    """Versions and git revision for the JSON report; numpy is looked up in the package metadata, never imported."""
+    """Versions and git revision for the JSON report; mpmath and numpy are looked up in the package metadata,
+    never imported.  This and its two helpers import what they use, so only `verify --json` loads
+    importlib.metadata, platform and subprocess."""
+    import platform
+
     return {
         "python": platform.python_version(),
         "mpmath": _dist_version("mpmath"),

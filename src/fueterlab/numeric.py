@@ -1,22 +1,24 @@
 """Floating-point evaluation, finite-difference oracles, and scans.
 
 Everything here works in binary64 except the pole-cancellation probe,
-which evaluates the exactly-subtracted remainder with mpmath because the
-cancellation near r = 0 grows like r^-m and would drown in roundoff at
-double precision.
+which evaluates the exactly-subtracted remainder in the standard
+library's `decimal` at `dps` digits, because the cancellation near r = 0
+grows like r^-m and would drown in roundoff at double precision.  At
+x0 = 0 the remainder holds only powers of r and exp(-r^2/2), which
+`decimal` rounds correctly, so the numeric layer never loads mpmath.
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import math
 import struct
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-
-import mpmath
 
 from .axial import EvalDomainError, EvalPlan
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
@@ -405,7 +407,9 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
     The subtraction cancels an r^-m singularity exactly in the term
     algebra, but the surviving terms still cancel analytically near 0, so
     the evaluation runs at dps decimal digits.  Boundedness of the values
-    is the numerical signature that the remainder is entire.
+    is the numerical signature that the remainder is entire.  The plan runs
+    on `decimal.Decimal` in a fresh context, so the caller's decimal
+    settings change no bit and are as they were afterwards.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(r <= 0 for r in radii):
@@ -413,13 +417,13 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
     pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
-    # one plan for both restrictions, so each mpmath factor is computed once per radius
+    # one plan for both restrictions, so each factor is computed once per radius
     plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
     values = []
-    with mpmath.workdps(dps):
+    with decimal.localcontext(decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN)) as ctx:
         for r in radii:
-            av, bv = plan.values_mp(0, r)
-            values.append(float(mpmath.sqrt(av * av + bv * bv)))
+            av, bv = plan.values(Decimal(0), Decimal(r), lambda q: Decimal(q.numerator) / q.denominator, ctx)
+            values.append(float((av * av + bv * bv).sqrt()))
     cap = max(1.0, 10.0 * values[0])
     bounded = all(v <= cap for v in values)
     return ProbeReport(m, radii, tuple(values), bounded, subtract_pole)
@@ -467,6 +471,8 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
 
     A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
     raises ValueError naming its grid point.  A row's norm is NaN exactly then.
+    A power of x0 or r that leaves binary64 (x0 = 1e200, or r = 1e-160, whose
+    square is subnormal) raises OverflowError naming its grid point.
     A radius whose square is 0 in binary64 (r <= 0, or r below about 1.6e-162) names itself too.
     An empty x0 or r list raises ValueError too: `read_sample_csv` refuses a file with no rows.
     """
@@ -483,7 +489,10 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
             rr = r * r
             if r < 0 or rr == 0:
                 raise EvalDomainError(f"sample region requires r > 0 with r * r > 0 in binary64, got r={r!r}")
-            row = _sample_row(values, x0, (r, *zeros), math.sqrt(rr))
+            try:
+                row = _sample_row(values, x0, (r, *zeros), math.sqrt(rr))
+            except OverflowError:
+                raise OverflowError(f"sample value is out of range at (x0={x0!r}, r={r!r})") from None
             if math.isnan(row[-1]):
                 raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
             rows.append(row)

@@ -354,11 +354,20 @@ def test_sample_rejects_nan_rows(capsys, tmp_path):
     [
         (["ck-gauss", "--m", "3", "--trunc", "171"], "0..170"),
         (["sample", "--target", "gauss-fund", "--m", "3", "--x0", "1e200", "--r", "1", "--out", "g.csv"], "overflow"),
+        # r * r is subnormal, so the point is off the axis and the plan's r^-2 leaves binary64
+        (
+            ["sample", "--target", "ck-gauss", "--m", "3", "--x0", "0.5", "--r", "1e-160", "--out", "g.csv"],
+            "binary64 overflow: sample value is out of range at (x0=0.5, r=1e-160)",
+        ),
+        (
+            ["sample", "--target", "gauss-fund", "--m", "3", "--x0", "0.5", "--r", "1e-160", "--out", "g.csv"],
+            "binary64 overflow: sample value is out of range at (x0=0.5, r=1e-160)",
+        ),
         # NaN values; then a finite closed value (~ -4.8e196) whose norm squares it past binary64
         (["ck-gauss", "--m", "3", "--x0", "1e200"], "binary64 overflow"),
         (["ck-gauss", "--m", "3", "--x0", "30", "--r", "1"], "binary64 overflow"),
     ],
-    ids=["trunc_171", "sample_x0_1e200", "ck_gauss_x0_1e200", "ck_gauss_norm"],
+    ids=["trunc_171", "sample_x0_1e200", "sample_ck_gauss_r_1e-160", "sample_gauss_fund_r_1e-160", "ck_gauss_x0_1e200", "ck_gauss_norm"],
 )
 def test_overflow_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

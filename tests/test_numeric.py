@@ -1,4 +1,5 @@
 import csv
+import decimal
 import math
 import random
 import subprocess
@@ -471,6 +472,18 @@ def test_entire_part_probe_bit_identical_to_two_evaluations():
             assert [v.hex() for v in got] == [v.hex() for v in want], (m, subtract_pole)
 
 
+def test_entire_part_probe_ignores_the_callers_decimal_context():
+    radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
+    want = {(m, sp): entire_part_probe(m, radii, subtract_pole=sp).values for m in (3, 5) for sp in (True, False)}
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+        before = repr(ctx)
+        for (m, sp), values in want.items():
+            got = entire_part_probe(m, radii, subtract_pole=sp).values
+            assert [v.hex() for v in got] == [v.hex() for v in values], (m, sp)
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
 def test_entire_part_probe_validation():
     with pytest.raises(ValueError):
         entire_part_probe(3, ())
@@ -858,20 +871,26 @@ def test_series_order_limits():
 
 
 def test_no_numpy_import(tmp_path):
-    """Importing fueterlab and running its numeric layer loads no numpy: a cold start stays cheap.
+    """Importing fueterlab and running its numeric layer, the pole probe included, loads neither
+    numpy nor mpmath: a cold start stays cheap.
 
-    `verify --json` records the numpy version from the package metadata, also without the import.
+    `verify --json` records both versions from the package metadata, also without the import;
+    no other command loads `importlib.metadata`.
     """
     code = (
         "import sys, fueterlab\n"
         "from fueterlab import cli, numeric, verify\n"
+        "before = set(sys.modules)\n"
+        "cli.main(['hermite', '--m', '3', '--n', '2'])\n"
+        "assert 'importlib.metadata' in before or 'importlib.metadata' not in sys.modules\n"
         "pair = fueterlab.gauss_fund_pair(3)\n"
         "numeric.decay_scan(pair, 2.0, 3.0, 8.0, 5, 5)\n"
         "numeric.sample_rows('ck-gauss', 3, [0.5], [1.0])\n"
         "numeric.ck_gauss_series(numeric.EvalPoint(0.5, (1.0, 0.0, 0.0)), 3)\n"
         "numeric.entire_part_probe(3, (1e-1, 1e-2))\n"
+        "numeric.entire_part_probe(5, (0.1, 1e-4), subtract_pole=False)\n"
         f"cli.main(['verify', '--suite', 'core', '--json', {str(tmp_path / 'report.json')!r}])\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] in ('numpy', 'mpmath')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -174,10 +174,6 @@ class AxialExpr:
     def term(cls, q, a: int = 0, b: int = 0, p: int = 0, g: int = 0, t: str = TRIG_NONE) -> "AxialExpr":
         return cls({(a, b, p, g, t): q})
 
-    @classmethod
-    def const(cls, q) -> "AxialExpr":
-        return cls.term(q)
-
     # --- bookkeeping ---
 
     def __bool__(self) -> bool:
@@ -465,7 +461,7 @@ def parse_axial(text: str) -> AxialExpr:
 
 
 # Convenience atoms.
-ONE = AxialExpr.const(1)
+ONE = AxialExpr.term(1)
 X0 = AxialExpr.term(1, a=1)
 R = AxialExpr.term(1, b=1)
 E = AxialExpr.term(1, g=1)

@@ -102,11 +102,6 @@ def blade_product_naive(indices_a, indices_b) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(out)
 
 
-def conjugation_sign(grade: int) -> int:
-    """Per-grade sign (-1)^(k(k+1)/2) of Clifford conjugation."""
-    return -1 if grade % 4 in (1, 2) else 1
-
-
 def mask_from_indices(indices, m: int) -> int:
     mask = 0
     for j in indices:
@@ -250,9 +245,10 @@ class Multivector:
         return self.scale(other)
 
     def conjugate(self) -> "Multivector":
+        """Clifford conjugation: a grade-k blade takes the sign (-1)^(k(k+1)/2)."""
         out = {}
         for mask, v in self.coeffs.items():
-            out[mask] = v if conjugation_sign(blade_grade(mask)) > 0 else -v
+            out[mask] = -v if blade_grade(mask) % 4 in (1, 2) else v
         return Multivector._of(self.m, out, self.exact)
 
     def grade(self, k: int) -> "Multivector":

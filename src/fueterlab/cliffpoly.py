@@ -228,10 +228,6 @@ class CliffPoly:
         c = _exact_scalar(value)
         return CliffPoly._of(self.m, {key: c * v for key, v in self._d.items()})
 
-    def coeff_mul_left(self, mv: Multivector) -> "CliffPoly":
-        """Left multiplication by a constant Clifford number."""
-        return poly_mul(CliffPoly.constant(self.m, mv), self)
-
     def __mul__(self, other):
         if isinstance(other, CliffPoly):
             return poly_mul(self, other)
@@ -429,11 +425,6 @@ def require_homogeneous_monogenic(p: CliffPoly, k: int) -> CliffPoly:
         coeff = Multivector(m, {mask: v for (key, mask), v in d.items() if key == packed})
         raise InvalidPkError(f"invalid P_k: not monogenic dirac term {low} -> {coeff}")
     return p
-
-
-def sample_p0(m: int) -> CliffPoly:
-    """Shipped degree-0 sample: the constant 1."""
-    return CliffPoly.one(m)
 
 
 def sample_p1(m: int) -> CliffPoly:

@@ -49,7 +49,6 @@ from .cliffpoly import (
     poly_mul,
     poly_sum,
     require_homogeneous_monogenic,
-    sample_p0,
     sample_p1,
     vector_power,
 )
@@ -193,7 +192,7 @@ def default_pk(k: int, m: int) -> CliffPoly | None:
     """Shipped samples: 1 for k = 0, x1 e1 - x2 e2 for k = 1, none beyond.
     Built and checked once per (k, m); the same object comes back on every call."""
     if k == 0:
-        return require_homogeneous_monogenic(sample_p0(m), k)
+        return require_homogeneous_monogenic(CliffPoly.one(m), k)
     if k == 1 and m >= 2:
         return require_homogeneous_monogenic(sample_p1(m), k)
     return None

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import decimal
 import math
-import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -241,27 +240,24 @@ def restriction_taylor_coeff(n: int, m: int) -> Fraction:
 # --- finite-difference monogenicity oracle ------------------------------------
 
 
-# (id(f), bits of the step and the point) -> (f, partials) of the last two stencils: the
-# left and right residuals at one point and step read the same partials.  The entry holds f,
-# so its id cannot be reused while the entry lives.  The library starts no threads.
+# (id(f), id(point), step) -> (f, point, partials) of the last two stencils: the left and
+# right residuals at one point object and step read the same partials.  The entry holds f and
+# the point, so their ids cannot be reused while the entry lives.  The library starts no threads.
 _FD_PARTIALS: dict = {}
 
 
 def _fd_partials(f, pt: EvalPoint, h: float) -> list:
     """For j = 0..m, {mask: coeff} of f(x + h u_j) - f(x - h u_j), u_0 the x0 direction.
 
-    f must be a function of the point: the partials of the last two (f, point,
-    step) calls are kept and handed out again.  A point or step that is not all
-    floats is never kept, since an int coordinate reaches f unshifted.
+    f must be a function of the point: the partials of the last two (f, point
+    object, step) calls are kept and handed out again.
     """
     m = pt.m
     coords = (pt.x0, *pt.xs)
-    key = None
-    if type(h) is float and all(type(c) is float for c in coords):
-        key = (id(f), struct.pack(f"{m + 2}d", h, *coords))
-        hit = _FD_PARTIALS.get(key)
-        if hit is not None:
-            return hit[1]
+    key = (id(f), id(pt), h)
+    hit = _FD_PARTIALS.get(key)
+    if hit is not None:
+        return hit[2]
 
     def shifted(j, step):
         c = list(coords)
@@ -279,10 +275,9 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
         for mask, v in shifted(j, -h).items():
             diff[mask] = diff.get(mask, 0) - v
         partials.append(diff)
-    if key is not None:
-        if len(_FD_PARTIALS) >= 2:
-            del _FD_PARTIALS[next(iter(_FD_PARTIALS))]
-        _FD_PARTIALS[key] = (f, partials)
+    if len(_FD_PARTIALS) >= 2:
+        del _FD_PARTIALS[next(iter(_FD_PARTIALS))]
+    _FD_PARTIALS[key] = (f, pt, partials)
     return partials
 
 
@@ -361,12 +356,19 @@ def decay_scan(
 
     The direction of x_ is irrelevant for the magnitude of an axial
     function, so the grid lives on the ray x_ = r e_1.  A NaN value
-    raises ValueError naming its grid point.
+    raises ValueError naming its grid point; a weight exp(r^2/2) that
+    leaves binary64 (r beyond about 37.7) raises OverflowError naming r.
     """
     if not (0 < r_min < r_max) or K <= 0:
         raise ValueError("need 0 < r_min < r_max and K > 0")
     x0_vals = lin_range(-K, K, nx0)
     r_vals = lin_range(r_min, r_max, nr)
+    weights = []
+    for r in r_vals:
+        try:
+            weights.append(math.exp(r * r / 2.0))
+        except OverflowError:
+            raise OverflowError(f"decay weight exp(r^2/2) is out of range at r={r!r}") from None
     if pair.pk is not None and pair.pk.is_one():
         values = pair.plan.values
 
@@ -385,8 +387,8 @@ def decay_scan(
 
     def row_max(x0):
         best = (-math.inf, 0.0, 0.0)
-        for r in r_vals:
-            val = magnitude(x0, r) * math.exp(r * r / 2.0)
+        for r, weight in zip(r_vals, weights):
+            val = magnitude(x0, r) * weight
             if val > best[0]:
                 best = (val, x0, r)
             elif math.isnan(val):
@@ -528,12 +530,21 @@ def read_sample_csv(path) -> tuple[int, list, list]:
 
 
 def verify_sample_csv(path, target: str) -> tuple[bool, int]:
-    """Recompute every row of a sample CSV; True iff all values match bit-exactly."""
+    """Recompute every row of a sample CSV; True iff all values match bit-exactly.
+
+    A recomputed value that leaves binary64 raises OverflowError naming the
+    row's line (the header is line 1, each row one line) and its x0 and r columns.
+    """
     m, header, rows = read_sample_csv(path)
     pair = sample_pair(target, m)
     values = pair.plan.values
     mismatches = 0
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         xs = tuple(row[1 : m + 1])
-        mismatches += row != _sample_row(values, row[0], xs, math.sqrt(math.fsum(x * x for x in xs)))
+        try:
+            mismatches += row != _sample_row(values, row[0], xs, math.sqrt(math.fsum(x * x for x in xs)))
+        except OverflowError:
+            raise OverflowError(
+                f"sample CSV line {line}: value is out of range at (x0={row[0]!r}, r={row[m + 1]!r})"
+            ) from None
     return mismatches == 0, len(rows)

@@ -69,8 +69,3 @@ def random_axial(rng: random.Random, trig: bool = True, exp_flag: bool = True, m
         )
         terms[key] = terms.get(key, 0) + random_fraction(rng)
     return AxialExpr(terms)
-
-
-def random_rational_axial(rng: random.Random) -> AxialExpr:
-    """Random element of the trig- and exp-free class, safe to multiply by anything."""
-    return random_axial(rng, trig=False, exp_flag=False)

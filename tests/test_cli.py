@@ -434,6 +434,16 @@ def test_verify_refuses_csv_with_no_rows(capsys, tmp_path):
         assert (code, out) == (2, "") and "no rows" in err
 
 
+def test_verify_from_names_the_row_that_overflows(capsys, tmp_path):
+    # r * r is subnormal, so the recomputed r^-2 leaves binary64: the error names the row's line, x0 and r
+    path = tmp_path / "t.csv"
+    row = (0.5, 1e-160, 0.0, 0.0, 1e-160, 1.0, 0.0, 0.0, 0.0, 1.0)
+    path.write_text(",".join(sample_header(3)) + "\n" + ",".join(map(repr, row)) + "\n")
+    code, out, err = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: binary64 overflow: sample CSV line 2: value is out of range at (x0=0.5, r=1e-160)\n"
+
+
 def test_verify_all_seed7_matches_golden(capsys):
     # the random draws of every suite come from --rng-seed; the golden file was written at seed 7
     code, out, err = run(capsys, "verify", "--suite", "all", "--rng-seed", "7")

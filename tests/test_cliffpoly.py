@@ -39,7 +39,7 @@ def var(m, j):
 
 def test_poly_mul_examples():
     m = 2
-    x1e1 = var(m, 1).coeff_mul_left(Multivector.basis(m, 1))
+    x1e1 = poly_mul(CliffPoly.constant(m, Multivector.basis(m, 1)), var(m, 1))
     sq = poly_mul(x1e1, x1e1)
     assert sq == -poly_mul(var(m, 1), var(m, 1))
     assert poly_mul(x_(m), x_(m)) == -radius_sq_poly(m)
@@ -72,7 +72,7 @@ def test_dirac_examples():
 def test_cr_examples():
     m = 3
     assert cr_apply(var(m, 0)) == CliffPoly.one(m)
-    p = var(m, 1) - var(m, 0).coeff_mul_left(Multivector.basis(m, 1))
+    p = var(m, 1) - poly_mul(CliffPoly.constant(m, Multivector.basis(m, 1)), var(m, 0))
     assert cr_apply(p).is_zero()
     assert cr_apply(var(m, 0).scale(m) + x_(m)).is_zero()
 
@@ -99,7 +99,7 @@ def test_ck_extension_examples():
     m = 3
     assert ck_extend_poly(CliffPoly.one(m)) == CliffPoly.one(m)
     # dirac(x1) = e1, so CK adds -x0 e1
-    expect = var(m, 1) - var(m, 0).coeff_mul_left(Multivector.basis(m, 1))
+    expect = var(m, 1) - poly_mul(CliffPoly.constant(m, Multivector.basis(m, 1)), var(m, 0))
     assert ck_extend_poly(var(m, 1)) == expect
     # dirac(x_) = -m, so CK adds +m x0
     assert ck_extend_poly(x_(m)) == x_(m) + var(m, 0).scale(m)
@@ -125,7 +125,7 @@ def test_require_homogeneous_monogenic():
     one, p1 = CliffPoly.one(m), sample_p1(m)
     assert require_homogeneous_monogenic(one, 0) is one
     assert require_homogeneous_monogenic(p1, 1) is p1
-    bad = var(m, 1).coeff_mul_left(Multivector.basis(m, 2))
+    bad = poly_mul(CliffPoly.constant(m, Multivector.basis(m, 2)), var(m, 1))
     with pytest.raises(InvalidPkError, match=r"^invalid P_k: not monogenic dirac term .*e12"):
         require_homogeneous_monogenic(bad, 1)
     with pytest.raises(InvalidPkError, match=r"^invalid P_k: not homogeneous \(0, 0, 0\)$"):

@@ -2,6 +2,7 @@ import csv
 import decimal
 import math
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -286,18 +287,25 @@ def test_fd_stencils_apart_by_bits_type_and_function():
         got = fd_cr_residual(f, pt, FDConfig(h), side)
         evaluated = f.calls - before
         assert got == _ref_fd_total(f, pt, FDConfig(h).step(pt), side).norm(), (pt, side)
+        assert len(numeric._FD_PARTIALS) <= 2
         return evaluated
 
+    # the memo is keyed on the point object: each new point gets its own stencil, which its
+    # left and right residuals share, also when a coordinate is an int
     # -0.0 and 0.0 in one coordinate: f reads the sign of xs[1]
     for zeros in ((-0.0, 0.0), (0.0, -0.0)):
         f = _Counting(m)
         for zero in zeros:
-            assert fresh_residual(f, EvalPoint(0.3, (0.7, zero, 0.2))) == 2 * (m + 1)
+            pt = EvalPoint(0.3, (0.7, zero, 0.2))
+            assert fresh_residual(f, pt) == 2 * (m + 1)
+            assert fresh_residual(f, pt, "right") == 0
     # an int coordinate and the same float
     for ones in ((1, 1.0), (1.0, 1)):
         f = _Counting(m)
         for one in ones:
-            assert fresh_residual(f, EvalPoint(0.5, (one, 0.25, 0.5))) == 2 * (m + 1)
+            pt = EvalPoint(0.5, (one, 0.25, 0.5))
+            assert fresh_residual(f, pt) == 2 * (m + 1)
+            assert fresh_residual(f, pt, "right") == 0
     # distinct functions at one point, also ones made and dropped in turn
     pt = EvalPoint(0.3, (0.7, -0.4, 0.2))
     kept = [_Counting(m, 1.0), _Counting(m, 2.0)]
@@ -717,8 +725,8 @@ def test_decay_scan_matches_brute_force(pair_of, K, r_min, r_max, nx0, nr):
 
 
 def test_decay_scan_overflows_past_r_38():
-    # exp(r^2/2) overflows binary64 beyond r ~ 37.7; the scan raises at the first such point
-    with pytest.raises(OverflowError):
+    # exp(r^2/2) overflows binary64 beyond r ~ 37.7; the scan names the first such radius
+    with pytest.raises(OverflowError, match=r"at r=38\.0$"):
         decay_scan(gauss_fund_pair(3), K=2.0, r_min=36.0, r_max=40.0, nx0=3, nr=3)
 
 
@@ -895,6 +903,17 @@ def test_no_numpy_import(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_root_has_every_name_the_benchmark_reads():
+    """The benchmark's workloads read these through `import fueterlab as fl`, and the subprocess of
+    `test_no_numpy_import` reads `fueterlab.gauss_fund_pair`: a trim of the re-exports fails here."""
+    import fueterlab
+
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    assert "import fueterlab as fl\n" in source
+    names = set(re.findall(r"\bfl\.(\w+)", source)) | {"gauss_fund_pair"}
+    assert sorted(name for name in names if not callable(getattr(fueterlab, name, None))) == []
 
 
 def test_fd_convergence_factor_is_the_ratio_of_two_left_residuals():

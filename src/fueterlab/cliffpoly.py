@@ -1,15 +1,19 @@
 """Exact polynomials in x0, x1, ..., xm with Clifford coefficients.
 
-A polynomial is one flat dict {(packed, mask): c}, c nonzero, int if integral
-and Fraction otherwise.  `packed` holds the exponent of x_j in bits
-W*j .. W*j + W - 1 (slot 0 for x0), so multiplying monomials adds keys and
-differentiating subtracts a unit; mask is the blade as encoded in
-`clifford`.  Exponents stay below 2^(W-1): the sum of two valid keys then
-never carries into the next slot, and a product or shift whose result
-reaches the limit raises ValueError.  `coeffs` is the read-only view
-{(exps, mask): c} with exponent tuples, in store order.  Coefficients sit
-on the left of their monomials; noncommutativity only enters through
-`blade_product`.
+A polynomial is one flat dict {(packed, mask): n} of nonzero int numerators
+over one positive int denominator, so the kernels add and multiply plain
+ints and never form a Fraction.  A result whose denominator grew past its
+operands' divides out the common factor of its denominator and numerators;
+the others keep their operand's denominator, so equality compares across
+denominators.  `packed` holds the exponent of x_j in bits W*j .. W*j + W - 1 (slot 0 for
+x0), so multiplying monomials adds keys and differentiating subtracts a
+unit; mask is the blade as encoded in `clifford`.  Exponents stay below
+2^(W-1): the sum of two valid keys then never carries into the next slot,
+and a product or shift whose result reaches the limit raises ValueError.
+`coeffs` is the read-only view {(exps, mask): c} with exponent tuples, in
+store order, c an int if integral and a reduced Fraction otherwise.
+Coefficients sit on the left of their monomials; noncommutativity only
+enters through `blade_product`.
 
 On top of the ring operations this module provides the Dirac operator,
 the generalized Cauchy-Riemann operator and its conjugate, the Laplacian,
@@ -32,7 +36,6 @@ from .clifford import (
     MixedVariantError,
     Multivector,
     _check_dimension,
-    _rational,
     _read_terms,
     blade_grade,
     blade_label,
@@ -47,7 +50,8 @@ EXP_LIMIT = 1 << (W - 1)
 _SLOT = (1 << W) - 1
 # the top bit of every slot: set in a key exactly when some exponent reached EXP_LIMIT
 _HIGH = sum(EXP_LIMIT << (W * j) for j in range(MAX_DIMENSION + 1))
-_ONE = {(0, 0): 1}
+_ONE_KEY = (0, 0)  # the monomial 1 with the scalar blade
+_ONE = {_ONE_KEY: 1}
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +76,18 @@ def _unit(m: int, j: int) -> tuple:
 
 
 def _exact_scalar(value):
+    """value as an int or a Fraction, which both have a numerator and a denominator."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise MixedVariantError("float scalar on exact polynomial; convert explicitly")
-    return _rational(Fraction(value))
+    return Fraction(value)
+
+
+def _over_one_den(values: dict) -> tuple:
+    """({key: int numerator}, den) of {key: int or Fraction}, den the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {key: v.numerator * (den // v.denominator) for key, v in values.items()}, den
 
 
 def _check_shift(n: int) -> None:
@@ -82,19 +95,19 @@ def _check_shift(n: int) -> None:
         raise ValueError(f"x0 shift {n} outside 0..{EXP_LIMIT - 1}")
 
 
-def _guarded(m: int, out: dict) -> "CliffPoly":
+def _guarded(m: int, out: dict, den: int, grew: bool = False) -> "CliffPoly":
     """CliffPoly._of after checking that no exponent of a computed key reached EXP_LIMIT."""
     for key, _ in out:
         if key & _HIGH:
             raise ValueError(f"exponent vector {_unpack(m, key)} reaches the limit {EXP_LIMIT}")
-    return CliffPoly._of(m, out)
+    return CliffPoly._of(m, out, den, grew)
 
 
 class CliffPoly:
     """Multivariate polynomial with exact Clifford coefficients, stored flat under packed keys."""
 
     # _coeffs, the tuple-keyed view, is built on first use
-    __slots__ = ("m", "_d", "_coeffs")
+    __slots__ = ("m", "_d", "_den", "_coeffs")
 
     def __init__(self, m: int, terms=None):
         """Validated constructor from {exponent tuple: exact Multivector}."""
@@ -109,22 +122,27 @@ class CliffPoly:
                 raise DimensionMismatchError(f"coefficient m={coeff.m} vs poly m={m}")
             key = _pack(exps)
             for mask, v in coeff.coeffs.items():
-                d[key, mask] = _rational(v)
+                d[key, mask] = v
+        d, den = _over_one_den(d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _of(cls, m: int, d: dict) -> "CliffPoly":
-        """Trusted constructor for a computed store; drops zeros, stores integral values as int."""
-        out = {}
-        for key, v in d.items():
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator
-            if v:
-                out[key] = v
+    def _of(cls, m: int, d: dict, den: int = 1, grew: bool = False) -> "CliffPoly":
+        """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
+        If den grew past the operands' own, its common factor with the numerators divides out."""
+        if 0 in d.values():
+            d = {key: n for key, n in d.items() if n}
+        if grew:
+            c = math.gcd(den, *d.values())
+            if c != 1:
+                den //= c
+                d = {key: n // c for key, n in d.items()}
         p = object.__new__(cls)
         object.__setattr__(p, "m", m)
-        object.__setattr__(p, "_d", out)
+        object.__setattr__(p, "_d", d)
+        object.__setattr__(p, "_den", den)
         return p
 
     def __setattr__(self, name, value):
@@ -136,7 +154,11 @@ class CliffPoly:
         try:
             return self._coeffs
         except AttributeError:
-            view = {(_unpack(self.m, key), mask): v for (key, mask), v in self._d.items()}
+            den = self._den
+            view = {
+                (_unpack(self.m, key), mask): n // den if n % den == 0 else Fraction(n, den)
+                for (key, mask), n in self._d.items()
+            }
             object.__setattr__(self, "_coeffs", MappingProxyType(view))
             return self._coeffs
 
@@ -182,7 +204,13 @@ class CliffPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffPoly):
             return NotImplemented
-        return self.m == other.m and self._d == other._d
+        if self.m != other.m:
+            return False
+        da, db, d = self._den, other._den, other._d
+        if da == db:
+            return self._d == d
+        # n / da == k / db on every key; a key missing from other reads 0, and no n is 0
+        return len(self._d) == len(d) and all(d.get(key, 0) * da == n * db for key, n in self._d.items())
 
     __hash__ = None
 
@@ -193,7 +221,8 @@ class CliffPoly:
         return not self._d
 
     def is_one(self) -> bool:
-        return self._d == _ONE
+        # one dict comparison in the common case: CliffPoly.one and the parser hold 1 over den 1
+        return self._d == _ONE if self._den == 1 else len(self._d) == 1 and self._d.get(_ONE_KEY) == self._den
 
     def depends_on_x0(self) -> bool:
         return any(key & _SLOT for key, _ in self._d)
@@ -207,26 +236,39 @@ class CliffPoly:
         if self.m != other.m:
             raise DimensionMismatchError(f"m={self.m} vs m={other.m}")
 
+    def _combine(self, other: "CliffPoly", sign: int) -> "CliffPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check(other)
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        out = dict(self._d) if ma == 1 else {key: n * ma for key, n in self._d.items()}
+        get = out.get
+        for key, n in other._d.items():
+            old = get(key)
+            out[key] = mb * n if old is None else old + mb * n
+        return CliffPoly._of(self.m, out, den, den > da and den > db)
+
     def __add__(self, other):
         if not isinstance(other, CliffPoly):
             return NotImplemented
-        self._check(other)
-        out = dict(self._d)
-        get = out.get
-        for key, v in other._d.items():
-            old = get(key)
-            out[key] = v if old is None else old + v
-        return CliffPoly._of(self.m, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, CliffPoly):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CliffPoly._of(self.m, {key: -v for key, v in self._d.items()})
+        return CliffPoly._of(self.m, {key: -n for key, n in self._d.items()}, self._den)
 
     def scale(self, value) -> "CliffPoly":
         c = _exact_scalar(value)
-        return CliffPoly._of(self.m, {key: c * v for key, v in self._d.items()})
+        n, d = c.numerator, c.denominator
+        # what the scalar's numerator shares with the denominator cancels at once
+        s = math.gcd(n, self._den)
+        n //= s
+        return CliffPoly._of(self.m, {key: n * v for key, v in self._d.items()}, self._den // s * d, d != 1)
 
     def __mul__(self, other):
         if isinstance(other, CliffPoly):
@@ -248,23 +290,25 @@ class CliffPoly:
             e = key >> shift & _SLOT
             if e:
                 out[key - unit, mask] = v * e
-        return CliffPoly._of(self.m, out)
+        return CliffPoly._of(self.m, out, self._den)
 
     def restrict_x0(self) -> "CliffPoly":
         """Substitute x0 = 0."""
-        return CliffPoly._of(self.m, {km: v for km, v in self._d.items() if not km[0] & _SLOT})
+        return CliffPoly._of(self.m, {km: v for km, v in self._d.items() if not km[0] & _SLOT}, self._den)
 
     def eval(self, x0: float, xs) -> Multivector:
         """Binary64 evaluation at a point of R^{m+1}."""
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
         total: dict = {}
-        for (exps, mask), c in self.coeffs.items():
+        den = self._den
+        for (exps, mask), n in zip(self.coeffs, self._d.values()):
             mono = x0 ** exps[0] if exps[0] else 1.0
             for x, e in zip(xs, exps[1:]):
                 if e:
                     mono *= x ** e
-            v = mono * float(c)
+            # int / int rounds correctly, as float(Fraction) does
+            v = mono * (n / den)
             if v:
                 # a cancelled blade leaves the dict: blade order fixes the rounding of later products
                 total[mask] = total.get(mask, 0) + v
@@ -299,7 +343,7 @@ def poly_mul(p: CliffPoly, q: CliffPoly) -> CliffPoly:
             prod = vp * vq
             old = get(key)
             out[key] = prod if old is None else old + prod
-    return _guarded(p.m, out)
+    return _guarded(p.m, out, p._den * q._den, p._den != 1 and q._den != 1)
 
 
 @lru_cache(maxsize=4096)
@@ -319,7 +363,6 @@ def _dirac_into(out: dict, p: CliffPoly, sign: int) -> dict:
             e = exps[j]
             if e:
                 k = key - unit, blade
-                # a Fraction on the left: int * Fraction takes Fraction's slower reflected path
                 c = v * e if s == sign else v * -e
                 old = get(k)
                 out[k] = c if old is None else old + c
@@ -328,7 +371,7 @@ def _dirac_into(out: dict, p: CliffPoly, sign: int) -> dict:
 
 def dirac(p: CliffPoly) -> CliffPoly:
     """Dirac operator: sum of e_j (d/dx_j) acting by left multiplication."""
-    return CliffPoly._of(p.m, _dirac_into({}, p, 1))
+    return CliffPoly._of(p.m, _dirac_into({}, p, 1), p._den)
 
 
 def _cr(p: CliffPoly, sign: int) -> CliffPoly:
@@ -338,7 +381,7 @@ def _cr(p: CliffPoly, sign: int) -> CliffPoly:
         e = key & _SLOT
         if e:
             out[key - 1, mask] = v * e
-    return CliffPoly._of(p.m, _dirac_into(out, p, sign))
+    return CliffPoly._of(p.m, _dirac_into(out, p, sign), p._den)
 
 
 def cr_apply(p: CliffPoly) -> CliffPoly:
@@ -365,24 +408,28 @@ def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
                 c = v * (e * (e - 1))
                 old = get(k)
                 out[k] = c if old is None else old + c
-    return CliffPoly._of(m, out)
+    return CliffPoly._of(m, out, p._den)
 
 
 def poly_sum(m: int, parts) -> CliffPoly:
-    """Sum of c * x0^s * p over the (c, s, p) in parts, added into one dict."""
-    out = {}
-    get = out.get
-    for c, s, p in parts:
+    """Sum of c * x0^s * p over the (c, s, p) in parts, added into one dict over the lcm
+    of the parts' denominators."""
+    parts = [(_exact_scalar(c), s, p) for c, s, p in parts]
+    for _, s, p in parts:
         if p.m != m:
             raise DimensionMismatchError(f"m={p.m} vs m={m}")
-        c = _exact_scalar(c)
         _check_shift(s)
+    dens = [c.denominator * p._den for c, _, p in parts]
+    den = math.lcm(*dens)
+    out = {}
+    get = out.get
+    for (c, s, p), d in zip(parts, dens):
+        w = c.numerator * (den // d)
         for (key, mask), v in p._d.items():
             k = key + s, mask
-            w = c * v if type(v) is int else v * c
             old = get(k)
-            out[k] = w if old is None else old + w
-    return _guarded(m, out)
+            out[k] = w * v if old is None else old + w * v
+    return _guarded(m, out, den, den > max(dens, default=1))
 
 
 def ck_extend_poly(f: CliffPoly) -> CliffPoly:
@@ -393,13 +440,15 @@ def ck_extend_poly(f: CliffPoly) -> CliffPoly:
     """
     if f.depends_on_x0():
         raise ValueError("CK extension input must not depend on x0")
-    parts = []
+    chain = []
     g = f
     while g:
-        n = len(parts)
-        parts.append((Fraction((-1) ** n, math.factorial(n)), n, g))
+        chain.append(g)
         g = dirac(g)
-    return poly_sum(f.m, parts)
+    # (-1)^n / n! is the int weight (-1)^n N!/n! over N!, so the sum forms no Fraction
+    top = math.factorial(max(len(chain) - 1, 0))
+    total = poly_sum(f.m, [((-1) ** n * (top // math.factorial(n)), n, g) for n, g in enumerate(chain)])
+    return CliffPoly._of(f.m, total._d, total._den * top, top != 1)
 
 
 class InvalidPkError(ValueError):
@@ -418,11 +467,10 @@ def require_homogeneous_monogenic(p: CliffPoly, k: int) -> CliffPoly:
         exps = _unpack(m, key)
         if sum(exps) != k:
             raise InvalidPkError(f"invalid P_k: not homogeneous {exps}")
-    d = dirac(p)._d
+    d = dirac(p).coeffs
     if d:
-        low = min(_unpack(m, key) for key, _ in d)
-        packed = _pack(low)
-        coeff = Multivector(m, {mask: v for (key, mask), v in d.items() if key == packed})
+        low = min(exps for exps, _ in d)
+        coeff = Multivector(m, {mask: v for (exps, mask), v in d.items() if exps == low})
         raise InvalidPkError(f"invalid P_k: not monogenic dirac term {low} -> {coeff}")
     return p
 
@@ -507,7 +555,7 @@ def hermite_step(h: CliffPoly) -> CliffPoly:
             w = v if sign > 0 else -v
             old = get(k)
             out[k] = w if old is None else old + w
-    return _guarded(m, _dirac_into(out, h, -1))
+    return _guarded(m, _dirac_into(out, h, -1), h._den)
 
 
 def hermite_rec(n: int, m: int) -> HermiteResult:
@@ -556,4 +604,4 @@ def parse_poly(text: str, m: int) -> CliffPoly:
             exps[int(name[1:])] += e
         key = _pack(exps), mask
         coeffs[key] = coeffs.get(key, 0) + value
-    return CliffPoly._of(m, coeffs)
+    return CliffPoly._of(m, *_over_one_den(coeffs))

@@ -532,8 +532,10 @@ def read_sample_csv(path) -> tuple[int, list, list]:
 def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """Recompute every row of a sample CSV; True iff all values match bit-exactly.
 
-    A recomputed value that leaves binary64 raises OverflowError naming the
-    row's line (the header is line 1, each row one line) and its x0 and r columns.
+    A recomputed value that leaves binary64 raises OverflowError, and a row whose
+    x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
+    raises EvalDomainError; both name the row's line (the header is line 1, each
+    row one line) and its x0 and r columns.
     """
     m, header, rows = read_sample_csv(path)
     pair = sample_pair(target, m)
@@ -543,8 +545,7 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
         xs = tuple(row[1 : m + 1])
         try:
             mismatches += row != _sample_row(values, row[0], xs, math.sqrt(math.fsum(x * x for x in xs)))
-        except OverflowError:
-            raise OverflowError(
-                f"sample CSV line {line}: value is out of range at (x0={row[0]!r}, r={row[m + 1]!r})"
-            ) from None
+        except (OverflowError, EvalDomainError) as exc:
+            what = "value is out of range" if isinstance(exc, OverflowError) else "x1..xm give r = 0 in binary64"
+            raise type(exc)(f"sample CSV line {line}: {what} at (x0={row[0]!r}, r={row[m + 1]!r})") from None
     return mismatches == 0, len(rows)

@@ -444,6 +444,18 @@ def test_verify_from_names_the_row_that_overflows(capsys, tmp_path):
     assert err == "error: binary64 overflow: sample CSV line 2: value is out of range at (x0=0.5, r=1e-160)\n"
 
 
+@pytest.mark.parametrize("x1", [0.0, 1e-170])
+def test_verify_from_names_the_row_on_the_axis(capsys, tmp_path, x1):
+    # x1 = 0, or x1 whose square underflows, gives r = 0: the error names the row's line, x0 and r
+    path = tmp_path / "z.csv"
+    good = (0.5, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    row = (0.5, x1, 0.0, 0.0, x1, 1.0, 0.0, 0.0, 0.0, 1.0)
+    path.write_text("\n".join([",".join(sample_header(3)), *(",".join(map(repr, r)) for r in (good, row))]) + "\n")
+    code, out, err = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: sample CSV line 3: x1..xm give r = 0 in binary64 at (x0=0.5, r={x1!r})\n"
+
+
 def test_verify_all_seed7_matches_golden(capsys):
     # the random draws of every suite come from --rng-seed; the golden file was written at seed 7
     code, out, err = run(capsys, "verify", "--suite", "all", "--rng-seed", "7")

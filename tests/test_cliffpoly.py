@@ -328,7 +328,7 @@ def _ref_eval(a, m, x0, xs):
 def _assert_matches(p, ref, m):
     assert [(k, type(v), v) for k, v in p.coeffs.items()] == [(k, type(v), v) for k, v in ref.items()]
     xs = [0.3 - 0.17 * j for j in range(m)]
-    for x0 in (-0.7, 1.9):  # the second call reads the float table the first one built
+    for x0 in (-0.7, 1.9):  # the second call reuses the coeffs view the first one built
         got = p.eval(x0, xs).coeffs
         want = _ref_eval(ref, m, x0, xs)
         assert [(k, float.hex(v)) for k, v in got.items()] == [(k, float.hex(v)) for k, v in want.items()]
@@ -396,6 +396,67 @@ def test_coeffs_view_is_read_only_and_kept():
     assert dict(p.coeffs) == {((1, 1, 0), 3): 3, ((0, 0, 1), 0): Fraction(-1, 2)}
     with pytest.raises(TypeError):
         p.coeffs[(0, 0, 0), 0] = 1
+
+
+def _assert_int_store(p):
+    # nonzero int numerators over one positive int denominator: no Fraction in the store
+    assert all(type(n) is int and n for n in p._d.values())
+    assert type(p._den) is int and p._den > 0
+
+
+def test_store_is_int_numerators_over_one_denominator():
+    rng = random.Random(2111)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        p = random_poly(rng, m, max_degree=3)
+        q = random_poly(rng, m, max_degree=2, n_terms=3, with_x0=True)
+        for r in (p, p + q, p - p, poly_mul(p, q), dirac(p), laplacian(q), ck_extend_poly(p.restrict_x0())):
+            _assert_int_store(r)
+        assert p.scale(Fraction(1, 6)).scale(6) == p
+        assert p.scale(Fraction(-2, 3)).scale(Fraction(-3, 2)) == p
+        # the same values held over another denominator compare equal to p, both ways
+        twin = CliffPoly._of(m, {key: 6 * n for key, n in p._d.items()}, 6 * p._den)
+        assert twin == p and p == twin
+        _assert_int_store(twin)
+        if p:
+            assert twin != p.scale(2) and twin != p + var(m, 1) and twin != CliffPoly.zero(m)
+    half = parse_poly("1/2*x1^2*e1 + 3/2*x2", 2)
+    assert half._den == 2
+    # derivatives keep the denominator: 2/2 x1 e1 is held over 2 and equals its int twin
+    d = half.diff(1)
+    assert d._den == 2 and d == parse_poly("1*x1*e1", 2) and parse_poly("1*x1*e1", 2) == d
+    assert dict(d.coeffs) == {((0, 1, 0), 1): 1} and d != parse_poly("1/2*x1*e1", 2)
+    assert half.scale(2) == parse_poly("1*x1^2*e1 + 3*x2", 2)
+    assert half + half.scale(-1) == CliffPoly.zero(2)
+
+
+def test_is_one_for_one_held_as_n_over_n():
+    m = 3
+    for n in (1, 2, 7, 10**30):
+        assert CliffPoly._of(m, {(0, 0): n}, n).is_one()
+        assert not CliffPoly._of(m, {(0, 0): n}, n + 1).is_one()
+    assert CliffPoly.one(m).scale(Fraction(1, 3)).scale(3).is_one()
+    assert CliffPoly.constant(m, Fraction(5, 5)).is_one()
+    assert not CliffPoly.constant(m, Fraction(1, 5)).is_one()
+
+
+def test_coeffs_types_and_order_after_ck_and_poly_mul():
+    # values are int when integral and reduced Fractions otherwise, in the order of the Fraction kernels
+    rng = random.Random(2112)
+    for i in range(40):
+        m = 1 + i % 5
+        f = random_poly(rng, m, max_degree=4, with_x0=False)
+        g = random_poly(rng, m, max_degree=2, n_terms=3, with_x0=True)
+        for p, ref in (
+            (ck_extend_poly(f), _ref_ck(dict(f.coeffs), m)),
+            (poly_mul(f, g), _ref_mul(dict(f.coeffs), dict(g.coeffs))),
+            (poly_mul(g, ck_extend_poly(f)), _ref_mul(dict(g.coeffs), _ref_ck(dict(f.coeffs), m))),
+        ):
+            _assert_matches(p, ref, m)
+    # a rational input whose CK extension is integral: 1/2 x1^2 -> 1/2 x1^2 - x0 x1 e1 - 1/2 x0^2
+    ck = ck_extend_poly(parse_poly("1/2*x1^2", 1))
+    assert list(ck.coeffs.items()) == [(((0, 2), 0), Fraction(1, 2)), (((1, 1), 1), -1), (((2, 0), 0), Fraction(-1, 2))]
+    assert [type(v) for v in ck.coeffs.values()] == [Fraction, int, Fraction]
 
 
 def test_exponent_limit():

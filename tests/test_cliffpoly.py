@@ -453,7 +453,7 @@ def test_coeffs_types_and_order_after_ck_and_poly_mul():
             (poly_mul(g, ck_extend_poly(f)), _ref_mul(dict(g.coeffs), _ref_ck(dict(f.coeffs), m))),
         ):
             _assert_matches(p, ref, m)
-    # a rational input whose CK extension is integral: 1/2 x1^2 -> 1/2 x1^2 - x0 x1 e1 - 1/2 x0^2
+    # a rational input whose CK extension mixes both types: 1/2 x1^2 -> 1/2 x1^2 - x0 x1 e1 - 1/2 x0^2
     ck = ck_extend_poly(parse_poly("1/2*x1^2", 1))
     assert list(ck.coeffs.items()) == [(((0, 2), 0), Fraction(1, 2)), (((1, 1), 1), -1), (((2, 0), 0), Fraction(-1, 2))]
     assert [type(v) for v in ck.coeffs.values()] == [Fraction, int, Fraction]

@@ -35,7 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "fueterlab-bench-trajectory/1"
 SUITES = ("core", "operators", "examples", "hermite", "gauss", "gauss_fund")
-SUITE_REPEATS = 3  # verify runs per suite and side
+SUITE_REPEATS = 5  # verify runs per suite and side
 SIDE_KEYS = ("git_revision", "python", "nproc", "records")
 METRIC_KEYS = ("unit", "better", "pairs", "wins", "parent_median", "change_median", "parent_q1", "parent_q3", "change")
 

@@ -24,6 +24,7 @@ vanishes.  `AxialExpr.__eq__` implements exactly this decision.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -397,21 +398,37 @@ class EvalPlan:
 # --- module-level operator interface ----------------------------------------
 
 
+_ITERATES: dict = {}
+
+
 def _radial(n: int, expr: AxialExpr, pre: int, post: int) -> AxialExpr:
-    if n < 0:
+    """chain[n] of expr's iterates [expr, D expr, D^2 expr, ...] under D = r^post d/dr r^pre.
+
+    The chains of the last two (expr, pre, post) are kept, keyed on id(expr);
+    each chain holds expr, so its id is not reused while the entry lives.  A
+    call extends a kept chain past its length only, so a Leibniz sum or an
+    (m, k) ladder over one seed makes one pass per order.
+    """
+    if operator.index(n) < 0:
         raise ValueError("operator order must be nonnegative")
-    for _ in range(n):
-        expr = AxialExpr._of(_add_diff({}, expr._num, "r", pre=pre, post=post), expr._den)
-    return expr
+    key = (id(expr), pre, post)
+    chain = _ITERATES.pop(key, None) or [expr]
+    _ITERATES[key] = chain
+    if len(_ITERATES) > 2:
+        del _ITERATES[next(iter(_ITERATES))]
+    while len(chain) <= n:
+        last = chain[-1]
+        chain.append(AxialExpr._of(_add_diff({}, last._num, "r", pre=pre, post=post), last._den))
+    return chain[n]
 
 
 def d_lower(n: int, expr: AxialExpr) -> AxialExpr:
-    """n-fold (1/r d/dr), one pass per order; order 0 is the identity."""
+    """n-fold (1/r d/dr), one pass per order not yet kept by `_radial`; order 0 is the identity."""
     return _radial(n, expr, 0, -1)
 
 
 def d_upper(n: int, expr: AxialExpr) -> AxialExpr:
-    """n-fold d/dr(./r), innermost first, one pass per order; order 0 is the identity."""
+    """n-fold d/dr(./r), innermost first, one pass per order not yet kept by `_radial`; order 0 is the identity."""
     return _radial(n, expr, -1, 0)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fueterlab import axial
 from fueterlab.axial import (
     COS,
     E,
@@ -486,6 +487,105 @@ def test_radial_operators_equal_the_composed_chain():
                     assert _store(d_lower(order, f)) == _store(lower), (name, n, order)
                     assert _store(d_upper(order, f)) == _store(upper), (name, n, order)
                     lower, upper = lower.diff("r").div_r(), upper.div_r().diff("r")
+
+
+# --- the kept iterate chains of _radial -------------------------------------------------
+
+MEMO_ORDERS = 9
+
+
+def _seed_parts():
+    for name in SEED_NAMES:
+        for n in (0, 3, 7) if name == "z_pow" else (None,):
+            s = seed(name, n)
+            yield name, n, s.u, s.v
+
+
+def _composed(f, lower):
+    """[f, D f, ..., D^8 f] built by diff and div_r, D = 1/r d/dr or d/dr(./r)."""
+    chain = [f]
+    for _ in range(MEMO_ORDERS - 1):
+        chain.append(chain[-1].diff("r").div_r() if lower else chain[-1].div_r().diff("r"))
+    return chain
+
+
+def test_radial_memo_gives_the_composed_chain_in_any_call_order():
+    for name, n, u, v in _seed_parts():
+        for op, lower in ((d_lower, True), (d_upper, False)):
+            for f in (u, v):
+                want = [_store(x) for x in _composed(f, lower)]
+                for order in range(MEMO_ORDERS):  # nothing kept
+                    axial._ITERATES.clear()
+                    assert _store(op(order, f)) == want[order], (name, n, order)
+                axial._ITERATES.clear()
+                for order in range(MEMO_ORDERS):  # each call one pass past the kept chain
+                    assert _store(op(order, f)) == want[order], (name, n, order)
+                axial._ITERATES.clear()
+                for order in reversed(range(MEMO_ORDERS)):  # the first call builds the chain
+                    assert _store(op(order, f)) == want[order], (name, n, order)
+            # a Leibniz sum reads D^(n-nu) u and D^nu v in turn, so the two chains alternate
+            axial._ITERATES.clear()
+            want_u = [_store(x) for x in _composed(u, lower)]
+            want_v = [_store(x) for x in _composed(v, lower)]
+            top = MEMO_ORDERS - 1
+            for nu in range(top + 1):
+                assert _store(op(top - nu, u)) == want_u[top - nu], (name, n, nu)
+                assert _store(op(nu, v)) == want_v[nu], (name, n, nu)
+                assert len(axial._ITERATES) <= 2
+
+
+def test_radial_memo_keeps_at_most_two_chains():
+    axial._ITERATES.clear()
+    rng = random.Random(22)
+    exprs = [random_axial(rng) for _ in range(5)]
+    for _ in range(60):
+        f = rng.choice(exprs)
+        (d_lower if rng.random() < 0.5 else d_upper)(rng.randint(0, 4), f)
+        assert len(axial._ITERATES) <= 2
+    # the last call's chain is the newest entry, and each chain starts at its expression
+    d_upper(2, exprs[0])
+    assert next(reversed(axial._ITERATES)) == (id(exprs[0]), -1, 0)
+    assert all(key[0] == id(chain[0]) for key, chain in axial._ITERATES.items())
+
+
+def test_radial_memo_extends_the_kept_chain(monkeypatch):
+    passes = []
+    real = axial._add_diff
+
+    def counted(*args, **kwargs):
+        passes.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(axial, "_add_diff", counted)
+    axial._ITERATES.clear()
+    f = seed("gauss_fund").u
+    d_lower(5, f)
+    assert len(passes) == 5
+    passes.clear()
+    d_lower(8, f)
+    assert passes == ["r"] * 3
+    passes.clear()
+    d_lower(6, f)  # already kept
+    d_upper(0, f)  # order 0 is f itself
+    assert passes == []
+    d_upper(2, f)  # another operator is another chain
+    assert len(passes) == 2
+
+
+def test_radial_memo_untouched_by_a_bad_order():
+    axial._ITERATES.clear()
+    f = seed("gauss").u
+    d_lower(3, f)
+    def kept():
+        return {key: [id(x) for x in chain] for key, chain in axial._ITERATES.items()}
+
+    before = kept()
+    for op in (d_lower, d_upper):
+        with pytest.raises(TypeError):
+            op(2.0, f)
+        with pytest.raises(ValueError, match="nonnegative"):
+            op(-1, f)
+        assert kept() == before
 
 
 def test_is_zero_matches_reference_on_vekua_ladder():

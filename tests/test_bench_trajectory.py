@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ def _record(workload, seed, revision, wall_s, trace=0, ok_ratio=1.0):
     e2e = {name: 1.0 for name in SPEC}
     e2e.update(wall_s=wall_s, ok_ratio=ok_ratio)
     meta = {"workload": workload, "seed": seed, "trace": trace, "python": "3.11.7", "git_revision": revision, "nproc": 2}
-    return {"record": meta, "end_to_end": e2e}
+    # unscaled passes: set-ups of 0.1 s and walls around ten times the scaled wall
+    passes = [{"setup_s": 0.1, "wall_s": 10 * wall_s + d} for d in (-1, 0, 0.5)]
+    return {"record": meta, "end_to_end": e2e, "passes": passes}
 
 
 def _write(out_dir, records):
@@ -51,6 +54,11 @@ def test_summary_medians_quartiles_and_wins():
     assert entry["metrics"]["setup_s"]["wins"] == 0
     assert doc["parent"] == {"git_revision": "aaa", "python": ["3.11.7"], "nproc": [2], "records": 5}
     assert doc["change"]["records"] == 6
+    # unscaled: the median over the paired seeds of each run's median pass
+    assert entry["unscaled"] == {
+        "setup_s": {"parent_median": 0.1, "change_median": 0.1},
+        "wall_s": {"parent_median": 50, "change_median": 40},
+    }
 
 
 def test_records_group_by_revision(tmp_path):
@@ -87,6 +95,10 @@ def test_check_names_the_faults(tmp_path, capsys):
         lambda d: d["workloads"]["poly_exact"]["metrics"]["op_p50_ms"].update(unit="s"),
         lambda d: d["change"].pop("git_revision"),
         lambda d: d.update(suites={"core": {"parent_s": 1.0}}),
+        lambda d: d["workloads"]["poly_exact"]["unscaled"].pop("setup_s"),
+        lambda d: d["workloads"]["poly_exact"]["unscaled"]["wall_s"].update(change_median=-1.0),
+        lambda d: d.update(tier1={"parent_s": 9.0}),
+        lambda d: d.update(tier1={"parent_s": 9.0, "change_s": float("inf")}),
     ):
         doc = _doc()
         edit(doc)
@@ -101,6 +113,56 @@ def test_check_names_the_faults(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == f"1 of {len(broken) + 1} trajectory files well formed\n"
     assert len(err.splitlines()) == len(broken) and "wins outside 0..pairs" in err
+
+
+def test_check_accepts_files_without_unscaled_times_or_tier1():
+    # files written before the unscaled medians and the tier-1 time hold neither key
+    doc = _doc()
+    del doc["workloads"]["poly_exact"]["unscaled"]
+    assert "tier1" not in doc and bt.check(doc, SPEC) == []
+    doc["tier1"] = {"parent_s": 9.5, "change_s": 8.25}
+    assert bt.check(doc, SPEC) == []
+
+
+def test_tier1_runs_once_per_side_parent_first(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd[1:], cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 1 if cwd == "broken" else 0, stdout="1 failed\n", stderr="")
+
+    monkeypatch.setattr(bt.subprocess, "run", fake_run)
+    t = bt.time_tier1("p", "c")
+    assert set(t) == {"parent_s", "change_s"} and all(v >= 0 for v in t.values())
+    assert [cwd for _, cwd, _ in calls] == ["p", "c"]
+    assert calls[0] == (list(bt.TIER1), "p", str(Path("p") / "src"))
+    with pytest.raises(RuntimeError, match="tier-1 run exited 1 in broken: 1 failed"):
+        bt.time_tier1("p", "broken")
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args], check=True, capture_output=True)
+
+
+def test_refuses_a_checkout_with_uncommitted_src(tmp_path, capsys):
+    repo = tmp_path / "change"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "a.py").write_text("x = 1\n")
+    (repo / "notes.txt").write_text("kept out of src\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "src")
+    _git(repo, "commit", "-q", "-m", "seed")
+    assert bt.uncommitted_src(str(repo)) == []  # an untracked file outside src/ does not count
+    assert bt.uncommitted_src(str(tmp_path)) == []  # not a git work tree
+    (repo / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    (repo / "src" / "pkg" / "b.py").write_text("y = 1\n")
+    assert bt.uncommitted_src(str(repo)) == ["src/pkg/a.py", "src/pkg/b.py"]
+    out = tmp_path / "BENCH_1.json"
+    assert bt.main(["--parent", str(tmp_path), "--change", str(repo), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "uncommitted changes under src/" in err
+    assert "change: src/pkg/a.py" in err and "change: src/pkg/b.py" in err
+    assert not out.exists()
 
 
 def test_committed_trajectories_are_well_formed():

@@ -8,13 +8,18 @@ own HEAD, so records left by runs at other revisions are skipped.  Parent
 and change records of the same workload and seed form a pair.  Per
 workload and end-to-end metric of BENCHMARK.json it writes the parent and
 change medians, the parent's quartiles and the change's wins (strictly
-better, in the metric's direction) out of the pairs.  It also times
-`fueterlab verify --suite <s> --json` per suite in both checkouts,
-alternating between them, and keeps the median wall time of each.
-Standard library only:
+better, in the metric's direction) out of the pairs.  Beside them it
+writes, per workload and side, the medians of the unscaled pass times
+(`setup_s` and `wall_s` under each record's "passes"): the scaled metrics
+are in units of a reference loop, which itself slows when a pass keeps
+more objects alive.  It also times `fueterlab verify --suite <s> --json`
+per suite in both checkouts, alternating between them, and keeps the
+median wall time of each, and times one tier-1 run per side.  It refuses
+(exit 2) a checkout with uncommitted changes under src/, since
+perfbench/run.py files such runs under HEAD.  Standard library only:
 
     # after alternating parent/change runs of perfbench/run.py, same seeds on both sides
-    python3 tools/bench_trajectory.py --parent ../parent --change . --out BENCH_21.json
+    python3 tools/bench_trajectory.py --parent ../parent --change . --out BENCH_22.json
     # exits 1 if a file is malformed, naming its faults
     python3 tools/bench_trajectory.py --check BENCH_*.json
 """
@@ -38,6 +43,9 @@ SUITES = ("core", "operators", "examples", "hermite", "gauss", "gauss_fund")
 SUITE_REPEATS = 5  # verify runs per suite and side
 SIDE_KEYS = ("git_revision", "python", "nproc", "records")
 METRIC_KEYS = ("unit", "better", "pairs", "wins", "parent_median", "change_median", "parent_q1", "parent_q3", "change")
+UNSCALED = ("setup_s", "wall_s")  # unscaled per-pass times each run record keeps under "passes"
+SIDE_MEDIANS = ("parent_median", "change_median")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def end_to_end_spec(root: str = ROOT) -> dict:
@@ -54,6 +62,17 @@ def git_revision(checkout: str) -> str:
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def uncommitted_src(checkout: str) -> list:
+    """Paths under checkout's src/ that differ from HEAD or are untracked; empty outside a git work tree."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", checkout, "status", "--porcelain", "--", "src"], capture_output=True, text=True, timeout=10
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return []
+    return [line[3:] for line in proc.stdout.splitlines()] if proc.returncode == 0 else []
 
 
 def group_records(paths) -> dict:
@@ -123,7 +142,17 @@ def summarize(parent: tuple, change: tuple, spec: dict) -> dict:
                 # relative change of the medians; 0 when both are 0
                 "change": (c_med - p_med) / p_med if p_med else float(c_med != p_med),
             }
-        workloads[workload] = {"seeds": seeds, "metrics": metrics}
+        unscaled = {
+            # the median over the seeds of each run's median pass
+            name: {
+                f"{side}_median": statistics.median(
+                    statistics.median(p[name] for p in recs[workload, s]["passes"]) for s in seeds
+                )
+                for side, recs in (("parent", p_recs), ("change", c_recs))
+            }
+            for name in UNSCALED
+        }
+        workloads[workload] = {"seeds": seeds, "metrics": metrics, "unscaled": unscaled}
     return {
         "schema": SCHEMA,
         "parent": _side(p_rev, p_recs),
@@ -133,14 +162,15 @@ def summarize(parent: tuple, change: tuple, spec: dict) -> dict:
     }
 
 
-def _suite_seconds(checkout: str, suite: str, report: str) -> float:
+def _run_seconds(checkout: str, args: list, what: str) -> float:
+    """Wall time of `python <args>` in checkout, importing its src/ and writing no bytecode."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "fueterlab.cli", "verify", "--suite", suite, "--json", report]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
     if proc.returncode != 0:
-        raise RuntimeError(f"verify --suite {suite} exited {proc.returncode} in {checkout}: {proc.stderr.strip()}")
+        detail = proc.stderr.strip() or proc.stdout.strip()[-500:]  # pytest reports on stdout
+        raise RuntimeError(f"{what} exited {proc.returncode} in {checkout}: {detail}")
     return seconds
 
 
@@ -153,7 +183,8 @@ def time_suites(parent_dir: str, change_dir: str, repeats: int = SUITE_REPEATS) 
             times: dict = {"parent": [], "change": []}
             for _ in range(repeats):
                 for side, checkout in (("parent", parent_dir), ("change", change_dir)):
-                    times[side].append(_suite_seconds(checkout, suite, report))
+                    args = ["-m", "fueterlab.cli", "verify", "--suite", suite, "--json", report]
+                    times[side].append(_run_seconds(checkout, args, f"verify --suite {suite}"))
             out[suite] = {
                 "parent_s": statistics.median(times["parent"]),
                 "change_s": statistics.median(times["change"]),
@@ -162,8 +193,20 @@ def time_suites(parent_dir: str, change_dir: str, repeats: int = SUITE_REPEATS) 
     return out
 
 
+def time_tier1(parent_dir: str, change_dir: str) -> dict:
+    """{"parent_s", "change_s"}: wall time of one tier-1 pytest run per checkout, parent first."""
+    return {
+        f"{side}_s": _run_seconds(checkout, TIER1, "tier-1 run")
+        for side, checkout in (("parent", parent_dir), ("change", change_dir))
+    }
+
+
 def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
+
+
+def _nonneg(x) -> bool:
+    return _finite(x) and x >= 0
 
 
 def check(doc, spec: dict) -> list:
@@ -198,6 +241,13 @@ def check(doc, spec: dict) -> list:
                 faults.append(f"{where}: wins outside 0..pairs")
             elif not m["parent_q1"] <= m["parent_median"] <= m["parent_q3"]:
                 faults.append(f"{where}: parent median outside its quartiles")
+        unscaled = entry.get("unscaled")  # absent before BENCH_22
+        if unscaled is not None and not (
+            isinstance(unscaled, dict)
+            and set(unscaled) == set(UNSCALED)
+            and all(isinstance(t, dict) and all(_nonneg(t.get(k)) for k in SIDE_MEDIANS) for t in unscaled.values())
+        ):
+            faults.append(f"{workload}.unscaled: needs finite nonnegative {' and '.join(SIDE_MEDIANS)} of {', '.join(UNSCALED)}")
     suites = doc.get("suites")
     if not isinstance(suites, dict):
         faults.append("suites: not a mapping")
@@ -205,6 +255,10 @@ def check(doc, spec: dict) -> list:
         for suite, t in suites.items():
             if not (isinstance(t, dict) and _finite(t.get("parent_s")) and _finite(t.get("change_s"))):
                 faults.append(f"suites.{suite}: needs finite parent_s and change_s")
+    if "tier1" in doc:  # absent before BENCH_22
+        t = doc["tier1"]
+        if not (isinstance(t, dict) and all(_nonneg(t.get(k)) for k in ("parent_s", "change_s"))):
+            faults.append("tier1: needs finite nonnegative parent_s and change_s")
     return faults
 
 
@@ -231,8 +285,15 @@ def main(argv=None) -> int:
         return 1 if bad else 0
     if not (args.parent and args.change and args.out):
         ap.error("writing needs --parent, --change and --out")
+    checkouts = (("parent", args.parent), ("change", args.change))
+    dirty = [f"{label}: {path}" for label, checkout in checkouts for path in uncommitted_src(checkout)]
+    if dirty:
+        print("error: uncommitted changes under src/, whose runs perfbench/run.py files under HEAD:", file=sys.stderr)
+        for line in dirty:
+            print(f"  {line}", file=sys.stderr)
+        return 2
     sides = []
-    for label, checkout in (("parent", args.parent), ("change", args.change)):
+    for label, checkout in checkouts:
         revision, records, skipped = side_records(checkout)
         if skipped:
             print(f"{label}: skipped {skipped} records of revisions other than {revision}", file=sys.stderr)
@@ -243,18 +304,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc["suites"] = time_suites(args.parent, args.change)
+    doc["tier1"] = time_tier1(args.parent, args.change)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload, entry in doc["workloads"].items():
         for name, m in entry["metrics"].items():
+            u = entry["unscaled"].get(name)
+            beside = f"; unscaled pass median {u['parent_median']:.6g} -> {u['change_median']:.6g} s" if u else ""
             print(
                 f"{workload} {name} {m['parent_median']:.6g} -> {m['change_median']:.6g} {m['unit']} "
                 f"({m['change']:+.1%}, parent IQR {m['parent_q1']:.6g}..{m['parent_q3']:.6g}, "
-                f"{m['wins']}/{m['pairs']} wins)"
+                f"{m['wins']}/{m['pairs']} wins{beside})"
             )
     for suite, t in doc["suites"].items():
         print(f"verify --suite {suite}: {t['parent_s']:.3f} s -> {t['change_s']:.3f} s")
+    print(f"tier-1: {doc['tier1']['parent_s']:.2f} s -> {doc['tier1']['change_s']:.2f} s")
     return 0
 
 

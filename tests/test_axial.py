@@ -576,6 +576,7 @@ def test_radial_memo_untouched_by_a_bad_order():
     axial._ITERATES.clear()
     f = seed("gauss").u
     d_lower(3, f)
+
     def kept():
         return {key: [id(x) for x in chain] for key, chain in axial._ITERATES.items()}
 

@@ -10,9 +10,9 @@ g in {0, 1}.  This family is closed under d/dx0, d/dr, division by r, and
 products in which at most one factor carries a trig tag and at most one
 carries the exp flag.  Trig phase shifts by multiples of pi/2 fold into
 the tag and the sign of the coefficient, so keys stay canonical.
-Coefficients are rational, never float, and are stored as int numerators
-over one denominator per expression; computed results bypass validation
-through the trusted `AxialExpr._of`.
+Coefficients are rational, never float, and are held in the exact store of
+`clifford` (int numerators over one denominator per expression); computed
+results bypass validation through the trusted `AxialExpr._of`.
 
 Equality of expressions is semantic: the six (exp flag, trig tag) classes
 are linearly independent over rational functions in (x0, r), so an
@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
-from .clifford import MixedVariantError, _read_terms, power_text, write_terms
+from .clifford import ExactStore, _read_terms, exact_scalar, power_text, write_terms
 
 TRIG_NONE = ""
 TRIG_COS = "cos"
@@ -59,14 +57,15 @@ def _check_key(a: int, b: int, p: int, g: int, t: str) -> None:
         raise ValueError(f"unknown trig tag {t!r}")
 
 
-def _add_diff(out: dict, num: dict, var: str, c: int = 1, pre: int = 0, post: int = 0) -> dict:
-    """Add c * d/dvar of the terms {key: int} num into out, in one pass, and return out.
+def _add_diff(out: dict, expr: "AxialExpr", var: str, c: int = 1, pre: int = 0, post: int = 0) -> dict:
+    """Add c * d/dvar of expr's numerators into out, in one pass, and return out.
 
     For d/dr each r exponent is shifted by pre before the derivative and by
     post after it, so pre = s, post = -s gives r^-s d/dr(r^s f) = df/dr + s f/r.
     The only statement of the product rules on x0^a r^b Q^-p E^g T(x0 r).
     """
     get = out.get
+    num = expr._num
     if var == "x0":
         for (a, b, p, g, t), q in num.items():
             q *= c
@@ -113,57 +112,21 @@ def _binomial_row(e: int) -> tuple:
     return tuple(math.comb(e, i) for i in range(e + 1))
 
 
-class AxialExpr:
-    """Finite sum of terms keyed by (a, b, p, g, t), stored as nonzero int numerators over one
-    positive denominator; `terms` is the read-only view {key: int or reduced Fraction}."""
+class AxialExpr(ExactStore):
+    """Finite sum of terms keyed by (a, b, p, g, t), held in the exact store of `clifford`;
+    `terms` is the read-only view {key: int or reduced Fraction}."""
 
-    __slots__ = ("_num", "_den", "_terms")
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
-        den = 1
         for key, q in (terms or {}).items():
             a, b, p, g, t = key
             _check_key(a, b, p, g, t)
-            if isinstance(q, float):
-                raise MixedVariantError(f"float coefficient {q!r} in exact expression; convert explicitly")
-            q = Fraction(q)
-            if q:
-                clean[(a, b, p, g, t)] = q
-                den = math.lcm(den, q.denominator)
-        object.__setattr__(self, "_num", {key: q.numerator * (den // q.denominator) for key, q in clean.items()})
-        object.__setattr__(self, "_den", den)
+            clean[(a, b, p, g, t)] = exact_scalar(q)
+        self._store(clean)
 
-    @classmethod
-    def _of(cls, num: dict, den: int, grew: bool = False) -> "AxialExpr":
-        """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
-        If den grew past the operands' own, its common factor with the numerators divides out."""
-        if 0 in num.values():
-            num = {key: n for key, n in num.items() if n}
-        if grew:
-            c = math.gcd(den, *num.values())
-            if c != 1:
-                den //= c
-                num = {key: n // c for key, n in num.items()}
-        e = object.__new__(cls)
-        object.__setattr__(e, "_num", num)
-        object.__setattr__(e, "_den", den)
-        return e
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AxialExpr is immutable")
-
-    @property
-    def terms(self) -> MappingProxyType:
-        """{key: int or Fraction} in term order; built on first read and kept."""
-        try:
-            return self._terms
-        except AttributeError:
-            d, terms = self._den, self._num
-            if d != 1:
-                terms = {key: n // d if n % d == 0 else Fraction(n, d) for key, n in terms.items()}
-            object.__setattr__(self, "_terms", MappingProxyType(terms))
-            return self._terms
+    terms = property(ExactStore._exact_view, doc="{key: int or Fraction} in term order; built on first read and kept.")
 
     # --- constructors ---
 
@@ -175,53 +138,11 @@ class AxialExpr:
     def term(cls, q, a: int = 0, b: int = 0, p: int = 0, g: int = 0, t: str = TRIG_NONE) -> "AxialExpr":
         return cls({(a, b, p, g, t): q})
 
-    # --- bookkeeping ---
-
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
-    # --- linear structure ---
-
-    def _combine(self, other: "AxialExpr", sign: int) -> "AxialExpr":
-        """self + sign * other over the lcm of the two denominators."""
-        da, db = self._den, other._den
-        den = math.lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        out = dict(self._num) if ma == 1 else {key: n * ma for key, n in self._num.items()}
-        get = out.get
-        for key, n in other._num.items():
-            out[key] = get(key, 0) + mb * n
-        return AxialExpr._of(out, den, den > da and den > db)
-
-    def __add__(self, other):
-        if not isinstance(other, AxialExpr):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, AxialExpr):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return AxialExpr._of({key: -n for key, n in self._num.items()}, self._den)
-
-    def scale(self, c) -> "AxialExpr":
-        if isinstance(c, float):
-            raise MixedVariantError("float scalar on exact expression; convert explicitly")
-        c = Fraction(c)
-        n, d = c.numerator, c.denominator
-        # what the scalar's numerator shares with the denominator cancels at once
-        s = math.gcd(n, self._den)
-        n //= s
-        return AxialExpr._of({key: n * v for key, v in self._num.items()}, self._den // s * d, d != 1)
+    # --- products ---
 
     def __mul__(self, other):
         if isinstance(other, AxialExpr):
             return self._mul_expr(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def _mul_expr(self, other: "AxialExpr") -> "AxialExpr":
@@ -246,7 +167,7 @@ class AxialExpr:
 
     def diff(self, var: str) -> "AxialExpr":
         """Exact partial derivative with respect to 'x0' or 'r'."""
-        return AxialExpr._of(_add_diff({}, self._num, var), self._den)
+        return AxialExpr._of(_add_diff({}, self, var), self._den)
 
     def restrict_x0(self) -> "AxialExpr":
         """Substitute x0 = 0.
@@ -292,8 +213,6 @@ class AxialExpr:
         if not isinstance(other, AxialExpr):
             return NotImplemented
         return (self - other).is_zero()
-
-    __hash__ = None
 
     # --- evaluation ---------------------------------------------------------
 
@@ -418,7 +337,7 @@ def _radial(n: int, expr: AxialExpr, pre: int, post: int) -> AxialExpr:
         del _ITERATES[next(iter(_ITERATES))]
     while len(chain) <= n:
         last = chain[-1]
-        chain.append(AxialExpr._of(_add_diff({}, last._num, "r", pre=pre, post=post), last._den))
+        chain.append(AxialExpr._of(_add_diff({}, last, "r", pre=pre, post=post), last._den))
     return chain[n]
 
 

@@ -10,6 +10,9 @@ equality.
 Coefficients are either all Fraction (exact variant) or all float (numeric
 variant).  The two variants never mix implicitly; conversion is the
 explicit, lossy `to_float`.
+
+`ExactStore` is the one exact store under `CliffPoly` and `AxialExpr`:
+int numerators over one positive denominator.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
+from types import MappingProxyType
 
 MAX_DIMENSION = 16
 
@@ -34,11 +38,6 @@ class MixedVariantError(TypeError):
 def _check_dimension(m: int) -> None:
     if not 1 <= m <= MAX_DIMENSION:
         raise ValueError(f"dimension m must be in 1..{MAX_DIMENSION}, got {m}")
-
-
-def _rational(v):
-    """Integral values are stored as int, whose arithmetic is far cheaper than Fraction's."""
-    return v.numerator if v.denominator == 1 else v
 
 
 def sum_squares(values) -> float:
@@ -288,6 +287,130 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
             prod = va * vb
             out[mask] = out.get(mask, 0) + (prod if sign > 0 else -prod)
     return Multivector._of(a.m, out, a.exact)
+
+
+# --- the exact store ---------------------------------------------------------
+
+
+def exact_scalar(value):
+    """value as an int or a Fraction, which both have a numerator and a denominator."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise MixedVariantError(f"float {value!r} in exact arithmetic; convert explicitly")
+    return Fraction(value)
+
+
+def over_one_den(values: dict) -> tuple:
+    """({key: int numerator}, den) of the nonzero values of {key: int or Fraction},
+    den the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {key: v.numerator * (den // v.denominator) for key, v in values.items() if v}, den
+
+
+class ExactStore:
+    """Exact coefficients under keys, held as one dict {key: nonzero int numerator} over one
+    positive int denominator, so kernels add and multiply plain ints and never form a Fraction.
+
+    A result whose denominator grew past its operands' divides out the common factor of its
+    denominator and numerators; the others keep an operand's denominator, so one value may be
+    held over several denominators.  Subclasses validate and pack the keys, keep any further
+    state and provide the kernels; computed results come from the trusted `_of`, which a
+    subclass with more state than the store overrides, together with `_like`.
+    """
+
+    # _view, the read-only view, is built on first use
+    __slots__ = ("_num", "_den", "_view")
+
+    # maps a store key to its key in the view; None keeps it
+    _view_key = None
+
+    def _store(self, values: dict) -> None:
+        """Hold validated {key: int or Fraction}, for a subclass's public constructor."""
+        num, den = over_one_den(values)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, num: dict, den: int = 1, grew: bool = False):
+        """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
+        If den grew past the operands' own, its common factor with the numerators divides out."""
+        if 0 in num.values():
+            num = {key: n for key, n in num.items() if n}
+        if grew:
+            c = math.gcd(den, *num.values())
+            if c != 1:
+                den //= c
+                num = {key: n // c for key, n in num.items()}
+        out = object.__new__(cls)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
+        return out
+
+    # self._like(num, den, grew): a store of self's kind; `_of` itself where the store is all the state
+    _like = _of
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _exact_view(self) -> MappingProxyType:
+        """{key: c} in store order, c an int if integral and a reduced Fraction otherwise;
+        built on first read and kept."""
+        try:
+            return self._view
+        except AttributeError:
+            d, view, key_of = self._den, self._num, self._view_key
+            if key_of is not None:
+                view = {key_of(key): n for key, n in view.items()}
+            if d != 1:
+                view = {key: n // d if n % d == 0 else Fraction(n, d) for key, n in view.items()}
+            object.__setattr__(self, "_view", MappingProxyType(view))
+            return self._view
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def lcm_weights(self, other: "ExactStore") -> tuple:
+        """(den, ma, mb): den the lcm of the two denominators, ma and mb the factors that lift
+        the numerators of self and of other to it."""
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        return den, den // da, den // db
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        den, ma, mb = self.lcm_weights(other)
+        grew = ma != 1 and mb != 1
+        mb *= sign
+        out = dict(self._num) if ma == 1 else {key: n * ma for key, n in self._num.items()}
+        get = out.get
+        for key, n in other._num.items():
+            old = get(key)
+            out[key] = mb * n if old is None else old + mb * n
+        return self._like(out, den, grew)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({key: -n for key, n in self._num.items()}, self._den)
+
+    def scale(self, value):
+        c = exact_scalar(value)
+        n, d = c.numerator, c.denominator
+        # what the scalar's numerator shares with the denominator cancels at once
+        s = math.gcd(n, self._den)
+        n //= s
+        return self._like({key: n * v for key, v in self._num.items()}, self._den // s * d, d != 1)
+
+    __rmul__ = scale
 
 
 # --- text form -------------------------------------------------------------

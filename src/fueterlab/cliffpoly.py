@@ -1,11 +1,10 @@
 """Exact polynomials in x0, x1, ..., xm with Clifford coefficients.
 
-A polynomial is one flat dict {(packed, mask): n} of nonzero int numerators
-over one positive int denominator, so the kernels add and multiply plain
-ints and never form a Fraction.  A result whose denominator grew past its
-operands' divides out the common factor of its denominator and numerators;
-the others keep their operand's denominator, so equality compares across
-denominators.  `packed` holds the exponent of x_j in bits W*j .. W*j + W - 1 (slot 0 for
+A polynomial is the exact store of `clifford`, one flat dict
+{(packed, mask): n} of nonzero int numerators over one positive int
+denominator, so the kernels add and multiply plain ints and never form a
+Fraction.  One value may be held over several denominators, so equality
+compares across them.  `packed` holds the exponent of x_j in bits W*j .. W*j + W - 1 (slot 0 for
 x0), so multiplying monomials adds keys and differentiating subtracts a
 unit; mask is the blade as encoded in `clifford`.  Exponents stay below
 2^(W-1): the sum of two valid keys then never carries into the next slot,
@@ -28,18 +27,19 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .clifford import (
     MAX_DIMENSION,
     DimensionMismatchError,
-    MixedVariantError,
+    ExactStore,
     Multivector,
     _check_dimension,
     _read_terms,
     blade_grade,
     blade_label,
     blade_product,
+    exact_scalar,
+    over_one_den,
     power_text,
     write_terms,
 )
@@ -52,6 +52,7 @@ _SLOT = (1 << W) - 1
 _HIGH = sum(EXP_LIMIT << (W * j) for j in range(MAX_DIMENSION + 1))
 _ONE_KEY = (0, 0)  # the monomial 1 with the scalar blade
 _ONE = {_ONE_KEY: 1}
+_store_of = ExactStore._of.__func__
 
 
 @lru_cache(maxsize=None)
@@ -75,21 +76,6 @@ def _unit(m: int, j: int) -> tuple:
     return tuple(int(i == j) for i in range(m + 1))
 
 
-def _exact_scalar(value):
-    """value as an int or a Fraction, which both have a numerator and a denominator."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float):
-        raise MixedVariantError("float scalar on exact polynomial; convert explicitly")
-    return Fraction(value)
-
-
-def _over_one_den(values: dict) -> tuple:
-    """({key: int numerator}, den) of {key: int or Fraction}, den the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    return {key: v.numerator * (den // v.denominator) for key, v in values.items()}, den
-
-
 def _check_shift(n: int) -> None:
     if not 0 <= n < EXP_LIMIT:
         raise ValueError(f"x0 shift {n} outside 0..{EXP_LIMIT - 1}")
@@ -103,11 +89,11 @@ def _guarded(m: int, out: dict, den: int, grew: bool = False) -> "CliffPoly":
     return CliffPoly._of(m, out, den, grew)
 
 
-class CliffPoly:
-    """Multivariate polynomial with exact Clifford coefficients, stored flat under packed keys."""
+class CliffPoly(ExactStore):
+    """Multivariate polynomial with exact Clifford coefficients, stored flat under packed keys
+    in the exact store of `clifford`."""
 
-    # _coeffs, the tuple-keyed view, is built on first use
-    __slots__ = ("m", "_d", "_den", "_coeffs")
+    __slots__ = ("m",)
 
     def __init__(self, m: int, terms=None):
         """Validated constructor from {exponent tuple: exact Multivector}."""
@@ -123,44 +109,28 @@ class CliffPoly:
             key = _pack(exps)
             for mask, v in coeff.coeffs.items():
                 d[key, mask] = v
-        d, den = _over_one_den(d)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_den", den)
+        self._store(d)
 
     @classmethod
-    def _of(cls, m: int, d: dict, den: int = 1, grew: bool = False) -> "CliffPoly":
-        """Trusted constructor for computed {key: int numerator} over den > 0; drops zeros.
-        If den grew past the operands' own, its common factor with the numerators divides out."""
-        if 0 in d.values():
-            d = {key: n for key, n in d.items() if n}
-        if grew:
-            c = math.gcd(den, *d.values())
-            if c != 1:
-                den //= c
-                d = {key: n // c for key, n in d.items()}
-        p = object.__new__(cls)
+    def _of(cls, m: int, num: dict, den: int = 1, grew: bool = False) -> "CliffPoly":
+        """`ExactStore._of` at dimension m."""
+        p = _store_of(cls, num, den, grew)
         object.__setattr__(p, "m", m)
-        object.__setattr__(p, "_d", d)
-        object.__setattr__(p, "_den", den)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffPoly is immutable")
+    def _like(self, num: dict, den: int = 1, grew: bool = False) -> "CliffPoly":
+        # _of at self's dimension, written out: every +, -, negation and scale comes through here
+        p = _store_of(CliffPoly, num, den, grew)
+        object.__setattr__(p, "m", self.m)
+        return p
 
-    @property
-    def coeffs(self) -> MappingProxyType:
-        """{(exps, mask): c} with exponent tuples, in store order; built on first read and kept."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self._den
-            view = {
-                (_unpack(self.m, key), mask): n // den if n % den == 0 else Fraction(n, den)
-                for (key, mask), n in self._d.items()
-            }
-            object.__setattr__(self, "_coeffs", MappingProxyType(view))
-            return self._coeffs
+    def _view_key(self, key) -> tuple:
+        return _unpack(self.m, key[0]), key[1]
+
+    coeffs = property(
+        ExactStore._exact_view, doc="{(exps, mask): c} with exponent tuples, in store order; built on first read and kept."
+    )
 
     @property
     def terms(self) -> dict:
@@ -206,29 +176,24 @@ class CliffPoly:
             return NotImplemented
         if self.m != other.m:
             return False
-        da, db, d = self._den, other._den, other._d
+        da, db, d = self._den, other._den, other._num
         if da == db:
-            return self._d == d
+            return self._num == d
         # n / da == k / db on every key; a key missing from other reads 0, and no n is 0
-        return len(self._d) == len(d) and all(d.get(key, 0) * da == n * db for key, n in self._d.items())
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self._d)
+        return len(self._num) == len(d) and all(d.get(key, 0) * da == n * db for key, n in self._num.items())
 
     def is_zero(self) -> bool:
-        return not self._d
+        return not self._num
 
     def is_one(self) -> bool:
         # one dict comparison in the common case: CliffPoly.one and the parser hold 1 over den 1
-        return self._d == _ONE if self._den == 1 else len(self._d) == 1 and self._d.get(_ONE_KEY) == self._den
+        return self._num == _ONE if self._den == 1 else len(self._num) == 1 and self._num.get(_ONE_KEY) == self._den
 
     def depends_on_x0(self) -> bool:
-        return any(key & _SLOT for key, _ in self._d)
+        return any(key & _SLOT for key, _ in self._num)
 
     def grades(self) -> set:
-        return {blade_grade(mask) for _, mask in self._d}
+        return {blade_grade(mask) for _, mask in self._num}
 
     # --- ring operations ---
 
@@ -237,45 +202,14 @@ class CliffPoly:
             raise DimensionMismatchError(f"m={self.m} vs m={other.m}")
 
     def _combine(self, other: "CliffPoly", sign: int) -> "CliffPoly":
-        """self + sign * other over the lcm of the two denominators."""
-        self._check(other)
-        da, db = self._den, other._den
-        den = math.lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        out = dict(self._d) if ma == 1 else {key: n * ma for key, n in self._d.items()}
-        get = out.get
-        for key, n in other._d.items():
-            old = get(key)
-            out[key] = mb * n if old is None else old + mb * n
-        return CliffPoly._of(self.m, out, den, den > da and den > db)
-
-    def __add__(self, other):
-        if not isinstance(other, CliffPoly):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, CliffPoly):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return CliffPoly._of(self.m, {key: -n for key, n in self._d.items()}, self._den)
-
-    def scale(self, value) -> "CliffPoly":
-        c = _exact_scalar(value)
-        n, d = c.numerator, c.denominator
-        # what the scalar's numerator shares with the denominator cancels at once
-        s = math.gcd(n, self._den)
-        n //= s
-        return CliffPoly._of(self.m, {key: n * v for key, v in self._d.items()}, self._den // s * d, d != 1)
+        if self.m != other.m:
+            raise DimensionMismatchError(f"m={self.m} vs m={other.m}")
+        return ExactStore._combine(self, other, sign)
 
     def __mul__(self, other):
         if isinstance(other, CliffPoly):
             return poly_mul(self, other)
         return self.scale(other)
-
-    __rmul__ = scale
 
     # --- calculus ---
 
@@ -286,7 +220,7 @@ class CliffPoly:
         shift = W * j
         unit = 1 << shift
         out = {}
-        for (key, mask), v in self._d.items():
+        for (key, mask), v in self._num.items():
             e = key >> shift & _SLOT
             if e:
                 out[key - unit, mask] = v * e
@@ -294,7 +228,7 @@ class CliffPoly:
 
     def restrict_x0(self) -> "CliffPoly":
         """Substitute x0 = 0."""
-        return CliffPoly._of(self.m, {km: v for km, v in self._d.items() if not km[0] & _SLOT}, self._den)
+        return CliffPoly._of(self.m, {km: v for km, v in self._num.items() if not km[0] & _SLOT}, self._den)
 
     def eval(self, x0: float, xs) -> Multivector:
         """Binary64 evaluation at a point of R^{m+1}."""
@@ -302,7 +236,7 @@ class CliffPoly:
             raise ValueError(f"expected {self.m} coordinates, got {len(xs)}")
         total: dict = {}
         den = self._den
-        for (exps, mask), n in zip(self.coeffs, self._d.values()):
+        for (exps, mask), n in zip(self.coeffs, self._num.values()):
             mono = x0 ** exps[0] if exps[0] else 1.0
             for x, e in zip(xs, exps[1:]):
                 if e:
@@ -329,8 +263,8 @@ def poly_mul(p: CliffPoly, q: CliffPoly) -> CliffPoly:
     out = {}
     get = out.get
     rows = {}
-    q_items = q._d.items()
-    for (ep, mp), vp in p._d.items():
+    q_items = q._num.items()
+    for (ep, mp), vp in p._num.items():
         row = rows.get(mp)
         if row is None:
             # q's terms with the blade product e_mp e_mq and its sign folded in
@@ -357,7 +291,7 @@ def _dirac_into(out: dict, p: CliffPoly, sign: int) -> dict:
     get = out.get
     m = p.m
     layout, size = _layout(m), 2 * (m + 1)
-    for (key, mask), v in p._d.items():
+    for (key, mask), v in p._num.items():
         exps = layout.unpack(key.to_bytes(size, "little"))
         for j, unit, s, blade in _generator_row(m, mask):
             e = exps[j]
@@ -377,7 +311,7 @@ def dirac(p: CliffPoly) -> CliffPoly:
 def _cr(p: CliffPoly, sign: int) -> CliffPoly:
     """d/dx0 + sign * dirac, added into one dict."""
     out = {}
-    for (key, mask), v in p._d.items():
+    for (key, mask), v in p._num.items():
         e = key & _SLOT
         if e:
             out[key - 1, mask] = v * e
@@ -399,7 +333,7 @@ def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
     get = out.get
     m = p.m
     layout, size = _layout(m), 2 * (m + 1)
-    for (key, mask), v in p._d.items():
+    for (key, mask), v in p._num.items():
         exps = layout.unpack(key.to_bytes(size, "little"))
         for j in range(0 if include_x0 else 1, m + 1):
             e = exps[j]
@@ -414,7 +348,7 @@ def laplacian(p: CliffPoly, include_x0: bool = True) -> CliffPoly:
 def poly_sum(m: int, parts) -> CliffPoly:
     """Sum of c * x0^s * p over the (c, s, p) in parts, added into one dict over the lcm
     of the parts' denominators."""
-    parts = [(_exact_scalar(c), s, p) for c, s, p in parts]
+    parts = [(exact_scalar(c), s, p) for c, s, p in parts]
     for _, s, p in parts:
         if p.m != m:
             raise DimensionMismatchError(f"m={p.m} vs m={m}")
@@ -425,7 +359,7 @@ def poly_sum(m: int, parts) -> CliffPoly:
     get = out.get
     for (c, s, p), d in zip(parts, dens):
         w = c.numerator * (den // d)
-        for (key, mask), v in p._d.items():
+        for (key, mask), v in p._num.items():
             k = key + s, mask
             old = get(k)
             out[k] = w * v if old is None else old + w * v
@@ -448,7 +382,7 @@ def ck_extend_poly(f: CliffPoly) -> CliffPoly:
     # (-1)^n / n! is the int weight (-1)^n N!/n! over N!, so the sum forms no Fraction
     top = math.factorial(max(len(chain) - 1, 0))
     total = poly_sum(f.m, [((-1) ** n * (top // math.factorial(n)), n, g) for n, g in enumerate(chain)])
-    return CliffPoly._of(f.m, total._d, total._den * top, top != 1)
+    return total.scale(Fraction(1, top))
 
 
 class InvalidPkError(ValueError):
@@ -463,7 +397,7 @@ def require_homogeneous_monogenic(p: CliffPoly, k: int) -> CliffPoly:
     if p.is_zero():
         raise InvalidPkError("invalid P_k: zero polynomial")
     m = p.m
-    for key, _ in p._d:
+    for key, _ in p._num:
         exps = _unpack(m, key)
         if sum(exps) != k:
             raise InvalidPkError(f"invalid P_k: not homogeneous {exps}")
@@ -488,18 +422,17 @@ _XPOW_CACHE: dict = {}
 
 
 def vector_power(m: int, n: int) -> CliffPoly:
-    """x_ underline to the n-th power by repeated poly_mul; treat cached values as immutable."""
+    """x_ underline to the n-th power by repeated poly_mul, in a loop up from the highest power
+    cached, each power kept; treat cached values as immutable."""
     if n < 0:
         raise ValueError("negative vector power")
-    key = (m, n)
-    cached = _XPOW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        out = CliffPoly.one(m)
-    else:
-        out = poly_mul(CliffPoly.vector_variable(m), vector_power(m, n - 1))
-    _XPOW_CACHE[key] = out
+    j = n
+    while j >= 0 and (m, j) not in _XPOW_CACHE:
+        j -= 1
+    out = _XPOW_CACHE.get((m, j))
+    for j in range(j + 1, n + 1):
+        out = poly_mul(CliffPoly.vector_variable(m), out) if j else CliffPoly.one(m)
+        _XPOW_CACHE[m, j] = out
     return out
 
 
@@ -546,7 +479,7 @@ def hermite_step(h: CliffPoly) -> CliffPoly:
     out = {}
     get = out.get
     m = h.m
-    rows = [(key, v, _generator_row(m, mask)) for (key, mask), v in h._d.items()]
+    rows = [(key, v, _generator_row(m, mask)) for (key, mask), v in h._num.items()]
     # x_ H = sum_j e_j x_j H, in the term order of poly_mul(vector_variable(m), h)
     for i in range(m):
         for key, v, row in rows:
@@ -604,4 +537,4 @@ def parse_poly(text: str, m: int) -> CliffPoly:
             exps[int(name[1:])] += e
         key = _pack(exps), mask
         coeffs[key] = coeffs.get(key, 0) + value
-    return CliffPoly._of(m, *_over_one_den(coeffs))
+    return CliffPoly._of(m, *over_one_den(coeffs))

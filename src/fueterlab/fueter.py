@@ -73,15 +73,13 @@ def double_factorial(j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _coeff_a_row(n: int) -> tuple:
-    """Row (a_1^(n), ..., a_n^(n)) of the trig-derivative coefficient table."""
-    if n == 1:
-        return (1,)
-    prev = _coeff_a_row(n - 1)
-
-    def at(nu):
-        return prev[nu - 1] if 1 <= nu <= n - 1 else 0
-
-    return tuple(-(2 * (n - 1) - nu) * at(nu) + at(nu - 1) for nu in range(1, n + 1))
+    """Row (a_1^(n), ..., a_n^(n)) of the trig-derivative coefficient table, built up from row 1
+    by a loop: a_nu^(j) = -(2(j - 1) - nu) a_nu^(j-1) + a_(nu-1)^(j-1), with a_0 = a_j = 0 in row j - 1."""
+    row = (1,)
+    for j in range(2, n + 1):
+        padded = (0, *row, 0)
+        row = tuple(-(2 * (j - 1) - nu) * padded[nu] + padded[nu - 1] for nu in range(1, j + 1))
+    return row
 
 
 def coeff_a(n: int, nu: int) -> int:
@@ -222,10 +220,9 @@ def vekua_residual(pair: AxialPair) -> tuple[AxialExpr, AxialExpr]:
     r^-kappa d/dr(r^kappa B).
     """
     a, b, kappa = pair.A, pair.B, pair.kappa
-    den = math.lcm(a._den, b._den)
-    ma, mb = den // a._den, den // b._den
-    r1 = _add_diff(_add_diff({}, a._num, "x0", ma), b._num, "r", -mb, pre=kappa, post=-kappa)
-    r2 = _add_diff(_add_diff({}, b._num, "x0", mb), a._num, "r", ma)
+    den, ma, mb = a.lcm_weights(b)
+    r1 = _add_diff(_add_diff({}, a, "x0", ma), b, "r", -mb, pre=kappa, post=-kappa)
+    r2 = _add_diff(_add_diff({}, b, "x0", mb), a, "r", ma)
     return AxialExpr._of(r1, den), AxialExpr._of(r2, den)
 
 

@@ -210,6 +210,14 @@ def test_hermite_both(capsys):
     assert "EQUAL" in out
 
 
+def test_hermite_high_order_builds_powers_by_a_loop(capsys):
+    # the closed form asks for the highest power of x_ first; each power is built up from the last
+    for form in ("closed", "both"):
+        code, out, err = run(capsys, "hermite", "--m", "1", "--n", "990", "--form", form)
+        assert (code, err) == (0, "")
+        assert out.endswith("EQUAL\n") == (form == "both")
+
+
 def test_hermite_usage(capsys):
     code, _, err = run(capsys, "hermite", "--m", "0", "--n", "2")
     assert code == 2

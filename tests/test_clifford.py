@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fueterlab.axial import AxialExpr, parse_axial
 from fueterlab.clifford import (
     DimensionMismatchError,
     MixedVariantError,
@@ -15,6 +16,7 @@ from fueterlab.clifford import (
     indices_from_mask,
     parse_multivector,
 )
+from fueterlab.cliffpoly import CliffPoly, parse_poly
 from fueterlab.sampling import random_multivector, random_vector
 
 
@@ -284,3 +286,42 @@ def test_subtraction_equals_adding_the_negation():
         got = list((x - y).coeffs.items())
         assert got == want
         assert [type(v) for _, v in got] == [type(v) for _, v in want]
+
+
+# --- the exact store shared by CliffPoly and AxialExpr ---------------------------
+
+
+def test_store_sum_refuses_the_other_kind_and_dimension():
+    a = parse_axial("1/2*x0*r^-1*E + 3*cos")
+    p3, p5 = parse_poly("1/2*x1*e1 + 3*x0", 3), parse_poly("1/2*x1*e1 + 3*x0", 5)
+    for x, y in ((a, p3), (p3, a)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+    for x, y in ((p3, p5), (p5, p3)):
+        with pytest.raises(DimensionMismatchError):
+            x + y
+        with pytest.raises(DimensionMismatchError):
+            x - y
+        assert not x == y and x != y
+    for x in (a, p3):
+        with pytest.raises(MixedVariantError):
+            x.scale(1.5)
+        with pytest.raises(MixedVariantError):
+            1.5 * x
+
+
+def _store(x):
+    return [(key, type(n), n) for key, n in x._num.items()], x._den
+
+
+def test_store_int_scale_equals_fraction_scale():
+    # an int scalar takes the store's int path: the same int numerators over the same denominator
+    for x in (parse_axial("2*x0*r^-1*E - 5*sin + 1"), parse_axial("1/2*x0*r^-1*E - 5/3*sin"), AxialExpr.zero()):
+        for c in (3, -4, 0):
+            assert _store(x.scale(c)) == _store(x.scale(Fraction(c)))
+            assert all(t is int for _, t, _ in _store(x.scale(c))[0])
+    p = parse_poly("1/6*x1^2*e12 - 3/4*x0", 2)
+    assert _store(p.scale(3)) == _store(p.scale(Fraction(3)))
+    assert p.scale(3)._den == 4

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fueterlab import cliffpoly
 from fueterlab.clifford import MixedVariantError, Multivector, blade_product
 from fueterlab.cliffpoly import (
     EXP_LIMIT,
@@ -174,6 +175,20 @@ def test_vector_power_parity_identity():
         for s in range(6):
             assert vector_power(m, 2 * s) == acc.scale((-1) ** s)
             acc = poly_mul(acc, r2)
+
+
+def test_vector_power_builds_up_from_the_highest_power_cached(monkeypatch):
+    # every power is poly_mul(x_, previous), whichever power is asked first
+    monkeypatch.setattr(cliffpoly, "_XPOW_CACHE", {})
+    m = 3
+    top = vector_power(m, 9)
+    assert sorted(cliffpoly._XPOW_CACHE) == [(m, j) for j in range(10)]
+    acc = CliffPoly.one(m)
+    for j in range(10):
+        assert cliffpoly._XPOW_CACHE[m, j]._num == acc._num and vector_power(m, j) is cliffpoly._XPOW_CACHE[m, j]
+        acc = poly_mul(x_(m), acc)
+    assert vector_power(m, 12) == poly_mul(x_(m), poly_mul(x_(m), poly_mul(x_(m), top)))
+    assert len(vector_power(1, 2000)._num) == 1
 
 
 def test_text_roundtrip():
@@ -400,7 +415,7 @@ def test_coeffs_view_is_read_only_and_kept():
 
 def _assert_int_store(p):
     # nonzero int numerators over one positive int denominator: no Fraction in the store
-    assert all(type(n) is int and n for n in p._d.values())
+    assert all(type(n) is int and n for n in p._num.values())
     assert type(p._den) is int and p._den > 0
 
 
@@ -415,7 +430,7 @@ def test_store_is_int_numerators_over_one_denominator():
         assert p.scale(Fraction(1, 6)).scale(6) == p
         assert p.scale(Fraction(-2, 3)).scale(Fraction(-3, 2)) == p
         # the same values held over another denominator compare equal to p, both ways
-        twin = CliffPoly._of(m, {key: 6 * n for key, n in p._d.items()}, 6 * p._den)
+        twin = CliffPoly._of(m, {key: 6 * n for key, n in p._num.items()}, 6 * p._den)
         assert twin == p and p == twin
         _assert_int_store(twin)
         if p:

@@ -48,6 +48,8 @@ def test_coeff_a_table():
     for n in range(1, 11):
         assert coeff_a(n, n) == 1
         assert coeff_a(n, 1) == (-1) ** (n + 1) * double_factorial(2 * n - 3)
+    # rows are built by a loop, so a high order raises no RecursionError
+    assert coeff_a(1200, 1) == -double_factorial(2 * 1200 - 3) and coeff_a(1200, 1200) == 1
     with pytest.raises(ValueError):
         coeff_a(3, 0)
     with pytest.raises(ValueError):

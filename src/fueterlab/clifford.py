@@ -294,7 +294,7 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
 
 def exact_scalar(value):
     """value as an int or a Fraction, which both have a numerator and a denominator."""
-    if type(value) is int:
+    if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise MixedVariantError(f"float {value!r} in exact arithmetic; convert explicitly")
@@ -321,9 +321,6 @@ class ExactStore:
 
     # _view, the read-only view, is built on first use
     __slots__ = ("_num", "_den", "_view")
-
-    # maps a store key to its key in the view; None keeps it
-    _view_key = None
 
     def _store(self, values: dict) -> None:
         """Hold validated {key: int or Fraction}, for a subclass's public constructor."""
@@ -353,17 +350,20 @@ class ExactStore:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _view_keys(self):
+        """The view's keys in store order: the store's own, unless a subclass unpacks them."""
+        return self._num
+
     def _exact_view(self) -> MappingProxyType:
         """{key: c} in store order, c an int if integral and a reduced Fraction otherwise;
         built on first read and kept."""
         try:
             return self._view
         except AttributeError:
-            d, view, key_of = self._den, self._num, self._view_key
-            if key_of is not None:
-                view = {key_of(key): n for key, n in view.items()}
-            if d != 1:
-                view = {key: n // d if n % d == 0 else Fraction(n, d) for key, n in view.items()}
+            d, view = self._den, self._num
+            keys = self._view_keys()
+            if d != 1 or keys is not view:
+                view = {key: n // d if n % d == 0 else Fraction(n, d) for key, n in zip(keys, view.values())}
             object.__setattr__(self, "_view", MappingProxyType(view))
             return self._view
 
@@ -405,10 +405,12 @@ class ExactStore:
     def scale(self, value):
         c = exact_scalar(value)
         n, d = c.numerator, c.denominator
-        # what the scalar's numerator shares with the denominator cancels at once
+        # what the scalar's numerator shares with the denominator cancels at once; a unit
+        # numerator, as in the CK extension's 1/N!, leaves the numerators as they are
         s = math.gcd(n, self._den)
         n //= s
-        return self._like({key: n * v for key, v in self._num.items()}, self._den // s * d, d != 1)
+        num = self._num if n == 1 else {key: n * v for key, v in self._num.items()}
+        return self._like(num, self._den // s * d, d != 1)
 
     __rmul__ = scale
 

@@ -125,8 +125,9 @@ class CliffPoly(ExactStore):
         object.__setattr__(p, "m", self.m)
         return p
 
-    def _view_key(self, key) -> tuple:
-        return _unpack(self.m, key[0]), key[1]
+    def _view_keys(self) -> list:
+        layout, size = _layout(self.m), 2 * (self.m + 1)
+        return [(layout.unpack(key.to_bytes(size, "little")), mask) for key, mask in self._num]
 
     coeffs = property(
         ExactStore._exact_view, doc="{(exps, mask): c} with exponent tuples, in store order; built on first read and kept."

@@ -97,6 +97,7 @@ class CliffPoly(ExactStore):
 
     def __init__(self, m: int, terms=None):
         """Validated constructor from {exponent tuple: exact Multivector}."""
+        _check_dimension(m)
         d = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -422,18 +423,38 @@ def sample_p1(m: int) -> CliffPoly:
 _XPOW_CACHE: dict = {}
 
 
+def _r2_power_terms(m: int, h: int) -> list:
+    """[(packed key of x1^(2 a1) ... xm^(2 am), h!/a!)] over the multi-indices a with |a| = h:
+    the terms of (x1^2 + ... + xm^2)^h, each key once."""
+    # (key so far, exponent left for the later slots, product of the binomials so far)
+    terms = [(0, h, 1)]
+    for j in range(1, m):
+        shift = W * j
+        terms = [(key + (2 * a << shift), left - a, c * math.comb(left, a)) for key, left, c in terms for a in range(left + 1)]
+    last = W * m
+    return [(key + (2 * left << last), c) for key, left, c in terms]
+
+
 def vector_power(m: int, n: int) -> CliffPoly:
-    """x_ underline to the n-th power by repeated poly_mul, in a loop up from the highest power
-    cached, each power kept; treat cached values as immutable."""
+    """x_ underline to the n-th power by its closed form, kept per (m, n); treat cached values
+    as immutable.  x_^2 = -|x_|^2, so x_^(2h) = (-1)^h (x1^2 + ... + xm^2)^h and
+    x_^(2h+1) = (-1)^h sum_j (x1^2 + ... + xm^2)^h x_j e_j, whose keys are all distinct."""
+    out = _XPOW_CACHE.get((m, n))
+    if out is not None:
+        return out
+    _check_dimension(m)
     if n < 0:
         raise ValueError("negative vector power")
-    j = n
-    while j >= 0 and (m, j) not in _XPOW_CACHE:
-        j -= 1
-    out = _XPOW_CACHE.get((m, j))
-    for j in range(j + 1, n + 1):
-        out = poly_mul(CliffPoly.vector_variable(m), out) if j else CliffPoly.one(m)
-        _XPOW_CACHE[m, j] = out
+    if n >= EXP_LIMIT:
+        raise ValueError(f"vector power {n} reaches the exponent limit {EXP_LIMIT}")
+    h, odd = divmod(n, 2)
+    sign = -1 if h % 2 else 1
+    terms = _r2_power_terms(m, h)
+    if odd:
+        num = {(key + (1 << W * j), 1 << (j - 1)): sign * c for j in range(1, m + 1) for key, c in terms}
+    else:
+        num = {(key, 0): sign * c for key, c in terms}
+    out = _XPOW_CACHE[m, n] = CliffPoly._of(m, num)
     return out
 
 

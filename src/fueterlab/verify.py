@@ -404,11 +404,14 @@ def _hermite_coeff_c(ctx):
 
 @exact("hermite", "hermite.vector_power_parity", ms=(1, 2, 3, 5))
 def _vector_power_parity(ctx):
+    # vector_power is the closed form (-|x_|^2)^s by construction, so the Clifford product
+    # x_ x_ ... x_ is what decides x_^2 = -|x_|^2 here
     for m in ctx.ms:
-        r2 = radius_sq_poly(m)
-        r2_pow = CliffPoly.one(m)
+        x_, r2 = CliffPoly.vector_variable(m), radius_sq_poly(m)
+        product = r2_pow = CliffPoly.one(m)
         for s_exp in range(0, 7):
-            yield (m, s_exp), vector_power(m, 2 * s_exp) == r2_pow.scale((-1) ** s_exp)
+            yield (m, s_exp), product == vector_power(m, 2 * s_exp) == r2_pow.scale((-1) ** s_exp)
+            product = poly_mul(x_, poly_mul(x_, product))
             r2_pow = poly_mul(r2_pow, r2)
 
 

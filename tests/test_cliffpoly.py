@@ -177,18 +177,26 @@ def test_vector_power_parity_identity():
             acc = poly_mul(acc, r2)
 
 
-def test_vector_power_builds_up_from_the_highest_power_cached(monkeypatch):
-    # every power is poly_mul(x_, previous), whichever power is asked first
+def test_vector_power_closed_form_equals_the_repeated_product(monkeypatch):
     monkeypatch.setattr(cliffpoly, "_XPOW_CACHE", {})
-    m = 3
-    top = vector_power(m, 9)
-    assert sorted(cliffpoly._XPOW_CACHE) == [(m, j) for j in range(10)]
-    acc = CliffPoly.one(m)
-    for j in range(10):
-        assert cliffpoly._XPOW_CACHE[m, j]._num == acc._num and vector_power(m, j) is cliffpoly._XPOW_CACHE[m, j]
-        acc = poly_mul(x_(m), acc)
-    assert vector_power(m, 12) == poly_mul(x_(m), poly_mul(x_(m), poly_mul(x_(m), top)))
-    assert len(vector_power(1, 2000)._num) == 1
+    for m in range(1, 10):
+        acc = CliffPoly.one(m)
+        for n in range(12 if m <= 7 else 9):
+            got = vector_power(m, n)
+            assert got._num == acc._num and got._den == 1, (m, n)
+            assert vector_power(m, n) is got
+            acc = poly_mul(x_(m), acc)
+    assert len(vector_power(1, EXP_LIMIT - 1)._num) == 1
+    for m, n in ((1, EXP_LIMIT), (3, -1), (0, 2), (17, 2)):
+        with pytest.raises(ValueError):
+            vector_power(m, n)
+
+
+@pytest.mark.parametrize("m", [0, 17, -1])
+def test_constructor_checks_the_dimension(m):
+    with pytest.raises(ValueError, match=rf"^dimension m must be in 1\.\.16, got {m}$"):
+        CliffPoly.zero(m)
+    assert CliffPoly.zero(16).is_zero()
 
 
 def test_text_roundtrip():

@@ -293,16 +293,44 @@ class EvalPlan:
             f.append(lib.sin(x0 * r))
         # binary64 reads the coefficients converted once; any other num converts the exact ones per call
         if num is float:
-            row_sets = self.float_rows
-        else:
-            row_sets = [[(num(q), *idx) for q, *idx in rows] for rows in self.rows]
-        out = []
-        for rows in row_sets:
-            total = num(0)
-            for c, ia, ib, ip, ig, it in rows:
-                total += c * f[ia] * f[ib] * f[ip] * f[ig] * f[it]
-            out.append(total)
-        return out
+            return _row_sums(self.float_rows, f, 0.0)
+        return _row_sums([[(num(q), *idx) for q, *idx in rows] for rows in self.rows], f, num(0))
+
+    def grid(self, x0s, rs):
+        """`values(x0, r)` in binary64 for x0 in x0s for r in rs, row-major, bit for bit.
+
+        A generator that evaluates each point when it is asked for, so a caller
+        that checks each value before asking for the next meets the first failing
+        point in row-major order, as with `values` point by point.  x0^a is computed
+        once per x0, r^b and r * r once per r, and Q^-p, E, cos and sin per point by
+        the expressions of `values`.  A point whose powers leave binary64, or that
+        `values` refuses, goes to `values`, which raises as it would there.
+        """
+        q_exps, has_e, has_cos, has_sin, rows = self.q_exps, self.has_e, self.has_cos, self.has_sin, self.float_rows
+        exp, cos, sin = math.exp, math.cos, math.sin
+        # a radius that `values` refuses gets no powers, so its points go to `values`
+        r_parts = [
+            (r, r * r, None if r < 0 or r == 0 and self.neg_r else _float_powers(r, self.r_exps)) for r in rs
+        ]
+        for x0 in x0s:
+            x_pows = _float_powers(x0, self.x_exps)
+            head = None if x_pows is None else [1.0, *x_pows]
+            xx = x0 * x0
+            for r, rr, r_pows in r_parts:
+                q_val = xx + rr
+                if head is None or r_pows is None or q_val == 0 and q_exps:
+                    yield self.values(x0, r)
+                    continue
+                f = head + r_pows
+                for p in q_exps:
+                    f.append(q_val**-p)
+                if has_e:
+                    f.append(exp((xx - rr) / 2))
+                if has_cos:
+                    f.append(cos(x0 * r))
+                if has_sin:
+                    f.append(sin(x0 * r))
+                yield _row_sums(rows, f, 0.0)
 
     def values_mp(self, x0, r) -> list:
         """`values` under the ambient mpmath precision, from the exact coefficients.
@@ -312,6 +340,25 @@ class EvalPlan:
         import mpmath
 
         return self.values(mpmath.mpf(x0), mpmath.mpf(r), lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)
+
+
+def _row_sums(row_sets, f: list, zero) -> list:
+    """Per row set, the sum from zero of c * f[ia] * f[ib] * f[ip] * f[ig] * f[it], left to right in row order."""
+    out = []
+    for rows in row_sets:
+        total = zero
+        for c, ia, ib, ip, ig, it in rows:
+            total += c * f[ia] * f[ib] * f[ip] * f[ig] * f[it]
+        out.append(total)
+    return out
+
+
+def _float_powers(v: float, exps: list) -> list | None:
+    """[v^e for e in exps], or None when one leaves binary64."""
+    try:
+        return [v**e for e in exps]
+    except OverflowError:
+        return None
 
 
 # --- module-level operator interface ----------------------------------------

@@ -260,8 +260,12 @@ class CliffPoly(ExactStore):
 
 
 def poly_mul(p: CliffPoly, q: CliffPoly) -> CliffPoly:
-    """Noncommutative product; coefficient blades multiply as e_A e_B."""
+    """Noncommutative product; coefficient blades multiply as e_A e_B.  A factor equal to 1 returns the other one."""
     p._check(q)
+    if q.is_one():
+        return p
+    if p.is_one():
+        return q
     out = {}
     get = out.get
     rows = {}

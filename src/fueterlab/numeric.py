@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import mul
 
 from .axial import EvalDomainError, EvalPlan
@@ -370,25 +371,27 @@ def decay_scan(
         except OverflowError:
             raise OverflowError(f"decay weight exp(r^2/2) is out of range at r={r!r}") from None
     if pair.pk is not None and pair.pk.is_one():
-        values = pair.plan.values
+        radii = [math.sqrt(r * r) for r in r_vals]
+        grid = pair.plan.grid(x0_vals, radii)
 
-        def magnitude(x0, r):
+        def magnitudes(x0):
             # the float `eval_axial(pair, EvalPoint(x0, (r, 0, ...))).norm()`, whose radius is sqrt(r * r)
-            rr = math.sqrt(r * r)
-            a_val, b_val = values(x0, rr)
-            b_val *= r / rr
-            return math.sqrt(0.0 + a_val * a_val + b_val * b_val)
+            for r, rr in zip(r_vals, radii):
+                a_val, b_val = next(grid)
+                b_val *= r / rr
+                yield math.sqrt(0.0 + a_val * a_val + b_val * b_val)
 
     else:
         zeros = (0.0,) * (pair.m - 1)
 
-        def magnitude(x0, r):
-            return eval_axial(pair, EvalPoint(x0, (r,) + zeros)).norm()
+        def magnitudes(x0):
+            for r in r_vals:
+                yield eval_axial(pair, EvalPoint(x0, (r,) + zeros)).norm()
 
     def row_max(x0):
         best = (-math.inf, 0.0, 0.0)
-        for r, weight in zip(r_vals, weights):
-            val = magnitude(x0, r) * weight
+        for r, weight, magnitude in zip(r_vals, weights, magnitudes(x0)):
+            val = magnitude * weight
             if val > best[0]:
                 best = (val, x0, r)
             elif math.isnan(val):
@@ -455,15 +458,14 @@ def sample_header(m: int) -> list:
 
 
 def _sample_row(values, x0: float, xs: tuple, r: float) -> list:
-    """One CSV row: the point, r, then the grade-0 and grade-1 parts and the norm.
+    """One CSV row: the point, r > 0, then the grade-0 and grade-1 parts and the norm.
 
-    The row `eval_axial` gives from a P_0 pair's plan `values`: a grade-1 part
-    is b (x / r) for a nonzero x only, and a zero part (-0.0 too) reads 0.0, as
-    the float Multivector drops it.  The plan's sums start at +0.0, so A is never -0.0.
+    The row `eval_axial` gives from a P_0 pair's plan values (A, B) at (x0, r):
+    a grade-1 part is B (x / r) for a nonzero x only, and a zero part (-0.0 too)
+    reads 0.0, as the float Multivector drops it.  The plan's sums start at +0.0,
+    so A is never -0.0.
     """
-    if r == 0:
-        raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
-    a_val, b_val = values(x0, r)
+    a_val, b_val = values
     parts = [a_val, *((b_val * (x / r) or 0.0) if x else 0.0 for x in xs)]
     return [x0, *xs, r, *parts, math.sqrt(sum_squares(parts))]
 
@@ -480,19 +482,19 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     """
     if not x0_vals or not r_vals:
         raise ValueError("sample grid needs at least one x0 and one r value")
-    pair = sample_pair(target, m)
-    values = pair.plan.values
+    plan = sample_pair(target, m).plan
+    x0_vals = [float(x0) for x0 in x0_vals]
+    r_vals = [float(r) for r in r_vals]
+    radii = [math.sqrt(r * r) for r in r_vals]
+    grid = plan.grid(x0_vals, radii)
     zeros = (0.0,) * (m - 1)
     rows = []
     for x0 in x0_vals:
-        x0 = float(x0)
-        for r in r_vals:
-            r = float(r)
-            rr = r * r
-            if r < 0 or rr == 0:
+        for r, radius in zip(r_vals, radii):
+            if r < 0 or radius == 0:
                 raise EvalDomainError(f"sample region requires r > 0 with r * r > 0 in binary64, got r={r!r}")
             try:
-                row = _sample_row(values, x0, (r, *zeros), math.sqrt(rr))
+                row = _sample_row(next(grid), x0, (r, *zeros), radius)
             except OverflowError:
                 raise OverflowError(f"sample value is out of range at (x0={x0!r}, r={r!r})") from None
             if math.isnan(row[-1]):
@@ -523,7 +525,7 @@ def read_sample_csv(path) -> tuple[int, list, list]:
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"sample CSV line {reader.line_num}: {len(row)} columns, header has {len(header)}")
-            rows.append([float(v) for v in row])
+            rows.append(list(map(float, row)))
     if not rows:
         raise ValueError("sample CSV has no rows")
     return m, header, rows
@@ -535,17 +537,33 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     A recomputed value that leaves binary64 raises OverflowError, and a row whose
     x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
     raises EvalDomainError; both name the row's line (the header is line 1, each
-    row one line) and its x0 and r columns.
+    row one line) and its x0 and r columns.  The rows may come in any order: each
+    run of consecutive rows with the same x0 is a grid row, and consecutive runs
+    over the same radii, as `sample` writes them, are evaluated as one grid.
     """
     m, header, rows = read_sample_csv(path)
-    pair = sample_pair(target, m)
-    values = pair.plan.values
+    plan = sample_pair(target, m).plan
+
+    def radii(run):
+        return [math.sqrt(math.fsum(x * x for x in row[1 : m + 1])) for row in run]
+
+    # keyed on the bits, so rows at x0 = 0.0 and -0.0 fall in different runs, each evaluated at its own x0
+    runs = (list(run) for _, run in groupby(rows, key=lambda row: row[0].hex()))
     mismatches = 0
-    for line, row in enumerate(rows, start=2):
-        xs = tuple(row[1 : m + 1])
-        try:
-            mismatches += row != _sample_row(values, row[0], xs, math.sqrt(math.fsum(x * x for x in xs)))
-        except (OverflowError, EvalDomainError) as exc:
-            what = "value is out of range" if isinstance(exc, OverflowError) else "x1..xm give r = 0 in binary64"
-            raise type(exc)(f"sample CSV line {line}: {what} at (x0={row[0]!r}, r={row[m + 1]!r})") from None
+    line = 1
+    for rs, batch in groupby(runs, key=radii):
+        batch = list(batch)
+        grid = plan.grid([run[0][0] for run in batch], rs)
+        for run in batch:
+            x0 = run[0][0]
+            for row, r in zip(run, rs):
+                line += 1
+                xs = row[1 : m + 1]
+                try:
+                    if r == 0:
+                        raise EvalDomainError("axial evaluation needs r > 0")
+                    mismatches += row != _sample_row(next(grid), x0, xs, r)
+                except (OverflowError, EvalDomainError) as exc:
+                    what = "value is out of range" if isinstance(exc, OverflowError) else "x1..xm give r = 0 in binary64"
+                    raise type(exc)(f"sample CSV line {line}: {what} at (x0={x0!r}, r={row[m + 1]!r})") from None
     return mismatches == 0, len(rows)

@@ -379,18 +379,23 @@ def test_pair_plan_is_lazy_and_built_once(monkeypatch):
     eval_axial(pair, EvalPoint(0.5, (1.0, 0.0, 0.0, 0.0, 0.0)))
     plan = pair.plan
     assert pair.plan is plan and pair.__dict__["plan"] is plan
-    # decay_scan and axial_evaluator evaluate through that same plan
+    # decay_scan evaluates its grid, and axial_evaluator its point, through that same plan
     users = []
-    values = EvalPlan.values
 
-    def spy(self, *args):
-        users.append(self)
-        return values(self, *args)
+    def spy(name):
+        method = getattr(EvalPlan, name)
 
-    monkeypatch.setattr(EvalPlan, "values", spy)
+        def record(self, *args):
+            users.append((name, self))
+            return method(self, *args)
+
+        monkeypatch.setattr(EvalPlan, name, record)
+
+    spy("values")
+    spy("grid")
     decay_scan(pair, K=1.0, r_min=0.5, r_max=2.0, nx0=3, nr=3)
     axial_evaluator(pair)(0.5, (1.0, 0.0, 0.0, 0.0, 0.0))
-    assert len(users) == 10 and all(user is plan for user in users)
+    assert [name for name, _ in users] == ["grid", "values"] and all(user is plan for _, user in users)
 
 
 def test_pair_plan_matches_per_expression_evaluation():
@@ -404,6 +409,75 @@ def test_pair_plan_matches_per_expression_evaluation():
                 assert [v.hex() for v in got] == [pair.A.evaluate(x0, r).hex(), pair.B.evaluate(x0, r).hex()], (m, x0, r)
                 with mpmath.workdps(60):
                     assert pair.plan.values_mp(x0, r) == [pair.A.evaluate_mp(x0, r), pair.B.evaluate_mp(x0, r)]
+
+
+def _point_outcome(evaluate):
+    """The hex of each value, or the type and message of the exception raised."""
+    try:
+        return [v.hex() for v in evaluate()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _values_outcomes(plan, x0s, rs):
+    """`plan.values` at each point in row-major order, up to and including the first failure."""
+    out = []
+    for x0 in x0s:
+        for r in rs:
+            out.append(_point_outcome(lambda: plan.values(x0, r)))
+            if isinstance(out[-1], tuple):
+                return out
+    return out
+
+
+def _grid_outcomes(plan, x0s, rs):
+    """`plan.grid` asked point by point, up to and including the first failure."""
+    grid = plan.grid(x0s, rs)
+    out = []
+    for _ in range(len(x0s) * len(rs)):
+        out.append(_point_outcome(lambda: next(grid)))
+        if isinstance(out[-1], tuple):
+            break
+    return out
+
+
+def _grid_pairs():
+    for m in (1, 3, 5, 7, 9):
+        yield f"ck-gauss-{m}", gauss_ck_pair(m)
+        yield f"gauss-fund-{m}", gauss_fund_pair(m)
+    for name in ("iz", "inv_z"):
+        for m in (3, 5, 7):
+            yield f"{name}-{m}", fueter(seed(name), 0, m)
+
+
+def test_plan_grid_bit_identical_to_values():
+    x0s = [-0.0, 0.0, -1.7, 25.0]
+    rs = [1e-3, 0.02, 0.7, 1.0, 3.3, 12.0, 40.0]
+    for name, pair in _grid_pairs():
+        got = _grid_outcomes(pair.plan, x0s, rs)
+        assert len(got) == len(x0s) * len(rs) and all(isinstance(v, list) for v in got), name
+        assert got == _values_outcomes(pair.plan, x0s, rs), name
+
+
+@pytest.mark.parametrize(
+    "x0s, rs",
+    [
+        ([0.5, 1e200], [1.0, 2.0]),  # x0^a overflows
+        ([0.5], [1.0, 1e-160]),  # r^b overflows
+        ([1e200, 0.5], [1.0, 1e-160]),
+        ([0.5, 1e200], [1e-160, 1.0]),
+        ([0.5, 0.0], [2.0, 0.0]),  # r = 0: refused where r has negative powers, Q = 0 at the origin
+        ([0.5], [2.0, -1.0]),
+        ([0.0], [1.0, 1e-170]),  # r * r underflows, so Q = 0
+        ([1e200], [-1.0, 1.0]),  # the domain is checked before any power
+        ([0.3, math.nan], [1.0, math.nan]),
+        ([0.5, 40.0], [1.0, 2.0]),  # E overflows
+        ([1e-100], [1.0, 1e-100]),  # Q^-p overflows where r has no negative power
+    ],
+)
+def test_plan_grid_fails_where_values_fails(x0s, rs):
+    for name, pair in _grid_pairs():
+        assert _grid_outcomes(pair.plan, x0s, rs) == _values_outcomes(pair.plan, x0s, rs), name
 
 
 def test_decay_scan_gauss_fund():
@@ -619,6 +693,34 @@ def test_sample_rows_rejects_nan_rows(tmp_path):
     assert verify_sample_csv(tmp_path / "g.csv", "ck-gauss") == (True, 1)
 
 
+def test_sample_rows_names_the_first_failing_point_in_row_major_order():
+    # r^b is computed once per r, yet an x0 whose powers overflow still fails first when its row comes first
+    for target in numeric.SAMPLE_TARGETS:
+        with pytest.raises(OverflowError, match=r"at \(x0=1e\+200, r=1\.0\)$"):
+            sample_rows(target, 5, [1e200, 0.5], [1.0, 1e-160])
+        for r_vals in ([1e-160, 1.0], [1.0, 1e-160]):
+            with pytest.raises(OverflowError, match=r"at \(x0=0\.5, r=1e-160\)$"):
+                sample_rows(target, 5, [0.5, 1e200], r_vals)
+
+
+def test_verify_sample_csv_reads_rows_in_any_order(tmp_path):
+    path = tmp_path / "g.csv"
+    n = write_sample_csv(path, "gauss-fund", 3, [-0.0, 0.0, -1.2, 0.7], lin_range(0.5, 4.0, 9))
+    header, *lines = path.read_text().splitlines()
+    # by r, so each run of one x0 is one row long and the x0 = -0.0 and 0.0 rows meet; then shuffled
+    by_r = sorted(lines, key=lambda line: float(line.split(",")[4]))
+    shuffled = lines[:]
+    random.Random(25).shuffle(shuffled)
+    for order in (by_r, shuffled):
+        path.write_text("\n".join([header, *order]) + "\n")
+        assert verify_sample_csv(path, "gauss-fund") == (True, n)
+        # one ulp off in one value fails
+        cells = order[n // 2].split(",")
+        cells[5] = repr(math.nextafter(float(cells[5]), math.inf))
+        path.write_text("\n".join([header, *order[: n // 2], ",".join(cells), *order[n // 2 + 1 :]]) + "\n")
+        assert verify_sample_csv(path, "gauss-fund") == (False, n)
+
+
 def test_read_sample_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "g.csv"
     write_sample_csv(path, "gauss-fund", 3, [0.5], [3.0])
@@ -788,7 +890,7 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
                 r = 10 ** rng.uniform(-6.0, 0.6)
                 pt = EvalPoint((0.0, -0.0, rng.uniform(-2.0, 2.0))[i % 3], tuple(r * c / norm for c in d))
                 ref_rows.append(_ref_sample_row(pair, pt))
-                assert _bits(numeric._sample_row(values, pt.x0, pt.xs, pt.r)) == _bits(ref_rows[-1])
+                assert _bits(numeric._sample_row(values(pt.x0, pt.r), pt.x0, pt.xs, pt.r)) == _bits(ref_rows[-1])
             path = tmp_path / f"{target}_{m}.csv"
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows([numeric.sample_header(m)] + ref_rows)

@@ -41,6 +41,7 @@ from .axial import (
     q_inv,
     trig_shift,
 )
+from .clifford import MAX_DIMENSION
 from .cliffpoly import (
     CliffPoly,
     InvalidPkError,  # raised by require_homogeneous_monogenic; fueter.InvalidPkError is the same class
@@ -188,7 +189,10 @@ def _require_odd(m: int) -> None:
 @lru_cache(maxsize=64)
 def default_pk(k: int, m: int) -> CliffPoly | None:
     """Shipped samples: 1 for k = 0, x1 e1 - x2 e2 for k = 1, none beyond.
+    None for m > MAX_DIMENSION too, where no Clifford number exists, so the pair carries a generic P_k.
     Built and checked once per (k, m); the same object comes back on every call."""
+    if m > MAX_DIMENSION:
+        return None
     if k == 0:
         return require_homogeneous_monogenic(CliffPoly.one(m), k)
     if k == 1 and m >= 2:

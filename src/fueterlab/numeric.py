@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import decimal
 import math
+import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -21,7 +22,8 @@ from itertools import groupby
 from operator import mul
 
 from .axial import EvalDomainError, EvalPlan
-from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, blade_product, sum_squares
+from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, _check_dimension
+from .clifford import blade_product, sum_squares
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
     AxialPair,
@@ -135,11 +137,6 @@ def axial_evaluator(pair: AxialPair):
 # --- CK series of the Gaussian -------------------------------------------------
 
 
-def _neg_r2_powers(r2: float, n: int) -> list:
-    """(-r^2)^i for i = 0..n // 2: the powers the radial split of H_0, ..., H_n reads."""
-    return [(-r2) ** i for i in range(n // 2 + 1)]
-
-
 @lru_cache(maxsize=None)
 def _series_table(trunc: int, m: int) -> tuple:
     """Per n = 0..trunc: float(n!) and the nonzero c_j of `hermite_radial_coeffs(n, m)`
@@ -163,6 +160,7 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
 
     Valid at x_ = 0 as well, where only the scalar coefficients survive.
     """
+    _check_dimension(m)
     if pt.m != m:
         raise ValueError(f"point dimension {pt.m} vs m={m}")
     if not 0 <= trunc <= 170:
@@ -171,7 +169,7 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     scalar = 0.0
     vector = 0.0  # coefficient of x_ (the raw vector, not the unit one)
     x0_pow = 1.0
-    pows = _neg_r2_powers(r2, trunc)
+    pows = [(-r2) ** i for i in range(trunc // 2 + 1)]
     for fact, even, odd in _series_table(trunc, m):
         s = v = 0.0
         for c, i in even:
@@ -189,52 +187,28 @@ def ck_gauss_series(pt: EvalPoint, m: int, trunc: int = 60) -> Multivector:
     return Multivector._of(m, coeffs, False)
 
 
-def ck_gauss_series_tail(pt: EvalPoint, m: int, trunc: int) -> float:
-    """Magnitude of the first omitted series term, for truncation checks."""
-    if not 0 <= trunc <= 169:
-        raise ValueError(f"truncation order must be in 0..169 ((trunc + 1)! overflows binary64 past it), got {trunc}")
-    r2 = math.fsum(x * x for x in pt.xs)
-    pows = _neg_r2_powers(r2, trunc + 1)
-    fact, even, odd = _series_table(trunc + 1, m)[trunc + 1]
-    s = v = 0.0
-    for c, i in even:
-        s += c * pows[i]
-    for c, i in odd:
-        v += c * pows[i]
-    mag = math.hypot(s, v * math.sqrt(r2))
-    return abs(pt.x0) ** (trunc + 1) / fact * mag * math.exp(-r2 / 2.0)
-
-
 def ck_gauss_restriction(x0: float, m: int) -> float:
     """Value of the Gaussian extension on the x_ = 0 axis (odd m only)."""
     _require_odd(m)
     total = 1.0
     # int * float converts the int as float() does; every product is exact in binary64 for m <= MAX_DIMENSION
-    for n, prod in enumerate(_restriction_products(m)[1:], 1):
-        total += prod * x0 ** (2 * n) / math.factorial(2 * n)
+    for n in range(1, (m - 1) // 2 + 1):
+        total += math.prod(range(m - 1, m - 2 * n, -2)) * x0 ** (2 * n) / math.factorial(2 * n)
     return math.exp(x0 * x0 / 2.0) * total
-
-
-@lru_cache(maxsize=None)
-def _restriction_products(m: int) -> tuple:
-    """(m-1)(m-3)...(m-(2j-1)) for j = 0..(m-1)//2, the numerators of the x_ = 0 correction polynomial."""
-    prods = [1]
-    for j in range(1, (m - 1) // 2 + 1):
-        prods.append(prods[-1] * (m - (2 * j - 1)))
-    return tuple(prods)
 
 
 def restriction_taylor_coeff(n: int, m: int) -> Fraction:
     """Exact coefficient of x0^(2n) in the x_ = 0 restriction.
 
-    Expands exp(x0^2/2) times the finite correction polynomial; must equal
-    c_n(n)/(2n)! term by term.
+    Expands exp(x0^2/2) times the finite correction polynomial, whose
+    coefficient of x0^(2j) is (m-1)(m-3)...(m-2j+1)/(2j)! for j <= (m-1)/2;
+    must equal c_n(n)/(2n)! term by term.
     """
     total = Fraction(0)
-    for j, prod in enumerate(_restriction_products(m)[: n + 1]):
-        # polynomial part prod / (2j)! at x0^(2j) times exp part x0^(2(n-j)) / (2^(n-j) (n-j)!)
+    for j in range(min(n, max(0, (m - 1) // 2)) + 1):
+        # polynomial part at x0^(2j) times exp part x0^(2(n-j)) / (2^(n-j) (n-j)!)
         i = n - j
-        total += Fraction(prod, math.factorial(2 * j) * 2 ** i * math.factorial(i))
+        total += Fraction(math.prod(range(m - 1, m - 2 * j, -2)), math.factorial(2 * j) * 2 ** i * math.factorial(i))
     return total
 
 
@@ -421,6 +395,7 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
         raise ValueError("radii must be positive")
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
+    _check_dimension(m)  # the pairs build past MAX_DIMENSION; the probe keeps the numeric layer's cap
     pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
     # one plan for both restrictions, so each factor is computed once per radius
     plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
@@ -482,6 +457,7 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     """
     if not x0_vals or not r_vals:
         raise ValueError("sample grid needs at least one x0 and one r value")
+    _check_dimension(m)
     plan = sample_pair(target, m).plan
     x0_vals = [float(x0) for x0 in x0_vals]
     r_vals = [float(r) for r in r_vals]
@@ -532,7 +508,7 @@ def read_sample_csv(path) -> tuple[int, list, list]:
 
 
 def verify_sample_csv(path, target: str) -> tuple[bool, int]:
-    """Recompute every row of a sample CSV; True iff all values match bit-exactly.
+    """Recompute every row of a sample CSV; True iff all values match bit-exactly, so -0.0 differs from 0.0.
 
     A recomputed value that leaves binary64 raises OverflowError, and a row whose
     x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
@@ -549,7 +525,7 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
 
     # keyed on the bits, so rows at x0 = 0.0 and -0.0 fall in different runs, each evaluated at its own x0
     runs = (list(run) for _, run in groupby(rows, key=lambda row: row[0].hex()))
-    mismatches = 0
+    recomputed, found = [], []  # every value, recomputed and as read, in file order
     line = 1
     for rs, batch in groupby(runs, key=radii):
         batch = list(batch)
@@ -562,8 +538,11 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
                 try:
                     if r == 0:
                         raise EvalDomainError("axial evaluation needs r > 0")
-                    mismatches += row != _sample_row(next(grid), x0, xs, r)
+                    recomputed += _sample_row(next(grid), x0, xs, r)
+                    found += row
                 except (OverflowError, EvalDomainError) as exc:
                     what = "value is out of range" if isinstance(exc, OverflowError) else "x1..xm give r = 0 in binary64"
                     raise type(exc)(f"sample CSV line {line}: {what} at (x0={x0!r}, r={row[m + 1]!r})") from None
-    return mismatches == 0, len(rows)
+    # one pack per side compares the bits of every value, where float == takes -0.0 for 0.0
+    pack = struct.Struct(f"{len(found)}d").pack
+    return pack(*recomputed) == pack(*found), len(rows)

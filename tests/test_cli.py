@@ -197,6 +197,28 @@ def test_verify_json_report(capsys, tmp_path):
     assert rev is None or re.fullmatch(r"[0-9a-f]{40}", rev)
 
 
+def test_tally_carries_instance_count_and_first_failure():
+    res = verify.tally("x", [(1, True), ((2, "a"), False), (3, False)])
+    assert (res.passed, res.detail) == (False, "1/3 first_failure=(2, 'a')")
+    assert (res.instances, res.first_failure) == (3, "(2, 'a')")
+    res = verify.tally("x", [(1, True), (2, True)])
+    assert (res.detail, res.instances, res.first_failure) == ("2/2", 2, None)
+
+
+def test_verify_json_carries_instance_counts(capsys, tmp_path):
+    # a tallied check gives its count as a field, the same as the k/k of its detail; a measured check gives none
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--suite", "gauss", "--json", str(path))
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(path.read_text())["checks"]}
+    for c in checks.values():
+        counted = re.match(r"(\d+)/\1( |$)", c["detail"])
+        assert c["instances"] == (int(counted[1]) if counted else None), c
+        assert c["first_failure"] is None, c
+    assert checks["gauss.taylor_coeffs_exact"]["instances"] == 3 * 41
+    assert checks["gauss.series_vs_closed"]["instances"] is None
+
+
 def test_verify_json_environment_outside_checkout(monkeypatch, tmp_path):
     # the revision is that of the checkout holding the package source; elsewhere it is null
     monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))

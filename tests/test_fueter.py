@@ -20,6 +20,7 @@ from fueterlab.fueter import (
     fueter,
     fueter_via_laplacian,
     gauss_ck_pair,
+    gauss_fund_pair,
     pole_pair,
     seed,
     triangle_check,
@@ -133,6 +134,21 @@ def test_default_pk_built_once():
     assert fueter(seed("iz"), 1, 3, sample_p1(3)).pk == default_pk(1, 3)
     with pytest.raises(InvalidPkError):
         fueter(seed("iz"), 0, 3, sample_p1(3))
+
+
+@pytest.mark.parametrize("m", [17, 21, 31, 41])
+def test_gauss_ck_pair_above_max_dimension(m):
+    # the Vekua residual and the x0 = 0 restriction form no Clifford number, so they are decided
+    # past MAX_DIMENSION, where the pair carries a generic P_0
+    assert default_pk(0, m) is None and default_pk(1, m) is None
+    pair = gauss_ck_pair(m)
+    assert pair.pk is None and vekua_ok(pair)
+    assert pair.A.restrict_x0() == E and pair.B.restrict_x0().is_zero()
+
+
+@pytest.mark.parametrize("m", [17, 21])
+def test_fundamental_pairs_above_max_dimension(m):
+    assert vekua_ok(gauss_fund_pair(m)) and vekua_ok(entire_remainder_pair(m))
 
 
 def test_fueter_abstract_pk_for_higher_degree():

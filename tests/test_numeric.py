@@ -34,7 +34,6 @@ from fueterlab.numeric import (
     axial_evaluator,
     ck_gauss_restriction,
     ck_gauss_series,
-    ck_gauss_series_tail,
     decay_scan,
     entire_part_probe,
     eval_axial,
@@ -117,7 +116,8 @@ def test_series_matches_closed_form():
             series = ck_gauss_series(pt, m, trunc=60)
             closed = eval_axial(pair, pt)
             assert (series - closed).norm() <= 1e-10 * closed.norm()
-            assert ck_gauss_series_tail(pt, m, 60) < 1e-14 * series.norm()
+            # one order further adds the first omitted term
+            assert (ck_gauss_series(pt, m, trunc=61) - series).norm() < 1e-14 * series.norm()
 
 
 def test_restriction_formula():
@@ -721,6 +721,43 @@ def test_verify_sample_csv_reads_rows_in_any_order(tmp_path):
         assert verify_sample_csv(path, "gauss-fund") == (False, n)
 
 
+def test_verify_sample_csv_compares_bits(tmp_path):
+    # float == takes -0.0 for 0.0, so a file whose e2 reads -0.0 where the value is 0.0 must fail by its bits
+    path = tmp_path / "g.csv"
+    assert write_sample_csv(path, "gauss-fund", 3, [-0.5, 0.5], [1.0, 2.0]) == 4
+    assert verify_sample_csv(path, "gauss-fund") == (True, 4)
+    header, *lines = path.read_text().splitlines()
+    e2 = header.split(",").index("e2")
+    cells = lines[2].split(",")
+    assert cells[e2] == "0.0"
+    cells[e2] = "-0.0"
+    path.write_text("\n".join([header, *lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+    assert verify_sample_csv(path, "gauss-fund") == (False, 4)
+
+
+def test_numeric_entries_refuse_dimensions_above_the_cap(tmp_path):
+    # the pairs build past MAX_DIMENSION with a generic P_0; no float evaluation runs there
+    pair = gauss_ck_pair(17)
+    pt = EvalPoint(0.3, (0.1,) * 17)
+    for call in (
+        lambda: eval_axial(pair, pt),
+        lambda: fd_cr_residual(axial_evaluator(pair), pt),
+        lambda: decay_scan(gauss_fund_pair(17), 1.0, 1.0, 2.0, 3, 3),
+    ):
+        with pytest.raises(ValueError, match="concrete P_k"):
+            call()
+    for call in (
+        lambda: ck_gauss_series(pt, 17),
+        lambda: entire_part_probe(17, (0.1, 0.01)),
+        lambda: entire_part_probe(17, (0.1, 0.01), subtract_pole=False),
+        lambda: sample_rows("ck-gauss", 17, [0.0], [1.0]),
+        lambda: write_sample_csv(tmp_path / "g.csv", "gauss-fund", 17, [0.0], [1.0]),
+    ):
+        with pytest.raises(ValueError, match=r"1\.\.16, got 17"):
+            call()
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_read_sample_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "g.csv"
     write_sample_csv(path, "gauss-fund", 3, [0.5], [3.0])
@@ -931,13 +968,6 @@ def _ref_ck_gauss_series(pt, m, trunc):
     return {0: damp * scalar} | {1 << j: damp * vector * x for j, x in enumerate(pt.xs)}
 
 
-def _ref_ck_gauss_series_tail(pt, m, trunc):
-    r2 = math.fsum(x * x for x in pt.xs)
-    s, v = _ref_radial_split(hermite_radial_coeffs(trunc + 1, m), r2)
-    mag = math.hypot(s, v * math.sqrt(r2))
-    return abs(pt.x0) ** (trunc + 1) / math.factorial(trunc + 1) * mag * math.exp(-r2 / 2.0)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -962,20 +992,13 @@ def test_series_bit_identical_to_radial_split():
                 assert got is OverflowError, (trunc, pt)
             else:
                 assert list(got.coeffs.items()) == list(Multivector(m, want, exact=False).coeffs.items()), (trunc, pt)
-            if trunc <= 169:
-                want = _outcome(_ref_ck_gauss_series_tail, pt, m, trunc)
-                got = _outcome(ck_gauss_series_tail, pt, m, trunc)
-                assert got is want is OverflowError or got.hex() == want.hex(), (trunc, pt)
 
 
 def test_series_order_limits():
     pt = EvalPoint(0.5, (1.0, 0.0, 0.0))
     ck_gauss_series(pt, 3, trunc=170)
-    ck_gauss_series_tail(pt, 3, 169)
     with pytest.raises(ValueError, match="170"):
         ck_gauss_series(pt, 3, trunc=171)
-    with pytest.raises(ValueError, match="169"):
-        ck_gauss_series_tail(pt, 3, 170)
     with pytest.raises(ValueError, match="0..170"):
         ck_gauss_series(pt, 3, trunc=-1)
 

@@ -176,12 +176,16 @@ def cmd_ck_gauss(args) -> int:
         closed_line = f"closed (x_=0 axis): {closed!r}"
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)
     else:
-        closed_mv = numeric.eval_axial(gauss_ck_pair(args.m), pt)
+        pair = gauss_ck_pair(args.m)  # an even m raises here, before the catch below
+        try:
+            closed_mv = numeric.eval_axial(pair, pt)
+        except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
+            raise ValueError(f"closed form is NaN at (x0={args.x0!r}, r={args.r!r})") from None
         closed_line = f"closed (axial):     {closed_mv}"
         err = (series - closed_mv).norm() / max(closed_mv.norm(), 1e-300)
     # a NaN or infinite value, or a norm that squares a finite value past binary64, leaves no deviation to print
     if not math.isfinite(err):
-        raise OverflowError(f"relative deviation {err} is not finite")
+        raise OverflowError(f"relative deviation {err} is not finite at (x0={args.x0!r}, r={args.r!r})")
     print(f"series (N={args.trunc}): {series}")
     print(closed_line)
     print(f"relative deviation: {err:.3e}")

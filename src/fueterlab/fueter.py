@@ -337,6 +337,39 @@ def entire_remainder_pair(m: int) -> AxialPair:
     return normalized_gauss_fund_pair(m) - pole_pair(m)
 
 
+@dataclass(frozen=True)
+class AxisSplit:
+    """One component at x0 = 0 as exp(-x) M(r) + P(r) P(K, x) with x = r^2/2, where P(K, x) is the
+    regularized incomplete gamma function (DLMF 8.2.4); M and P map a power of r to its exact coefficient."""
+
+    M: dict
+    P: dict
+    K: int
+
+
+def axis_split(pair: AxialPair) -> tuple[AxisSplit, AxisSplit]:
+    """The x0 = 0 restrictions of A and B, each split exactly.
+
+    A restriction is exp(-x) L(r) + P(r), L holding the exp-flag terms and P
+    the rest.  Since P(K, x) = 1 - exp(-x) sum_{k<K} x^k/k! (DLMF 8.4.10),
+    it equals exp(-x) M + P P(K, x) with M = L + P sum_{k<K} x^k/k!.  K is the
+    least K >= 0 with 2K above P's pole order, so each r^b P(K, x), which
+    behaves as r^(b+2K) / (2^K K!) near 0, is bounded there.  No Clifford
+    number is formed, so any odd m works.
+    """
+    splits = []
+    for expr in (pair.A, pair.B):
+        M, P = {}, {}
+        for (_, b, _, g, _), q in expr.restrict_x0().terms.items():
+            (M if g else P)[b] = q
+        K = max(0, -min(P) // 2 + 1) if P else 0
+        for b, q in P.items():
+            for k in range(K):
+                M[b + 2 * k] = M.get(b + 2 * k, 0) + Fraction(q, 2**k * math.factorial(k))
+        splits.append(AxisSplit({b: q for b, q in M.items() if q}, P, K))
+    return tuple(splits)
+
+
 # --- polynomial routes for z^n seeds ------------------------------------------
 
 

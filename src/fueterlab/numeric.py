@@ -1,33 +1,32 @@
-"""Floating-point evaluation, finite-difference oracles, and scans.
+"""Floating-point evaluation, finite-difference oracles, and scans, all in binary64.
 
-Everything here works in binary64 except the pole-cancellation probe,
-which evaluates the exactly-subtracted remainder in the standard
-library's `decimal` at `dps` digits, because the cancellation near r = 0
-grows like r^-m and would drown in roundoff at double precision.  At
-x0 = 0 the remainder holds only powers of r and exp(-r^2/2), which
-`decimal` rounds correctly, so the numeric layer never loads mpmath.
+The pole-cancellation probe evaluates the exactly subtracted remainder on
+the x_ = 0 axis, where its closed form cancels like r^-m near r = 0.  The
+exact split of `fueter.axis_split` rewrites it through the regularized
+incomplete gamma function P(K, r^2/2), which leaves nothing to cancel, so
+the probe needs no extended precision: it sets up no `decimal` context, and
+the numeric layer never loads mpmath.
 """
 
 from __future__ import annotations
 
 import csv
-import decimal
 import math
 import struct
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import mul
 
-from .axial import EvalDomainError, EvalPlan
+from .axial import EvalDomainError
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, _check_dimension
 from .clifford import blade_product, sum_squares
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
     AxialPair,
     _require_odd,
+    axis_split,
     entire_remainder_pair,
     gauss_ck_pair,
     gauss_fund_pair,
@@ -379,16 +378,100 @@ def decay_scan(
 # --- pole-cancellation probe ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _probe_split(m: int, subtract_pole: bool) -> tuple:
+    """`axis_split` of the probed pair in binary64: per nonempty component, (M, series, P, K).
+
+    Each of M, series and P is a tuple of terms (c, b) standing for c r^b;
+    the series terms are P's terms times x^K / K! = r^(2K) / (2^K K!), each
+    joined into one power of r.
+    """
+    pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
+    out = []
+    for split in axis_split(pair):
+        if split.M or split.P:  # an empty component adds nothing to the norm
+            K = split.K
+            scale = 2**K * math.factorial(K)
+            M = tuple((float(q), b) for b, q in split.M.items())
+            series = tuple((float(Fraction(q) / scale), b + 2 * K) for b, q in split.P.items())
+            out.append((M, series, tuple((float(q), b) for b, q in split.P.items()), K))
+    return tuple(out)
+
+
+def _power_sum(terms, r: float) -> float:
+    """sum of c r^b over the (c, b) in terms, rounded once; a power that leaves binary64 reads inf."""
+    out = []
+    for c, b in terms:
+        try:
+            out.append(c * r**b)
+        except OverflowError:
+            out.append(c * math.inf)
+    return math.fsum(out)
+
+
+@lru_cache(maxsize=None)
+def _gamma_series(K: int) -> tuple:
+    """K!/(K+n)! for n = 1, 2, ... as floats, while (K+1)^n K!/(K+n)! is above 1e-17."""
+    out = []
+    c = Fraction(1)
+    while not out or (K + 1) ** len(out) * c > Fraction(1, 10**17):
+        c /= K + len(out) + 1
+        out.append(c)
+    return tuple(map(float, out))
+
+
+def _square_rel_error(r: float) -> float:
+    """(r^2 - r * r) / (r * r), the relative rounding error of r * r, exactly, by Dekker's product
+    with Veltkamp's split of r; good while no partial product leaves binary64 (1e-100 < r < 1e100)."""
+    rr = r * r
+    c = 134217729.0 * r  # 2^27 + 1
+    hi = c - (c - r)
+    lo = r - hi
+    return ((hi * hi - rr) + 2.0 * hi * lo + lo * lo) / rr
+
+
+def _gamma_p_sum(series, p_terms, K: int, r: float, x: float, rel: float, e: float) -> float:
+    """P(r) P(K, x) at x (1 + rel) = r^2/2 and e = exp(-x), from the series and P terms of `_probe_split`.
+
+    Below x = K + 1 it is sum_b c_b r^(b+2K) / (2^K K!) exp(-x) sum_n x^n K!/(K+n)!
+    (DLMF 8.7.1), whose terms are positive and whose powers of r are not
+    negative; above, P(r) (1 - exp(-x) sum_{k<K} x^k/k!) (DLMF 8.4.10), where
+    P(K, x) is above about 1/2, so the difference loses at most about a bit.
+    Each form is corrected to first order in rel by its derivative in x.
+    """
+    if not p_terms:
+        return 0.0
+    if K and x < K + 1:
+        terms = []  # of sum_n x^n K!/(K+n)! past n = 0, each from its own power of x
+        for n, c in enumerate(_gamma_series(K), 1):
+            terms.append(c * x**n)
+            if terms[-1] <= 1e-17 * terms[0]:
+                break
+        s1 = math.fsum(terms)
+        # d/dx of exp(-x) (1 + s1) is -(K/x) exp(-x) s1
+        return _power_sum(series, r) * (e + e * (s1 - K * rel * s1))
+    tail = term = e if K else 0.0  # exp(-x) sum_{k<K} x^k/k!; at e = 0 every term is 0
+    for k in range(1, K if e else 0):
+        term *= x / k
+        tail += term
+    # d/dx of the tail is -exp(-x) x^(K-1)/(K-1)!, its last term
+    return _power_sum(p_terms, r) * (1.0 - (tail - term * x * rel))
+
+
 def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) -> ProbeReport:
     """Evaluate the normalized transform of exp(z^2/2)/z minus its pole
     along x_ = r e_1, x0 = 0, at decreasing radii.
 
-    The subtraction cancels an r^-m singularity exactly in the term
-    algebra, but the surviving terms still cancel analytically near 0, so
-    the evaluation runs at dps decimal digits.  Boundedness of the values
-    is the numerical signature that the remainder is entire.  The plan runs
-    on `decimal.Decimal` in a fresh context, so the caller's decimal
-    settings change no bit and are as they were afterwards.
+    The subtraction cancels the r^-m singularity exactly in the term
+    algebra, and `axis_split` turns the surviving terms, which still cancel
+    analytically near 0, into exp(-x) M(r) + P(r) P(K, x) with x = r^2/2 and
+    P(K, x) the regularized incomplete gamma function.  Each part is
+    evaluated in binary64 with no negative power of r left to cancel, so the
+    values hold to a few ulp at any radius.  Boundedness of the values is
+    the numerical signature that the remainder is entire.  Without the
+    subtraction the values grow like r^-m and read inf once that leaves
+    binary64.  `dps` has no effect; it stays for callers that pass it, until
+    ROADMAP item 7 removes it.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(r <= 0 for r in radii):
@@ -396,14 +479,19 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
     _check_dimension(m)  # the pairs build past MAX_DIMENSION; the probe keeps the numeric layer's cap
-    pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
-    # one plan for both restrictions, so each factor is computed once per radius
-    plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
+    split = _probe_split(m, subtract_pole)
     values = []
-    with decimal.localcontext(decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN)) as ctx:
-        for r in radii:
-            av, bv = plan.values(Decimal(0), Decimal(r), lambda q: Decimal(q.numerator) / q.denominator, ctx)
-            values.append(float((av * av + bv * bv).sqrt()))
+    for r in radii:
+        x = r * r / 2.0
+        e = math.exp(-x)
+        # x (1 + rel) = r^2/2; below x = 1e-3 the rounding of x moves no part by more than about 1e-19
+        rel = _square_rel_error(r) if 1e-3 < x and e else 0.0
+        # exp(-x) M(r) is 0 once exp(-x) is, also where a power in M reads inf
+        parts = [
+            ((e - e * x * rel) * _power_sum(M, r) if e else 0.0) + _gamma_p_sum(series, P, K, r, x, rel, e)
+            for M, series, P, K in split
+        ]
+        values.append(math.hypot(*parts))
     cap = max(1.0, 10.0 * values[0])
     bounded = all(v <= cap for v in values)
     return ProbeReport(m, radii, tuple(values), bounded, subtract_pole)
@@ -450,6 +538,7 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
 
     A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
     raises ValueError naming its grid point.  A row's norm is NaN exactly then.
+    So does a point where x0 * r is infinite (x0 = 0.5, r = 1e200), whose cos and sin are NaN.
     A power of x0 or r that leaves binary64 (x0 = 1e200, or r = 1e-160, whose
     square is subnormal) raises OverflowError naming its grid point.
     A radius whose square is 0 in binary64 (r <= 0, or r below about 1.6e-162) names itself too.
@@ -473,6 +562,8 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
                 row = _sample_row(next(grid), x0, (r, *zeros), radius)
             except OverflowError:
                 raise OverflowError(f"sample value is out of range at (x0={x0!r}, r={r!r})") from None
+            except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
+                raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})") from None
             if math.isnan(row[-1]):
                 raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
             rows.append(row)
@@ -510,10 +601,11 @@ def read_sample_csv(path) -> tuple[int, list, list]:
 def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """Recompute every row of a sample CSV; True iff all values match bit-exactly, so -0.0 differs from 0.0.
 
-    A recomputed value that leaves binary64 raises OverflowError, and a row whose
+    A recomputed value that leaves binary64 raises OverflowError, a row whose
     x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
-    raises EvalDomainError; both name the row's line (the header is line 1, each
-    row one line) and its x0 and r columns.  The rows may come in any order: each
+    raises EvalDomainError, and a row where x0 * r is infinite (x0 = 0.5,
+    x1 = 1e200), whose cos and sin are NaN, raises ValueError; each names the
+    row's line (the header is line 1, each row one line) and its x0 and r columns.  The rows may come in any order: each
     run of consecutive rows with the same x0 is a grid row, and consecutive runs
     over the same radii, as `sample` writes them, are evaluated as one grid.
     """
@@ -540,8 +632,12 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
                         raise EvalDomainError("axial evaluation needs r > 0")
                     recomputed += _sample_row(next(grid), x0, xs, r)
                     found += row
-                except (OverflowError, EvalDomainError) as exc:
-                    what = "value is out of range" if isinstance(exc, OverflowError) else "x1..xm give r = 0 in binary64"
+                except (OverflowError, ValueError) as exc:
+                    # a bare ValueError is math's cos or sin refusing an infinite x0 * r, where IEEE 754 gives NaN
+                    what = {
+                        OverflowError: "value is out of range",
+                        EvalDomainError: "x1..xm give r = 0 in binary64",
+                    }.get(type(exc), "value is NaN")
                     raise type(exc)(f"sample CSV line {line}: {what} at (x0={x0!r}, r={row[m + 1]!r})") from None
     # one pack per side compares the bits of every value, where float == takes -0.0 for 0.0
     pack = struct.Struct(f"{len(found)}d").pack

@@ -541,6 +541,7 @@ def _gauss_taylor_coeffs(ctx):
 # --- gauss_fund -------------------------------------------------------------------
 
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
+PROBE_MS = tuple(range(3, 16, 2))  # the probe evaluates in binary64 at every odd m up to MAX_DIMENSION
 
 
 @exact("gauss_fund", "gauss_fund.remainder_vekua")
@@ -548,7 +549,7 @@ def _remainder_vekua(ctx):
     return ((m, vekua_ok(entire_remainder_pair(m))) for m in ctx.ms)
 
 
-@measured("gauss_fund", ms=(3, 5))
+@measured("gauss_fund", ms=PROBE_MS)
 def _pole_cancellation(ctx):
     reports = [entire_part_probe(m, PROBE_RADII) for m in ctx.ms]
     worst = max(max(report.values) for report in reports)
@@ -556,7 +557,7 @@ def _pole_cancellation(ctx):
     return [CheckResult("gauss_fund.pole_cancellation", passed, worst, f"radii down to {PROBE_RADII[-1]:g}")]
 
 
-@exact("gauss_fund", "gauss_fund.pole_detected_control", ms=(3, 5))
+@exact("gauss_fund", "gauss_fund.pole_detected_control", ms=PROBE_MS)
 def _pole_detected_control(ctx):
     for m in ctx.ms:
         yield m, not entire_part_probe(m, PROBE_RADII, subtract_pole=False).bounded

@@ -12,13 +12,14 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from fueterlab import numeric
+from fueterlab import numeric, verify
 from fueterlab.axial import EvalDomainError, EvalPlan
 from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
 from fueterlab.cliffpoly import CliffPoly, coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
     SEED_NAMES,
     EvenDimensionError,
+    axis_split,
     default_pk,
     entire_remainder_pair,
     fueter,
@@ -539,19 +540,77 @@ def test_entire_part_probe_control_grows_like_pole():
         assert ratio == pytest.approx(10 ** m, rel=0.2)
 
 
-def test_entire_part_probe_bit_identical_to_two_evaluations():
+def _probe_reference(m: int, r: float, subtract_pole: bool) -> float:
+    """|A + w B| at (0, r) from `values_mp` at 40 + (m+1) max(1, |log10 r|) digits, which covers the cancellation."""
+    pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
+    plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
+    with mpmath.workdps(40 + (m + 1) * max(1, abs(math.log10(r)))):
+        av, bv = plan.values_mp(0, r)
+        return float(mpmath.sqrt(av * av + bv * bv))
+
+
+# radii between 0.3 and 8, where x = r^2/2 is not exact in binary64 and exp(-x) is far from 1
+_INEXACT_SQUARE_RADII = tuple(sorted((random.Random(5).uniform(0.3, 8.0) for _ in range(16)), reverse=True))
+
+
+@pytest.mark.parametrize("subtract_pole", [True, False])
+@pytest.mark.parametrize("m", range(3, 16, 2))
+def test_entire_part_probe_matches_high_precision_reference(m, subtract_pole):
+    for radii in (
+        (0.15, 1.5e-2, 1.5e-3, 1.5e-4),
+        verify.PROBE_RADII,
+        (1e3, 40.0, 5.0, 1.0),
+        (1e-30, 1e-100, 1e-300),
+        _INEXACT_SQUARE_RADII,
+    ):
+        got = entire_part_probe(m, radii, subtract_pole=subtract_pole).values
+        for r, value in zip(radii, got):
+            want = _probe_reference(m, r, subtract_pole)
+            if want == 0 or math.isinf(want):  # the reference leaves binary64
+                assert value == want, (r, value, want)
+            else:
+                assert abs(value - want) <= 5e-16 * want, (r, value, want)
+
+
+def test_axis_split_closed_form():
+    # on the axis the remainder is exactly r^-m P((m+1)/2, r^2/2), and the control keeps its pole in M
+    for m in range(3, 42, 2):
+        K = (m + 1) // 2
+        a_split, b_split = axis_split(entire_remainder_pair(m))
+        assert (a_split.M, a_split.P, a_split.K) == ({}, {}, 0)
+        assert (b_split.M, b_split.P, b_split.K) == ({}, {-m: 1}, K)
+        a_split, b_split = axis_split(normalized_gauss_fund_pair(m))
+        assert (a_split.M, a_split.P, a_split.K) == ({}, {}, 0)
+        want = {2 * k - m: -Fraction(1, 2**k * math.factorial(k)) for k in range(K)}
+        assert (b_split.M, b_split.P, b_split.K) == (want, {}, 0)
+
+
+def test_entire_part_probe_ignores_dps():
     radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
-    for m in (3, 5, 7):
-        for subtract_pole in (True, False):
-            pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
-            a0, b0 = pair.A.restrict_x0(), pair.B.restrict_x0()
-            want = []
+    for m in (3, 9, 15):
+        for sp in (True, False):
+            low = entire_part_probe(m, radii, subtract_pole=sp, dps=10).values
+            high = entire_part_probe(m, radii, subtract_pole=sp, dps=60).values
+            assert [v.hex() for v in low] == [v.hex() for v in high], (m, sp)
+
+
+def test_entire_part_probe_at_tiny_radii():
+    # r^-m P(K, r^2/2) with K = (m+1)/2, where the closed form cancels by about (m+1) |log10 r| digits
+    radii = (1e-30, 1e-100, 1e-300)
+    for m in range(3, 16, 2):
+        report = entire_part_probe(m, radii)
+        assert report.bounded
+        for r, value in zip(radii, report.values):
             with mpmath.workdps(60):
-                for r in radii:
-                    av, bv = a0.evaluate_mp(0, r), b0.evaluate_mp(0, r)
-                    want.append(float(mpmath.sqrt(av * av + bv * bv)))
-            got = entire_part_probe(m, radii, subtract_pole=subtract_pole).values
-            assert [v.hex() for v in got] == [v.hex() for v in want], (m, subtract_pole)
+                want = float(mpmath.mpf(r) ** -m * mpmath.gammainc((m + 1) // 2, 0, mpmath.mpf(r) ** 2 / 2, regularized=True))
+            assert abs(value - want) <= 5e-16 * want, (m, r, value, want)
+
+
+def test_entire_part_probe_control_reads_inf_past_binary64():
+    # r^-11 leaves binary64 at r = 1e-30: the value reads inf, and no OverflowError escapes
+    report = entire_part_probe(11, (0.1, 1e-30), subtract_pole=False)
+    assert report.values[0] == pytest.approx(1e11, rel=1e-15) and report.values[1] == math.inf
+    assert not report.bounded
 
 
 def test_entire_part_probe_ignores_the_callers_decimal_context():

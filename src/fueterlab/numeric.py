@@ -571,11 +571,25 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
 
 
 def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
+    """Write `sample_rows` as the csv module's default dialect: ',' between fields, '\r\n' after each
+    line, a float as its repr; no field holds a delimiter, quote or newline, so none is quoted.
+
+    The rows come in row-major order, so each x0 is formatted once per grid row and the point
+    text x1,0.0,...,0.0,r once per radius; e2..em are always 0.0.  The file is opened only
+    after every row is computed, so a grid that fails writes no file.
+    """
+    r_vals = list(r_vals)
     rows = sample_rows(target, m, x0_vals, r_vals)
+    n = len(r_vals)
+    points = [",".join(map(repr, row[1 : m + 2])) for row in rows[:n]]
+    zeros = ",0.0" * (m - 1)
+    lines = [",".join(sample_header(m))]
+    for i in range(0, len(rows), n):
+        x0 = repr(rows[i][0])
+        for row, point in zip(rows[i : i + n], points):
+            lines.append(f"{x0},{point},{row[m + 2]!r},{row[m + 3]!r}{zeros},{row[-1]!r}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sample_header(m))
-        writer.writerows(rows)  # csv writes a float as its repr
+        fh.write("\r\n".join(lines) + "\r\n")
     return len(rows)
 
 
@@ -592,7 +606,10 @@ def read_sample_csv(path) -> tuple[int, list, list]:
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"sample CSV line {reader.line_num}: {len(row)} columns, header has {len(header)}")
-            rows.append(list(map(float, row)))
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise ValueError(f"sample CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("sample CSV has no rows")
     return m, header, rows
@@ -603,8 +620,9 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
 
     A recomputed value that leaves binary64 raises OverflowError, a row whose
     x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
-    raises EvalDomainError, and a row where x0 * r is infinite (x0 = 0.5,
-    x1 = 1e200), whose cos and sin are NaN, raises ValueError; each names the
+    raises EvalDomainError, and a row whose recomputed value is NaN raises ValueError,
+    as sample_rows does (x1 = 1e200, where x0 * r is infinite or, at x0 = 0, 0 * inf; or
+    a NaN x0 or x1); each names the
     row's line (the header is line 1, each row one line) and its x0 and r columns.  The rows may come in any order: each
     run of consecutive rows with the same x0 is a grid row, and consecutive runs
     over the same radii, as `sample` writes them, are evaluated as one grid.
@@ -630,10 +648,13 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
                 try:
                     if r == 0:
                         raise EvalDomainError("axial evaluation needs r > 0")
-                    recomputed += _sample_row(next(grid), x0, xs, r)
+                    values = _sample_row(next(grid), x0, xs, r)
+                    if math.isnan(values[-1]):  # cos(0 * inf), or a NaN x0 or x1, gives NaN without raising
+                        raise ValueError
+                    recomputed += values
                     found += row
                 except (OverflowError, ValueError) as exc:
-                    # a bare ValueError is math's cos or sin refusing an infinite x0 * r, where IEEE 754 gives NaN
+                    # a bare ValueError is a NaN value, or math's cos or sin refusing an infinite x0 * r
                     what = {
                         OverflowError: "value is out of range",
                         EvalDomainError: "x1..xm give r = 0 in binary64",

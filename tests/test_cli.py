@@ -512,6 +512,34 @@ def test_verify_from_names_the_row_where_x0_times_r_is_infinite(capsys, tmp_path
     assert err == "error: sample CSV line 2: value is NaN at (x0=0.5, r=1e+200)\n"
 
 
+@pytest.mark.parametrize(
+    "row, point",
+    [
+        # cos(0 * inf) is NaN without an exception, where x0 = 0.5 makes math raise
+        ((0.0, 1e200, 0.0, 0.0, 1e200, 1.0, 0.0, 0.0, 0.0, 1.0), "x0=0.0, r=1e+200"),
+        ((math.nan, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0), "x0=nan, r=1.0"),
+        ((0.5, math.nan, 0.0, 0.0, math.nan, 1.0, 0.0, 0.0, 0.0, 1.0), "x0=0.5, r=nan"),
+    ],
+    ids=["x0_zero_r_inf", "x0_nan", "x1_nan"],
+)
+def test_verify_from_refuses_a_row_whose_value_is_nan(capsys, tmp_path, row, point):
+    # a NaN value could only match by its bits; it is refused as sample refuses to write one
+    path = tmp_path / "nan.csv"
+    path.write_text(",".join(sample_header(3)) + "\n" + ",".join(map(repr, row)) + "\n")
+    code, out, err = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: sample CSV line 2: value is NaN at ({point})\n"
+
+
+def test_verify_from_names_the_line_of_a_cell_that_is_not_a_number(capsys, tmp_path):
+    path = tmp_path / "abc.csv"
+    good = "0.5,1.0,0.0,0.0,1.0,1.0,0.0,0.0,0.0,1.0"
+    path.write_text("\n".join([",".join(sample_header(3)), good, good.replace("1.0", "abc", 1)]) + "\n")
+    code, out, err = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: sample CSV line 3: could not convert string to float: 'abc'\n"
+
+
 def test_verify_all_seed7_matches_golden(capsys):
     # the random draws of every suite come from --rng-seed; the golden file was written at seed 7
     code, out, err = run(capsys, "verify", "--suite", "all", "--rng-seed", "7")

@@ -1,5 +1,6 @@
 import csv
 import decimal
+import io
 import math
 import random
 import re
@@ -792,6 +793,49 @@ def test_verify_sample_csv_compares_bits(tmp_path):
     cells[e2] = "-0.0"
     path.write_text("\n".join([header, *lines[:2], ",".join(cells), *lines[3:]]) + "\n")
     assert verify_sample_csv(path, "gauss-fund") == (False, 4)
+
+
+def _csv_writer_bytes(target, m, x0_vals, r_vals) -> bytes:
+    """The reference text: the csv module's default writer on the header and `sample_rows`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(numeric.sample_header(m))
+    writer.writerows(sample_rows(target, m, x0_vals, r_vals))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("target", numeric.SAMPLE_TARGETS)
+@pytest.mark.parametrize("m", range(1, 16, 2))
+def test_write_sample_csv_equals_csv_writer(tmp_path, target, m):
+    # the writer formats each x0 once per grid row and each point once per radius; its bytes must be csv.writer's
+    rng = random.Random(2800 + m)
+    grids = [
+        ([-0.0, 0.0], [0.5, 2.0]),
+        ([0.0, -0.0, 0.0], [1.0]),
+        ([0.3], [1.2]),
+        ([38.0], [5.0]),  # inf values at m <= 3, NaN from m = 5 on
+        *(
+            (lin_range(lo, lo + rng.uniform(0.1, 3.0), rng.randint(1, 6)), lin_range(r, r + rng.uniform(0.1, 6.0), rng.randint(1, 6)))
+            for lo, r in [(rng.uniform(-3.0, 1.0), rng.uniform(0.01, 2.0)) for _ in range(4)]
+        ),
+        ([0.5, 0.0], [1.0, 1e200]),  # NaN at the second grid row's second point
+        ([0.5, 1e200], [1.0]),  # x0 ** a overflows in the second grid row from m = 3 on; inf values at m = 1
+        ([0.5], [1.0, 1e-200]),  # r * r is 0 in binary64
+    ]
+    failed = 0
+    for i, (x0_vals, r_vals) in enumerate(grids):
+        path = tmp_path / f"g{i}.csv"
+        try:
+            want = _csv_writer_bytes(target, m, x0_vals, r_vals)
+        except (OverflowError, ValueError) as exc:
+            failed += 1
+            with pytest.raises(type(exc)) as got:
+                write_sample_csv(path, target, m, x0_vals, r_vals)
+            assert str(got.value) == str(exc) and not path.exists()
+            continue
+        assert write_sample_csv(path, target, m, x0_vals, r_vals) == len(x0_vals) * len(r_vals)
+        assert path.read_bytes() == want, (target, m, x0_vals, r_vals)
+    assert failed >= 2
 
 
 def test_numeric_entries_refuse_dimensions_above_the_cap(tmp_path):

@@ -621,8 +621,8 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     A recomputed value that leaves binary64 raises OverflowError, a row whose
     x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
     raises EvalDomainError, and a row whose recomputed value is NaN raises ValueError,
-    as sample_rows does (x1 = 1e200, where x0 * r is infinite or, at x0 = 0, 0 * inf; or
-    a NaN x0 or x1); each names the
+    as in `sample_rows` (x1 = 1e200, where x0 * r is infinite, or 0 * inf at x0 = 0;
+    or an x0 or x1 that reads nan); each names the
     row's line (the header is line 1, each row one line) and its x0 and r columns.  The rows may come in any order: each
     run of consecutive rows with the same x0 is a grid row, and consecutive runs
     over the same radii, as `sample` writes them, are evaluated as one grid.

@@ -815,10 +815,13 @@ def test_write_sample_csv_equals_csv_writer(tmp_path, target, m):
         ([0.3], [1.2]),
         ([38.0], [5.0]),  # inf values at m <= 3, NaN from m = 5 on
         *(
-            (lin_range(lo, lo + rng.uniform(0.1, 3.0), rng.randint(1, 6)), lin_range(r, r + rng.uniform(0.1, 6.0), rng.randint(1, 6)))
+            (
+                lin_range(lo, lo + rng.uniform(0.1, 3.0), rng.randint(1, 6)),
+                lin_range(r, r + rng.uniform(0.1, 6.0), rng.randint(1, 6)),
+            )
             for lo, r in [(rng.uniform(-3.0, 1.0), rng.uniform(0.01, 2.0)) for _ in range(4)]
         ),
-        ([0.5, 0.0], [1.0, 1e200]),  # NaN at the second grid row's second point
+        ([0.0, 0.5], [1.0, 1e200]),  # NaN at the first grid row's second point, from 0 * inf
         ([0.5, 1e200], [1.0]),  # x0 ** a overflows in the second grid row from m = 3 on; inf values at m = 1
         ([0.5], [1.0, 1e-200]),  # r * r is 0 in binary64
     ]

@@ -277,6 +277,18 @@ class Multivector:
         return f"Multivector(m={self.m}, {format_multivector(self)!r}, exact={self.exact})"
 
 
+_SET_M, _SET_EXACT, _SET_COEFFS = Multivector.m.__set__, Multivector.exact.__set__, Multivector.coeffs.__set__
+
+
+def _float_of(m: int, coeffs: dict) -> Multivector:
+    """`Multivector._of(m, coeffs, False)` for float coeffs that hold no zero: no filtering pass, no copy."""
+    a = object.__new__(Multivector)
+    _SET_M(a, m)
+    _SET_EXACT(a, False)
+    _SET_COEFFS(a, coeffs)
+    return a
+
+
 def gp(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product in R_{0,m}."""
     a._check_compatible(b)

@@ -21,7 +21,7 @@ from operator import mul
 
 from .axial import EvalDomainError
 from .clifford import MAX_DIMENSION, DimensionMismatchError, MixedVariantError, Multivector, _check_dimension
-from .clifford import blade_product, sum_squares
+from .clifford import _float_of, blade_product, sum_squares
 from .cliffpoly import hermite_radial_coeffs
 from .fueter import (
     AxialPair,
@@ -56,9 +56,13 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Central second-order differences with step h * max(1, |point|)."""
+    """Central second-order differences with step h * max(1, |point|); h must be finite and > 0."""
 
     h: float = 1e-5
+
+    def __post_init__(self):
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"finite-difference step h must be finite and > 0, got {self.h!r}")
 
     def step(self, pt: EvalPoint) -> float:
         return self.h * max(1.0, math.sqrt(pt.x0 * pt.x0 + sum_squares(pt.xs)))
@@ -94,8 +98,12 @@ class ProbeReport:
     subtract_pole: bool = True
 
 
-def _axial_value(m: int, values, pk, x0, xs: tuple, r: float) -> Multivector:
-    """(A + w B) P_k at (x0, xs) with |xs| = r, from the pair plan's `values`."""
+def _axial_value(m: int, values, pk, unit: bool, x0, xs: tuple, r: float) -> Multivector:
+    """(A + w B) P_k at (x0, xs) with |xs| = r, from the pair plan's `values`; unit is `pk.is_one()`.
+
+    The coefficients are those `Multivector._of` keeps: a part that is 0 (A = 0,
+    x_j = 0, or B x_j / r rounding to ±0.0) never enters the dict.
+    """
     if pk is None:
         raise ValueError("evaluation needs a concrete P_k")
     if len(xs) != m:
@@ -103,32 +111,37 @@ def _axial_value(m: int, values, pk, x0, xs: tuple, r: float) -> Multivector:
     if r == 0:
         raise EvalDomainError("axial evaluation needs r > 0; use the restriction formulas at x_ = 0")
     a_val, b_val = values(x0, r)
-    coeffs = {0: a_val}
+    coeffs = {0: a_val} if a_val else {}
     for j, x in enumerate(xs):
         if x:
-            coeffs[1 << j] = b_val * (x / r)
-    value = Multivector._of(m, coeffs, False)
-    # the float Multivector drops zeros and x * 1.0 == x, so P_k = 1 would change no coefficient
-    return value if pk.is_one() else value * pk.eval(x0, xs)
+            v = b_val * (x / r)
+            if v:
+                coeffs[1 << j] = v
+    value = _float_of(m, coeffs)
+    # x * 1.0 == x, so P_k = 1 would change no coefficient
+    return value if unit else value * pk.eval(x0, xs)
 
 
 def eval_axial(pair: AxialPair, pt: EvalPoint) -> Multivector:
     """(A + w B) P_k at a point with r > 0, in binary64."""
-    return _axial_value(pair.m, pair.plan.values, pair.pk, pt.x0, pt.xs, pt.r)
+    pk = pair.pk
+    return _axial_value(pair.m, pair.plan.values, pk, pk is not None and pk.is_one(), pt.x0, pt.xs, pt.r)
 
 
 def axial_evaluator(pair: AxialPair):
     """Adapter (x0, xs) -> Multivector for the finite-difference oracle.
 
     Gives `eval_axial(pair, EvalPoint(x0, xs))` bit for bit; the pair's plan
-    is bound once, and r is computed as `EvalPoint` computes it.
+    and whether P_k = 1 are bound once, and r is computed as `EvalPoint` computes it.
     """
     m, pk = pair.m, pair.pk
     values = pair.plan.values
+    unit = pk is not None and pk.is_one()
+    sqrt, fsum = math.sqrt, math.fsum
 
     def f(x0, xs):
         xs = tuple(xs)
-        return _axial_value(m, values, pk, x0, xs, math.sqrt(math.fsum(map(mul, xs, xs))))
+        return _axial_value(m, values, pk, unit, x0, xs, sqrt(fsum(map(mul, xs, xs))))
 
     return f
 
@@ -224,29 +237,44 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
     """For j = 0..m, {mask: coeff} of f(x + h u_j) - f(x - h u_j), u_0 the x0 direction.
 
     f must be a function of the point: the partials of the last two (f, point
-    object, step) calls are kept and handed out again.
+    object, step) calls are kept and handed out again.  A stencil in which
+    x + h or x - h rounds back to x for some coordinate (with `FDConfig`'s
+    step, an h below about 1.1e-16) would read a zero partial there: it
+    raises ValueError naming the coordinate and the step before f is called.
     """
-    m = pt.m
-    coords = (pt.x0, *pt.xs)
     key = (id(f), id(pt), h)
     hit = _FD_PARTIALS.get(key)
     if hit is not None:
         return hit[2]
-
-    def shifted(j, step):
-        c = list(coords)
-        c[j] += step
-        value = f(c[0], tuple(c[1:]))
+    m = pt.m
+    x0, xs = pt.x0, tuple(pt.xs)
+    # f's arguments at x + h u_j and x - h u_j for j = 0..m; each shift replaces one coordinate
+    points = []
+    shifted = list(xs)
+    for j, x in enumerate((x0, *xs)):
+        up, down = x + h, x - h
+        if up == x or down == x:
+            raise ValueError(f"finite-difference step {h!r} is lost at x{j}={x!r}: x + step or x - step rounds to x")
+        if j:
+            shifted[j - 1] = up
+            plus = tuple(shifted)
+            shifted[j - 1] = down
+            points += ((x0, plus), (x0, tuple(shifted)))
+            shifted[j - 1] = x
+        else:
+            points += ((up, xs), (down, xs))
+    values = []
+    for y0, ys in points:
+        value = f(y0, ys)
         if value.m != m:
             raise DimensionMismatchError(f"f returned m={value.m} at a point of m={m}")
         if value.exact:
             raise MixedVariantError("f must return float multivectors")
-        return value.coeffs
-
+        values.append(value.coeffs)
     partials = []
-    for j in range(m + 1):
-        diff = dict(shifted(j, h))
-        for mask, v in shifted(j, -h).items():
+    for j in range(0, 2 * m + 2, 2):
+        diff = dict(values[j])
+        for mask, v in values[j + 1].items():
             diff[mask] = diff.get(mask, 0) - v
         partials.append(diff)
     if len(_FD_PARTIALS) >= 2:
@@ -274,15 +302,18 @@ def fd_cr_residual(f, pt: EvalPoint, cfg: FDConfig | None = None, side: str = "l
     h = (cfg or FDConfig()).step(pt)
     inv_2h = 1.0 / (2.0 * h)
     left = side == "left"
-    total: dict = {}
-    for j, diff in enumerate(_fd_partials(f, pt, h)):
-        ej = 1 << (j - 1) if j else 0  # e_j, and the identity for the x0 partial
-        for mask, v in diff.items():
+    partials = _fd_partials(f, pt, h)
+    # the x0 partial enters as it is: e_0 is the identity
+    total = {mask: v * inv_2h for mask, v in partials[0].items()}
+    for j in range(1, len(partials)):
+        if 0 in total.values():
+            total = {mask: v for mask, v in total.items() if v}
+        ej = 1 << (j - 1)
+        for mask, v in partials[j].items():
             v *= inv_2h
             sign, key = blade_product(ej, mask) if left else blade_product(mask, ej)
             total[key] = total.get(key, 0) + (v if sign > 0 else -v)
-        if 0 in total.values():
-            total = {mask: v for mask, v in total.items() if v}
+    # a zero entry left by the last partial adds +0.0 to the sum of squares
     return math.sqrt(sum_squares(total.values()))
 
 

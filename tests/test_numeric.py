@@ -330,6 +330,101 @@ def test_fd_stencil_memo_holds_two_entries():
     assert f.calls == 200 * 4 * 4
 
 
+@pytest.mark.parametrize("h", [0.0, -0.0, -1e-5, math.nan, math.inf, -math.inf], ids=str)
+def test_fd_config_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError) as info:
+        FDConfig(h)
+    assert str(info.value) == f"finite-difference step h must be finite and > 0, got {h!r}"
+
+
+def test_fd_refuses_a_step_that_rounds_back_onto_the_point():
+    m = 3
+
+    def scalar_x0(x0, xs):
+        calls.append((x0, xs))
+        return Multivector.scalar(m, x0, exact=False)  # residual 1 everywhere
+
+    calls = []
+    pt = EvalPoint(0.4, (0.9, 0.5, -0.3))
+    assert fd_cr_residual(scalar_x0, pt, FDConfig(1e-5)) == pytest.approx(1.0, rel=1e-9)
+    # (point, h, the coordinate named): 0.4 + 1.17e-17 == 0.4; 1.5 + 7.5e-17 == 1.5 with
+    # x0 = 0 shifting; at -1.0 only x - step rounds back, at 1.0 only x + step
+    cases = [
+        (pt, 1e-17, "x0=0.4"),
+        (pt, 1e-300, "x0=0.4"),
+        (EvalPoint(0.0, (1.5, 0.0, 0.0)), 5e-17, "x1=1.5"),
+        (EvalPoint(0.0, (0.0, 0.0, -1.0)), 6e-17, "x3=-1.0"),
+        (EvalPoint(0.0, (0.0, 1.0, 0.0)), 6e-17, "x2=1.0"),
+    ]
+    assert -1.0 + 6e-17 != -1.0 == -1.0 - 6e-17 and 1.0 + 6e-17 == 1.0 != 1.0 - 6e-17
+    for point, h, named in cases:
+        calls.clear()
+        step = FDConfig(h).step(point)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError) as info:
+                fd_cr_residual(scalar_x0, point, FDConfig(h), side)
+            assert str(info.value) == f"finite-difference step {step!r} is lost at {named}: x + step or x - step rounds to x"
+        assert calls == []
+
+
+def _coord_bits(x):
+    """A coordinate by its type and bits: an int stays an int, -0.0 differs from 0.0."""
+    return (type(x).__name__, x.hex() if type(x) is float else repr(x))
+
+
+class _Recording:
+    """An f that records each point it is handed, by its bits."""
+
+    def __init__(self, m):
+        self.m, self.points = m, []
+
+    def __call__(self, x0, xs):
+        self.points.append((_coord_bits(x0), type(xs).__name__, tuple(map(_coord_bits, xs))))
+        return Multivector(self.m, {0: 1.0 + x0, 1: x0 * xs[0], 1 << (self.m - 1): xs[-1] - 0.5}, exact=False)
+
+
+def test_fd_stencil_hands_f_the_points_of_the_list_copy_construction():
+    points = [
+        (0.3, (0.7, -0.4, 0.2)),
+        (-0.0, (1, -0.0, 0.0)),
+        (0.0, (-0.0, 2, -0.0)),
+        (1, (0.25, -0.0, 3)),
+        (-0.0, (-0.0,)),
+        (2, (0, 0.0, -0.0, 1.5, -3)),
+    ]
+    for x0, xs in points:
+        for h in (1e-3, 2.0**-10):
+            for side in ("left", "right"):
+                pt = EvalPoint(x0, xs)
+                got, want = _Recording(pt.m), _Recording(pt.m)
+                residual = fd_cr_residual(got, pt, FDConfig(h), side)
+                assert residual == _ref_fd_total(want, pt, FDConfig(h).step(pt), side).norm()
+                assert len(got.points) == 2 * (pt.m + 1)
+                assert got.points == want.points, (x0, xs, h, side)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_axial_value_drops_zero_parts_as_multivector_of(k):
+    # gauss_fund has A = 0 exactly at x0 = ±0; x_j = ±5e-324 gives B x_j / r = ±0.0
+    for m in (3, 5):
+        for pk in (default_pk(k, m), _non_unit_pk(k, m)):
+            pair = fueter(seed("gauss_fund"), k, m, pk)
+            f = axial_evaluator(pair)
+            for x0 in (0.0, -0.0, 0.7):
+                for tiny in (5e-324, -5e-324):
+                    xs = (2.0, tiny, -0.0, 0.75, tiny)[:m]
+                    pt = EvalPoint(x0, xs)
+                    a_val, b_val = pair.plan.values(x0, pt.r)
+                    raw = {0: a_val, **{1 << j: b_val * (x / pt.r) for j, x in enumerate(xs) if x}}
+                    assert raw[2] == 0.0 and (a_val == 0.0) == (x0 == 0.0)
+                    want = Multivector._of(m, raw, False)
+                    if not pk.is_one():
+                        want = want * pk.eval(x0, xs)
+                    want = [(key, v.hex()) for key, v in want.coeffs.items()]
+                    for got in (eval_axial(pair, pt), f(x0, xs), f(x0, list(xs))):
+                        assert [(key, v.hex()) for key, v in got.coeffs.items()] == want, (m, pk, x0, tiny)
+
+
 def test_axial_evaluator_bit_identical_to_eval_axial():
     rng = random.Random(29)
     for name in SEED_NAMES:

@@ -338,16 +338,15 @@ def test_fd_config_refuses_a_step_that_is_not_finite_and_positive(h):
 
 
 def test_fd_refuses_a_step_that_rounds_back_onto_the_point():
-    m = 3
+    m, calls = 3, []
 
     def scalar_x0(x0, xs):
         calls.append((x0, xs))
         return Multivector.scalar(m, x0, exact=False)  # residual 1 everywhere
 
-    calls = []
     pt = EvalPoint(0.4, (0.9, 0.5, -0.3))
     assert fd_cr_residual(scalar_x0, pt, FDConfig(1e-5)) == pytest.approx(1.0, rel=1e-9)
-    # (point, h, the coordinate named): 0.4 + 1.17e-17 == 0.4; 1.5 + 7.5e-17 == 1.5 with
+    # (point, h, the coordinate named): 0.4 + 1.14e-17 == 0.4; 1.5 + 7.5e-17 == 1.5 with
     # x0 = 0 shifting; at -1.0 only x - step rounds back, at 1.0 only x + step
     cases = [
         (pt, 1e-17, "x0=0.4"),

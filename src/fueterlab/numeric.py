@@ -10,7 +10,6 @@ the numeric layer never loads mpmath.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -239,7 +238,9 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
     f must be a function of the point: the partials of the last two (f, point
     object, step) calls are kept and handed out again.  A stencil in which
     x + h or x - h rounds back to x for some coordinate (with `FDConfig`'s
-    step, an h below about 1.1e-16) would read a zero partial there: it
+    step, an h below about 1.1e-16) would read a zero partial there, and one
+    in which x + h, x - h or their distance, about 2 h, is not finite (h from
+    about 9e307, where 1 / (2 h) reads 0) has no partial to read: either
     raises ValueError naming the coordinate and the step before f is called.
     """
     key = (id(f), id(pt), h)
@@ -255,6 +256,11 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
         up, down = x + h, x - h
         if up == x or down == x:
             raise ValueError(f"finite-difference step {h!r} is lost at x{j}={x!r}: x + step or x - step rounds to x")
+        if not math.isfinite(up - down):
+            raise ValueError(
+                f"finite-difference step {h!r} leaves binary64 at x{j}={x!r}: "
+                "x + step, x - step or 2 * step is not finite"
+            )
         if j:
             shifted[j - 1] = up
             plus = tuple(shifted)
@@ -378,11 +384,13 @@ def decay_scan(
         radii = [math.sqrt(r * r) for r in r_vals]
         grid = pair.plan.grid(x0_vals, radii)
 
+        ratios = [r / rr for r, rr in zip(r_vals, radii)]
+
         def magnitudes(x0):
             # the float `eval_axial(pair, EvalPoint(x0, (r, 0, ...))).norm()`, whose radius is sqrt(r * r)
-            for r, rr in zip(r_vals, radii):
+            for ratio in ratios:
                 a_val, b_val = next(grid)
-                b_val *= r / rr
+                b_val *= ratio
                 yield math.sqrt(0.0 + a_val * a_val + b_val * b_val)
 
     else:
@@ -551,21 +559,15 @@ def sample_header(m: int) -> list:
     )
 
 
-def _sample_row(values, x0: float, xs: tuple, r: float) -> list:
-    """One CSV row: the point, r > 0, then the grade-0 and grade-1 parts and the norm.
-
-    The row `eval_axial` gives from a P_0 pair's plan values (A, B) at (x0, r):
-    a grade-1 part is B (x / r) for a nonzero x only, and a zero part (-0.0 too)
-    reads 0.0, as the float Multivector drops it.  The plan's sums start at +0.0,
-    so A is never -0.0.
-    """
-    a_val, b_val = values
-    parts = [a_val, *((b_val * (x / r) or 0.0) if x else 0.0 for x in xs)]
-    return [x0, *xs, r, *parts, math.sqrt(sum_squares(parts))]
-
-
 def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     """Row-major grid of axial values along x_ = r e_1; grades 0 and 1 only.
+
+    A row is the point, its radius sqrt(r * r), then the grade-0 and grade-1
+    parts and the norm, as `eval_axial` gives them from a P_0 pair's plan
+    values (A, B) at (x0, radius): the e1 part is B (r / radius), and a zero
+    part (-0.0 too) reads 0.0, as the float Multivector drops it.  The plan's
+    sums start at +0.0, so A is never -0.0, and the norm's zero squares add
+    +0.0 to a total that is not -0.0, which changes no bit.
 
     A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
     raises ValueError naming its grid point.  A row's norm is NaN exactly then.
@@ -584,20 +586,27 @@ def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     radii = [math.sqrt(r * r) for r in r_vals]
     grid = plan.grid(x0_vals, radii)
     zeros = (0.0,) * (m - 1)
+    # per radius: r, whether it is refused, the point columns x1..xm, r and the e1 factor r / radius (unused if refused)
+    columns = [
+        (r, r < 0 or radius == 0, [r, *zeros, radius], radius and r / radius) for r, radius in zip(r_vals, radii)
+    ]
+    sqrt = math.sqrt
     rows = []
     for x0 in x0_vals:
-        for r, radius in zip(r_vals, radii):
-            if r < 0 or radius == 0:
+        for r, refused, point, ratio in columns:
+            if refused:
                 raise EvalDomainError(f"sample region requires r > 0 with r * r > 0 in binary64, got r={r!r}")
             try:
-                row = _sample_row(next(grid), x0, (r, *zeros), radius)
+                a_val, b_val = next(grid)
             except OverflowError:
                 raise OverflowError(f"sample value is out of range at (x0={x0!r}, r={r!r})") from None
             except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
                 raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})") from None
-            if math.isnan(row[-1]):
+            e1 = b_val * ratio or 0.0
+            norm = sqrt(0.0 + a_val * a_val + e1 * e1)
+            if math.isnan(norm):
                 raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
-            rows.append(row)
+            rows.append([x0, *point, a_val, e1, *zeros, norm])
     return rows
 
 
@@ -624,23 +633,58 @@ def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
     return len(rows)
 
 
+# the characters of a data line `write_sample_csv` writes: float reprs and the commas between them
+_SAMPLE_CHARS = "0123456789.-+einfa,"
+_SAMPLE_BYTES = _SAMPLE_CHARS.encode()
+_LINE_ENDS = (b"", b"\n", b"\r\n")
+
+
+def _line_cells(line: bytes) -> list:
+    """The cells of one CSV line as text, with its line end, LF or CR LF, cut off."""
+    return line.decode("utf-8", "replace").removesuffix("\n").removesuffix("\r").split(",")
+
+
 def read_sample_csv(path) -> tuple[int, list, list]:
     """Returns (m, header, rows of floats); the header must be `sample_header(m)` for an odd m <= MAX_DIMENSION,
-    and at least one row must follow it."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    and at least one row must follow it.
+
+    Reads the text `write_sample_csv` writes: lines ending in LF or CR LF (mixed too), ',' between
+    cells, no quoting.  Each line must have the header's width and each cell must parse as a
+    float; an error names the line (the header is line 1).  Once every row parses, a data line
+    with a character no float repr or comma has (`1_0.0`, ` 0.5`, `Infinity`, a CR inside
+    the line) is refused, so only text `sample` could have written re-verifies; a cell in the
+    float alphabet that is not a shortest repr, as `1.50`, is read as its value.
+    """
+    with open(path, "rb") as fh:
+        header = _line_cells(next(fh, b""))
         m = (len(header) - 4) // 2
         if not (1 <= m <= MAX_DIMENSION and m % 2) or header != sample_header(m):
             raise ValueError("unrecognized sample CSV header")
+        width = len(header)
         rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"sample CSV line {reader.line_num}: {len(row)} columns, header has {len(header)}")
+        foreign = None  # (line number, line) of the first data line with text `sample` does not write
+        for n, line in enumerate(fh, 2):
+            cells = line.split(b",")
+            if len(cells) != width:
+                cells = _line_cells(line)
+                k = 0 if cells == [""] else len(cells)
+                raise ValueError(f"sample CSV line {n}: {k} columns, header has {width}")
             try:
-                rows.append(list(map(float, row)))
-            except ValueError as exc:
-                raise ValueError(f"sample CSV line {reader.line_num}: {exc}") from None
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                # float of the text names the cell as the text reads, and reads non-ASCII digits, which the scan refuses
+                try:
+                    rows.append(list(map(float, _line_cells(line))))
+                except ValueError as exc:
+                    raise ValueError(f"sample CSV line {n}: {exc}") from None
+            if foreign is None:
+                rest = line.translate(None, _SAMPLE_BYTES)
+                if not (rest in _LINE_ENDS and line.endswith(rest)):
+                    foreign = n, line
+    if foreign is not None:
+        n, line = foreign
+        cell = next(cell for cell in _line_cells(line) if not set(cell) <= set(_SAMPLE_CHARS))
+        raise ValueError(f"sample CSV line {n}: cell text not written by sample: {cell!r}")
     if not rows:
         raise ValueError("sample CSV has no rows")
     return m, header, rows
@@ -660,9 +704,11 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
     """
     m, header, rows = read_sample_csv(path)
     plan = sample_pair(target, m).plan
+    sqrt, fsum = math.sqrt, math.fsum
 
     def radii(run):
-        return [math.sqrt(math.fsum(x * x for x in row[1 : m + 1])) for row in run]
+        # as `EvalPoint` computes r
+        return [sqrt(fsum(map(mul, xs, xs))) for xs in (row[1 : m + 1] for row in run)]
 
     # keyed on the bits, so rows at x0 = 0.0 and -0.0 fall in different runs, each evaluated at its own x0
     runs = (list(run) for _, run in groupby(rows, key=lambda row: row[0].hex()))
@@ -679,11 +725,12 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
                 try:
                     if r == 0:
                         raise EvalDomainError("axial evaluation needs r > 0")
-                    values = _sample_row(next(grid), x0, xs, r)
-                    if math.isnan(values[-1]):  # cos(0 * inf), or a NaN x0 or x1, gives NaN without raising
+                    a_val, b_val = next(grid)
+                    # the row `sample_rows` builds, in a general direction: a zero part (-0.0 too) reads 0.0
+                    parts = [a_val, *[b_val * (x / r) or 0.0 if x else 0.0 for x in xs]]
+                    norm = sqrt(sum_squares(parts))
+                    if math.isnan(norm):  # cos(0 * inf), or a NaN x0 or x1, gives NaN without raising
                         raise ValueError
-                    recomputed += values
-                    found += row
                 except (OverflowError, ValueError) as exc:
                     # a bare ValueError is a NaN value, or math's cos or sin refusing an infinite x0 * r
                     what = {
@@ -691,6 +738,8 @@ def verify_sample_csv(path, target: str) -> tuple[bool, int]:
                         EvalDomainError: "x1..xm give r = 0 in binary64",
                     }.get(type(exc), "value is NaN")
                     raise type(exc)(f"sample CSV line {line}: {what} at (x0={x0!r}, r={row[m + 1]!r})") from None
+                recomputed += [x0, *xs, r, *parts, norm]
+                found += row
     # one pack per side compares the bits of every value, where float == takes -0.0 for 0.0
     pack = struct.Struct(f"{len(found)}d").pack
     return pack(*recomputed) == pack(*found), len(rows)

@@ -73,6 +73,32 @@ def test_records_group_by_revision(tmp_path):
     assert (revision, sorted(records), skipped) == ("unknown", [("numeric_grid", 1)], 1)
 
 
+def test_traced_summary_keeps_the_medians_of_metrics_not_always_0():
+    def traced(seed, revision, csv_s, dirac_calls):
+        rec = _record("numeric_grid", seed, revision, 1.0, trace=1)
+        rec["metrics"] = {
+            "numeric.write_sample_csv.self_s": {"value": csv_s, "unit": "s"},
+            "cliffpoly.dirac.calls": {"value": dirac_calls, "unit": "count"},
+        }
+        return rec
+
+    parent = {("numeric_grid", s): traced(s, "aaa", t, 0) for s, t in ((1, 0.3), (2, 0.2), (3, 0.4))}
+    change = {("numeric_grid", s): traced(s, "bbb", t, 0) for s, t in ((1, 0.2), (3, 0.1))}
+    out = bt.summarize_traced(parent, change)
+    # seed 2 has no pair; the dirac count reads 0 everywhere and is left out
+    assert out == {
+        "numeric_grid": {
+            "seeds": [1, 3],
+            "metrics": {"numeric.write_sample_csv.self_s": {"parent_median": 0.35, "change_median": pytest.approx(0.15)}},
+        }
+    }
+    doc = dict(_doc(), traced=out)
+    assert bt.check(doc, SPEC) == []
+    doc["traced"]["numeric_grid"]["metrics"]["numeric.write_sample_csv.self_s"]["change_median"] = None
+    assert bt.check(doc, SPEC) == ["traced.numeric_grid: needs finite parent_median and change_median per metric"]
+    assert bt.summarize_traced(parent, {}) == {}
+
+
 def test_summary_refuses_one_revision_and_no_pairs():
     recs = {("poly_exact", 1): _record("poly_exact", 1, "aaa", 1.0)}
     with pytest.raises(ValueError, match="same git revision"):

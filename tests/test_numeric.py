@@ -15,7 +15,7 @@ import pytest
 
 from fueterlab import numeric, verify
 from fueterlab.axial import EvalDomainError, EvalPlan
-from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector
+from fueterlab.clifford import DimensionMismatchError, MixedVariantError, Multivector, sum_squares
 from fueterlab.cliffpoly import CliffPoly, coeff_c, hermite_rec, vector_power
 from fueterlab.fueter import (
     SEED_NAMES,
@@ -363,6 +363,40 @@ def test_fd_refuses_a_step_that_rounds_back_onto_the_point():
             with pytest.raises(ValueError) as info:
                 fd_cr_residual(scalar_x0, point, FDConfig(h), side)
             assert str(info.value) == f"finite-difference step {step!r} is lost at {named}: x + step or x - step rounds to x"
+        assert calls == []
+
+
+def test_fd_refuses_a_step_whose_stencil_leaves_binary64():
+    # from h ~ 9e307 on, 2 * step overflows and 1 / (2 step) reads 0: the residual read NaN for the
+    # scalar x0, and the adapter raised a bare OverflowError from its powers of x0 +- step
+    m, calls = 3, []
+    pair_f = axial_evaluator(gauss_fund_pair(m))
+
+    def scalar_x0(x0, xs):
+        calls.append((x0, xs))
+        return Multivector.scalar(m, x0, exact=False)
+
+    def gauss_fund(x0, xs):
+        calls.append((x0, xs))
+        return pair_f(x0, xs)
+
+    pt = EvalPoint(0.4, (0.9, 0.5, -0.3))
+    cases = [
+        (pt, 1e308, "x0=0.4"),  # x0 +- step finite, their distance not
+        (pt, 8.98e307, "x0=0.4"),
+        (EvalPoint(1.5e308, (1.0, 0.0, 0.0)), 1e-10, "x0=1.5e+308"),  # x0 + step itself overflows
+    ]
+    assert 1.5e308 + FDConfig(1e-10).step(cases[2][0]) == math.inf
+    for f in (scalar_x0, gauss_fund):
+        for point, h, named in cases:
+            step = FDConfig(h).step(point)
+            for side in ("left", "right"):
+                with pytest.raises(ValueError) as info:
+                    fd_cr_residual(f, point, FDConfig(h), side)
+                assert str(info.value) == (
+                    f"finite-difference step {step!r} leaves binary64 at {named}: "
+                    "x + step, x - step or 2 * step is not finite"
+                )
         assert calls == []
 
 
@@ -794,13 +828,16 @@ def test_sample_rows_and_csv_roundtrip(tmp_path):
 def test_verify_sample_csv_detects_tampering(tmp_path):
     path = tmp_path / "g.csv"
     write_sample_csv(path, "gauss-fund", 3, [0.5], lin_range(3.0, 4.0, 5))
-    lines = path.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[5] = repr(float(cells[5]) + 1e-9)
-    lines[1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    ok, _ = verify_sample_csv(path, "gauss-fund")
-    assert not ok
+    good = path.read_text().splitlines()
+    # the scalar, and the r cell, which is compared with the radius recomputed from x1..xm
+    for col in (5, 4):
+        lines = good[:]
+        cells = lines[1].split(",")
+        cells[col] = repr(float(cells[col]) + 1e-9)
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        ok, _ = verify_sample_csv(path, "gauss-fund")
+        assert not ok
 
 
 @pytest.mark.parametrize(
@@ -974,6 +1011,63 @@ def test_read_sample_csv_rejects_wrong_header(tmp_path):
             read_sample_csv(path)
 
 
+def test_verify_sample_csv_reads_lf_crlf_and_mixed_line_ends(tmp_path):
+    path = tmp_path / "g.csv"
+    n = write_sample_csv(path, "gauss-fund", 3, [-0.7, 0.0, 1.1], lin_range(0.5, 3.0, 4))
+    crlf = path.read_bytes()
+    lines = crlf.split(b"\r\n")[:-1]
+    assert len(lines) == n + 1
+    lf = b"\n".join(lines) + b"\n"
+    mixed = b"".join(line + (b"\r\n", b"\n")[i % 2] for i, line in enumerate(lines))
+    assert mixed.endswith(b"\r\n") and (mixed.count(b"\n"), mixed.count(b"\r\n")) == (n + 1, n // 2 + 1)
+    for text in (crlf, lf, mixed, mixed[:-2], lf[:-1]):  # the last line may also lack its end
+        path.write_bytes(text)
+        assert verify_sample_csv(path, "gauss-fund") == (True, n)
+        assert read_sample_csv(path)[2] == sample_rows("gauss-fund", 3, [-0.7, 0.0, 1.1], lin_range(0.5, 3.0, 4))
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1_0.0", "cell text not written by sample: '1_0.0'"),
+        (" 0.5 ", "cell text not written by sample: ' 0.5 '"),
+        ("Infinity", "cell text not written by sample: 'Infinity'"),
+        ("0.5\r", "cell text not written by sample: '0.5\\r'"),
+        ("\u0661", "cell text not written by sample: '\u0661'"),  # an Arabic-Indic digit one, which float reads
+        ('"0.5"', "could not convert string to float: '\"0.5\"'"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_read_sample_csv_refuses_text_sample_does_not_write(tmp_path, cell, message):
+    # each cell but the quoted one and abc parses as a float; only text `sample` could have written reads
+    path = tmp_path / "g.csv"
+    write_sample_csv(path, "gauss-fund", 3, [0.5], [1.0, 2.0, 3.0])
+    header, *lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = cell
+    for end in ("\r\n", "\n"):
+        path.write_text(end.join([header, lines[0], ",".join(cells), *lines[2:]]) + end, encoding="utf-8")
+        for read in (read_sample_csv, lambda p: verify_sample_csv(p, "gauss-fund")):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == f"sample CSV line 3: {message}"
+    # parsing runs first: a cell that does not convert on a later line is named before foreign text
+    if message.startswith("cell text"):
+        path.write_text("\n".join([header, lines[0], ",".join(cells), lines[2].replace("0.0", "abc", 1)]) + "\n")
+        with pytest.raises(ValueError, match="^sample CSV line 4: could not convert string to float: 'abc'$"):
+            read_sample_csv(path)
+
+
+def test_read_sample_csv_reads_float_text_that_is_not_the_shortest_repr(tmp_path):
+    # the scan checks the alphabet, not the spelling: 0.00 for 0.0 and 1.0e0 for 1.0 read as their values
+    path = tmp_path / "g.csv"
+    n = write_sample_csv(path, "gauss-fund", 3, [0.5], [1.0, 2.0])
+    text = path.read_text()
+    assert ",0.0," in text and "\n0.5,1.0," in text
+    path.write_text(text.replace(",0.0,", ",0.00,").replace("\n0.5,1.0,", "\n0.5,1.0e0,"))
+    assert verify_sample_csv(path, "gauss-fund") == (True, n)
+
+
 def test_sample_rows_rejects_nonpositive_r():
     with pytest.raises(EvalDomainError):
         sample_rows("ck-gauss", 3, [0.0], [0.0])
@@ -1118,8 +1212,7 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
             rows = sample_rows(target, m, x0_vals, r_vals)
             want = [_ref_sample_row(pair, EvalPoint(x0, (r,) + zeros)) for x0 in x0_vals for r in r_vals]
             assert list(map(_bits, rows)) == list(map(_bits, want)), (target, m)
-            # rows in general directions, with -0.0 components, through verify_sample_csv and the row builder
-            values = pair.plan.values
+            # rows in general directions, with -0.0 components, through verify_sample_csv's row builder
             ref_rows = []
             for i in range(12):
                 d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else (-0.0, 0.0)[i % 2] for j in range(m)]
@@ -1127,7 +1220,6 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
                 r = 10 ** rng.uniform(-6.0, 0.6)
                 pt = EvalPoint((0.0, -0.0, rng.uniform(-2.0, 2.0))[i % 3], tuple(r * c / norm for c in d))
                 ref_rows.append(_ref_sample_row(pair, pt))
-                assert _bits(numeric._sample_row(values(pt.x0, pt.r), pt.x0, pt.xs, pt.r)) == _bits(ref_rows[-1])
             path = tmp_path / f"{target}_{m}.csv"
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows([numeric.sample_header(m)] + ref_rows)
@@ -1137,6 +1229,37 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
                 csv.writer(fh).writerow([0.5, *(-0.0,) * m, 0.0, *(1.0,) * (m + 2)])
             with pytest.raises(EvalDomainError):
                 verify_sample_csv(path, target)
+
+
+def _ref_formula_row(values, x0, xs, r):
+    """A sample row by the general formula: the point, r, then A, B (x / r) per coordinate (0.0 for a
+    zero part, -0.0 too) and the norm of the parts by `sum_squares`."""
+    a_val, b_val = values
+    parts = [a_val, *((b_val * (x / r) or 0.0) if x else 0.0 for x in xs)]
+    return [x0, *xs, r, *parts, math.sqrt(sum_squares(parts))]
+
+
+def test_sample_rows_equal_the_general_row_formula():
+    # the rows are built per radius along x_ = r e1; each must equal the formula for any direction, bit for bit
+    rng = random.Random(97)
+    for target in numeric.SAMPLE_TARGETS:
+        for m in (1, 3, 5, 15):
+            values = numeric.sample_pair(target, m).plan.values
+            zeros = (0.0,) * (m - 1)
+            lo = rng.uniform(-2.0, 1.0)
+            x0_vals = [0.0, -0.0] + lin_range(lo, lo + rng.uniform(0.1, 2.0), 3)
+            r_vals = [1e-6, 3e-4] + [10 ** rng.uniform(-3.0, 1.0) for _ in range(4)]
+            want = []
+            for x0 in x0_vals:
+                for r in r_vals:
+                    radius = math.sqrt(r * r)
+                    want.append(_ref_formula_row(values(x0, radius), x0, (r, *zeros), radius))
+            assert list(map(_bits, sample_rows(target, m, x0_vals, r_vals))) == list(map(_bits, want)), (target, m)
+    # B = -inf at x0 = 38: e1 reads -inf and e2, e3 read 0.0, the norm inf
+    values = numeric.sample_pair("ck-gauss", 3).plan.values
+    want = _ref_formula_row(values(38.0, 5.0), 38.0, (5.0, 0.0, 0.0), 5.0)
+    assert _bits(sample_rows("ck-gauss", 3, [38.0], [5.0])[0]) == _bits(want)
+    assert want[5:7] == [math.inf, -math.inf]
 
 
 def _ref_radial_split(coeffs, r2):

@@ -14,7 +14,10 @@ writes, per workload and side, the medians of the unscaled pass times
 are in units of a reference loop, which itself slows when a pass keeps
 more objects alive.  It also times `fueterlab verify --suite <s> --json`
 per suite in both checkouts, alternating between them, and keeps the
-median wall time of each, and times one tier-1 run per side.  It refuses
+median wall time of each, and times one tier-1 run per side.  Where both
+checkouts also hold traced runs (`--trace 1`) of the same workload and
+seed, it writes the per-side medians of their per-layer metrics under
+"traced", leaving out those that read 0 on both sides.  It refuses
 (exit 2) a checkout with uncommitted changes under src/, since
 perfbench/run.py files such runs under HEAD.  Standard library only:
 
@@ -86,11 +89,12 @@ def group_records(paths) -> dict:
     return groups
 
 
-def side_records(checkout: str) -> tuple:
-    """(revision, {(workload, seed): record}) of the untraced runs at checkout's HEAD, and how many
-    untraced records of other revisions were skipped."""
+def side_records(checkout: str, trace: int = 0) -> tuple:
+    """(revision, {(workload, seed): record}) of the runs at checkout's HEAD, untraced by default, and
+    how many records of that kind of other revisions were skipped."""
     revision = git_revision(checkout)
-    groups = group_records(sorted(glob.glob(os.path.join(checkout, "perfbench", "out", "record-*-trace0.json"))))
+    pattern = os.path.join(checkout, "perfbench", "out", f"record-*-trace{trace}.json")
+    groups = group_records(sorted(glob.glob(pattern)))
     skipped = sum(len(recs) for rev, recs in groups.items() if rev != revision)
     return revision, groups.get(revision, {}), skipped
 
@@ -160,6 +164,23 @@ def summarize(parent: tuple, change: tuple, spec: dict) -> dict:
         "workloads": workloads,
         "suites": {},
     }
+
+
+def summarize_traced(parent: dict, change: dict) -> dict:
+    """{workload: {"seeds", "metrics": {name: {"parent_median", "change_median"}}}} of the traced
+    records that pair up by workload and seed; a metric that reads 0 in every run is left out."""
+    pairs = sorted(set(parent) & set(change))
+    out = {}
+    for workload in sorted({w for w, _ in pairs}):
+        seeds = [s for w, s in pairs if w == workload]
+        metrics = {}
+        for name in parent[workload, seeds[0]]["metrics"]:
+            before = [parent[workload, s]["metrics"][name]["value"] for s in seeds]
+            after = [change[workload, s]["metrics"][name]["value"] for s in seeds]
+            if any(before) or any(after):
+                metrics[name] = {"parent_median": statistics.median(before), "change_median": statistics.median(after)}
+        out[workload] = {"seeds": seeds, "metrics": metrics}
+    return out
 
 
 def _run_seconds(checkout: str, args: list, what: str) -> float:
@@ -255,6 +276,13 @@ def check(doc, spec: dict) -> list:
         for suite, t in suites.items():
             if not (isinstance(t, dict) and _finite(t.get("parent_s")) and _finite(t.get("change_s"))):
                 faults.append(f"suites.{suite}: needs finite parent_s and change_s")
+    for workload, entry in doc.get("traced", {}).items():  # absent before BENCH_30
+        metrics = entry.get("metrics") if isinstance(entry, dict) else None
+        if not (
+            isinstance(metrics, dict)
+            and all(isinstance(m, dict) and all(_finite(m.get(k)) for k in SIDE_MEDIANS) for m in metrics.values())
+        ):
+            faults.append(f"traced.{workload}: needs finite {' and '.join(SIDE_MEDIANS)} per metric")
     if "tier1" in doc:  # absent before BENCH_22
         t = doc["tier1"]
         if not (isinstance(t, dict) and all(_nonneg(t.get(k)) for k in ("parent_s", "change_s"))):
@@ -303,6 +331,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    traced = summarize_traced(*(side_records(checkout, trace=1)[1] for _, checkout in checkouts))
+    if traced:
+        doc["traced"] = traced
     doc["suites"] = time_suites(args.parent, args.change)
     doc["tier1"] = time_tier1(args.parent, args.change)
     with open(args.out, "w") as fh:
@@ -317,6 +348,9 @@ def main(argv=None) -> int:
                 f"({m['change']:+.1%}, parent IQR {m['parent_q1']:.6g}..{m['parent_q3']:.6g}, "
                 f"{m['wins']}/{m['pairs']} wins{beside})"
             )
+    for workload, entry in traced.items():
+        for name, m in entry["metrics"].items():
+            print(f"traced {workload} {name} {m['parent_median']:.6g} -> {m['change_median']:.6g}")
     for suite, t in doc["suites"].items():
         print(f"verify --suite {suite}: {t['parent_s']:.3f} s -> {t['change_s']:.3f} s")
     print(f"tier-1: {doc['tier1']['parent_s']:.2f} s -> {doc['tier1']['change_s']:.2f} s")

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, cycle, groupby
 from operator import mul
 
 from .axial import EvalDomainError
@@ -242,6 +242,8 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
     in which x + h, x - h or their distance, about 2 h, is not finite (h from
     about 9e307, where 1 / (2 h) reads 0) has no partial to read: either
     raises ValueError naming the coordinate and the step before f is called.
+    An ArithmeticError or ValueError that f raises is raised again with its
+    type, naming the stencil point (as x2 - step), its coordinates and the step.
     """
     key = (id(f), id(pt), h)
     hit = _FD_PARTIALS.get(key)
@@ -270,8 +272,14 @@ def _fd_partials(f, pt: EvalPoint, h: float) -> list:
         else:
             points += ((up, xs), (down, xs))
     values = []
-    for y0, ys in points:
-        value = f(y0, ys)
+    for i, (y0, ys) in enumerate(points):
+        try:
+            value = f(y0, ys)
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(
+                f"f failed at the finite-difference stencil point x{i // 2} {'+-'[i % 2]} step = "
+                f"(x0={y0!r}, xs={ys!r}) with step {h!r}: {exc}"
+            ) from exc
         if value.m != m:
             raise DimensionMismatchError(f"f returned m={value.m} at a point of m={m}")
         if value.exact:
@@ -332,6 +340,44 @@ def fd_convergence_factor(f, pt: EvalPoint) -> float:
     return r1 / r2
 
 
+# --- values on the ray x_ = r e_1 --------------------------------------------------
+
+
+def _ray_grid(plan, x0_vals, r_vals):
+    """(x0, r, radius, A, e1, norm) at each point (x0, r e_1) of x0_vals x r_vals, row-major, from the
+    plan of a pair with P_k = 1.
+
+    A and B are the plan's values at (x0, radius), radius = sqrt(r * r) as `EvalPoint` computes it,
+    e1 = B (r / radius) and norm = sqrt(0.0 + A^2 + e1^2): the float `eval_axial(...).norm()` and its
+    parts.  A zero part (-0.0 too) reads 0.0, as the float Multivector drops it; the plan's sums
+    start at +0.0, so A is never -0.0.  Each point is evaluated when it is asked for, so the first
+    failing point in row-major order raises, naming its (x0, r): EvalDomainError where r <= 0 or
+    r * r is 0 in binary64 (r below about 1.6e-162); OverflowError where a power leaves binary64
+    (x0 = 1e200, or r = 1e-160, whose square is subnormal); ValueError where the value is NaN
+    (r * r overflows from r ~ 1.34e154, x0 * r is infinite, or x0 or r is NaN).
+    """
+    sqrt = math.sqrt
+    radii = [sqrt(r * r) for r in r_vals]
+    grid = plan.grid(x0_vals, radii)
+    # per r: r, its radius and the e1 factor r / radius, None where r is refused
+    columns = [(r, radius, None if r <= 0 or radius == 0 else r / radius) for r, radius in zip(r_vals, radii)]
+    for x0 in x0_vals:
+        for r, radius, ratio in columns:
+            if ratio is None:
+                raise EvalDomainError(f"point needs r > 0 with r * r > 0 in binary64 at (x0={x0!r}, r={r!r})")
+            try:
+                a_val, b_val = next(grid)
+                e1 = b_val * ratio or 0.0
+                norm = sqrt(0.0 + a_val * a_val + e1 * e1)
+                if norm != norm:  # cos(0 * inf), or a NaN x0 or r, gives NaN without raising
+                    raise ValueError
+            except OverflowError:
+                raise OverflowError(f"value is out of range at (x0={x0!r}, r={r!r})") from None
+            except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
+                raise ValueError(f"value is NaN at (x0={x0!r}, r={r!r})") from None
+            yield x0, r, radius, a_val, e1, norm
+
+
 # --- decay scan ----------------------------------------------------------------
 
 
@@ -363,13 +409,19 @@ def decay_scan(
     nx0: int = 101,
     nr: int = 101,
 ) -> DecayReport:
-    """Sup of |F(x)| exp(r^2/2) over {|x0| <= K} x {r_min <= r <= r_max}.
+    """Sup of |F(x)| exp(r^2/2) over {|x0| <= K} x {r_min <= r <= r_max}, for a pair with P_k = 1.
 
     The direction of x_ is irrelevant for the magnitude of an axial
-    function, so the grid lives on the ray x_ = r e_1.  A NaN value
-    raises ValueError naming its grid point; a weight exp(r^2/2) that
-    leaves binary64 (r beyond about 37.7) raises OverflowError naming r.
+    function, so the grid lives on the ray x_ = r e_1: |F| is the norm of
+    `_ray_grid`, whose errors come prefixed by `decay scan `.  A weight
+    exp(r^2/2) that leaves binary64 (r beyond about 37.7) raises
+    OverflowError naming r.  The first r wins a tie within a grid row, the
+    larger x0 a tie across rows.
     """
+    if pair.pk is None:
+        raise ValueError("evaluation needs a concrete P_k")
+    if not pair.pk.is_one():
+        raise ValueError(f"decay scan needs a pair with P_k = 1, got k={pair.k}")
     if not (0 < r_min < r_max) or K <= 0:
         raise ValueError("need 0 < r_min < r_max and K > 0")
     x0_vals = lin_range(-K, K, nx0)
@@ -380,37 +432,14 @@ def decay_scan(
             weights.append(math.exp(r * r / 2.0))
         except OverflowError:
             raise OverflowError(f"decay weight exp(r^2/2) is out of range at r={r!r}") from None
-    if pair.pk is not None and pair.pk.is_one():
-        radii = [math.sqrt(r * r) for r in r_vals]
-        grid = pair.plan.grid(x0_vals, radii)
-
-        ratios = [r / rr for r, rr in zip(r_vals, radii)]
-
-        def magnitudes(x0):
-            # the float `eval_axial(pair, EvalPoint(x0, (r, 0, ...))).norm()`, whose radius is sqrt(r * r)
-            for ratio in ratios:
-                a_val, b_val = next(grid)
-                b_val *= ratio
-                yield math.sqrt(0.0 + a_val * a_val + b_val * b_val)
-
-    else:
-        zeros = (0.0,) * (pair.m - 1)
-
-        def magnitudes(x0):
-            for r in r_vals:
-                yield eval_axial(pair, EvalPoint(x0, (r,) + zeros)).norm()
-
-    def row_max(x0):
-        best = (-math.inf, 0.0, 0.0)
-        for r, weight, magnitude in zip(r_vals, weights, magnitudes(x0)):
-            val = magnitude * weight
-            if val > best[0]:
-                best = (val, x0, r)
-            elif math.isnan(val):
-                raise ValueError(f"decay scan hit NaN at (x0={x0!r}, r={r!r})")
-        return best
-
-    sup, ax0, ar = max(row_max(x0) for x0 in x0_vals)
+    sup, ax0, ar = -math.inf, 0.0, 0.0
+    try:
+        for (x0, r, _, _, _, norm), weight in zip(_ray_grid(pair.plan, x0_vals, r_vals), cycle(weights)):
+            val = norm * weight
+            if val > sup or val == sup and x0 > ax0:
+                sup, ax0, ar = val, x0, r
+    except (OverflowError, ValueError) as exc:
+        raise type(exc)(f"decay scan {exc}") from None
     return DecayReport(K, r_min, r_max, nx0, nr, sup, ax0, ar)
 
 
@@ -562,52 +591,20 @@ def sample_header(m: int) -> list:
 def sample_rows(target: str, m: int, x0_vals, r_vals) -> list:
     """Row-major grid of axial values along x_ = r e_1; grades 0 and 1 only.
 
-    A row is the point, its radius sqrt(r * r), then the grade-0 and grade-1
-    parts and the norm, as `eval_axial` gives them from a P_0 pair's plan
-    values (A, B) at (x0, radius): the e1 part is B (r / radius), and a zero
-    part (-0.0 too) reads 0.0, as the float Multivector drops it.  The plan's
-    sums start at +0.0, so A is never -0.0, and the norm's zero squares add
-    +0.0 to a total that is not -0.0, which changes no bit.
-
-    A NaN value (r * r overflows from r ~ 1.34e154) could not re-verify: it
-    raises ValueError naming its grid point.  A row's norm is NaN exactly then.
-    So does a point where x0 * r is infinite (x0 = 0.5, r = 1e200), whose cos and sin are NaN.
-    A power of x0 or r that leaves binary64 (x0 = 1e200, or r = 1e-160, whose
-    square is subnormal) raises OverflowError naming its grid point.
-    A radius whose square is 0 in binary64 (r <= 0, or r below about 1.6e-162) names itself too.
-    An empty x0 or r list raises ValueError too: `read_sample_csv` refuses a file with no rows.
+    A row is the point, its radius, then the grade-0 and grade-1 parts and the norm, as `_ray_grid`
+    gives them from the target's plan; its errors come prefixed by `sample `.  An empty x0 or r
+    list raises ValueError too: `read_sample_csv` refuses a file with no rows.
     """
     if not x0_vals or not r_vals:
         raise ValueError("sample grid needs at least one x0 and one r value")
     _check_dimension(m)
     plan = sample_pair(target, m).plan
-    x0_vals = [float(x0) for x0 in x0_vals]
-    r_vals = [float(r) for r in r_vals]
-    radii = [math.sqrt(r * r) for r in r_vals]
-    grid = plan.grid(x0_vals, radii)
     zeros = (0.0,) * (m - 1)
-    # per radius: r, whether it is refused, the point columns x1..xm, r and the e1 factor r / radius (unused if refused)
-    columns = [
-        (r, r < 0 or radius == 0, [r, *zeros, radius], radius and r / radius) for r, radius in zip(r_vals, radii)
-    ]
-    sqrt = math.sqrt
-    rows = []
-    for x0 in x0_vals:
-        for r, refused, point, ratio in columns:
-            if refused:
-                raise EvalDomainError(f"sample region requires r > 0 with r * r > 0 in binary64, got r={r!r}")
-            try:
-                a_val, b_val = next(grid)
-            except OverflowError:
-                raise OverflowError(f"sample value is out of range at (x0={x0!r}, r={r!r})") from None
-            except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
-                raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})") from None
-            e1 = b_val * ratio or 0.0
-            norm = sqrt(0.0 + a_val * a_val + e1 * e1)
-            if math.isnan(norm):
-                raise ValueError(f"sample value is NaN at (x0={x0!r}, r={r!r})")
-            rows.append([x0, *point, a_val, e1, *zeros, norm])
-    return rows
+    grid = _ray_grid(plan, [float(x0) for x0 in x0_vals], [float(r) for r in r_vals])
+    try:
+        return [[x0, r, *zeros, radius, a_val, e1, *zeros, norm] for x0, r, radius, a_val, e1, norm in grid]
+    except (OverflowError, ValueError) as exc:
+        raise type(exc)(f"sample {exc}") from None
 
 
 def write_sample_csv(path, target: str, m: int, x0_vals, r_vals) -> int:
@@ -691,55 +688,29 @@ def read_sample_csv(path) -> tuple[int, list, list]:
 
 
 def verify_sample_csv(path, target: str) -> tuple[bool, int]:
-    """Recompute every row of a sample CSV; True iff all values match bit-exactly, so -0.0 differs from 0.0.
+    """Recompute every row of a sample CSV as `sample` writes it at the row's (x0, x1); True iff all values
+    match bit-exactly, so -0.0 differs from 0.0.
 
-    A recomputed value that leaves binary64 raises OverflowError, a row whose
-    x1..xm give r = 0 in binary64 (x1 = 0, or x1 = 1e-170, whose square underflows)
-    raises EvalDomainError, and a row whose recomputed value is NaN raises ValueError,
-    as in `sample_rows` (x1 = 1e200, where x0 * r is infinite, or 0 * inf at x0 = 0;
-    or an x0 or x1 that reads nan); each names the
-    row's line (the header is line 1, each row one line) and its x0 and r columns.  The rows may come in any order: each
-    run of consecutive rows with the same x0 is a grid row, and consecutive runs
-    over the same radii, as `sample` writes them, are evaluated as one grid.
+    The rows are recomputed by `_ray_grid`, whose errors come prefixed by `sample CSV line N: `
+    (the header is line 1, each row one line).  So a row off the e1 ray (some x2..xm not 0.0)
+    compares unequal, and a row with x1 <= 0 is refused.  The rows may come in any order: each run
+    of consecutive rows with the same x0 is a grid row, and consecutive runs over the same x1
+    values, as `sample` writes them, are evaluated as one grid.
     """
-    m, header, rows = read_sample_csv(path)
+    m, _, rows = read_sample_csv(path)
     plan = sample_pair(target, m).plan
-    sqrt, fsum = math.sqrt, math.fsum
-
-    def radii(run):
-        # as `EvalPoint` computes r
-        return [sqrt(fsum(map(mul, xs, xs))) for xs in (row[1 : m + 1] for row in run)]
-
+    zeros = (0.0,) * (m - 1)
     # keyed on the bits, so rows at x0 = 0.0 and -0.0 fall in different runs, each evaluated at its own x0
     runs = (list(run) for _, run in groupby(rows, key=lambda row: row[0].hex()))
-    recomputed, found = [], []  # every value, recomputed and as read, in file order
+    recomputed = []  # every value in file order
     line = 1
-    for rs, batch in groupby(runs, key=radii):
-        batch = list(batch)
-        grid = plan.grid([run[0][0] for run in batch], rs)
-        for run in batch:
-            x0 = run[0][0]
-            for row, r in zip(run, rs):
+    try:
+        for x1s, batch in groupby(runs, key=lambda run: [row[1] for row in run]):
+            for x0, r, radius, a_val, e1, norm in _ray_grid(plan, [run[0][0] for run in batch], x1s):
+                recomputed += (x0, r, *zeros, radius, a_val, e1, *zeros, norm)
                 line += 1
-                xs = row[1 : m + 1]
-                try:
-                    if r == 0:
-                        raise EvalDomainError("axial evaluation needs r > 0")
-                    a_val, b_val = next(grid)
-                    # the row `sample_rows` builds, in a general direction: a zero part (-0.0 too) reads 0.0
-                    parts = [a_val, *[b_val * (x / r) or 0.0 if x else 0.0 for x in xs]]
-                    norm = sqrt(sum_squares(parts))
-                    if math.isnan(norm):  # cos(0 * inf), or a NaN x0 or x1, gives NaN without raising
-                        raise ValueError
-                except (OverflowError, ValueError) as exc:
-                    # a bare ValueError is a NaN value, or math's cos or sin refusing an infinite x0 * r
-                    what = {
-                        OverflowError: "value is out of range",
-                        EvalDomainError: "x1..xm give r = 0 in binary64",
-                    }.get(type(exc), "value is NaN")
-                    raise type(exc)(f"sample CSV line {line}: {what} at (x0={x0!r}, r={row[m + 1]!r})") from None
-                recomputed += [x0, *xs, r, *parts, norm]
-                found += row
+    except (OverflowError, ValueError) as exc:
+        raise type(exc)(f"sample CSV line {line + 1}: {exc}") from None
     # one pack per side compares the bits of every value, where float == takes -0.0 for 0.0
-    pack = struct.Struct(f"{len(found)}d").pack
-    return pack(*recomputed) == pack(*found), len(rows)
+    pack = struct.Struct(f"{len(recomputed)}d").pack
+    return pack(*recomputed) == pack(*chain.from_iterable(rows)), len(rows)

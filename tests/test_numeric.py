@@ -400,6 +400,32 @@ def test_fd_refuses_a_step_whose_stencil_leaves_binary64():
         assert calls == []
 
 
+def test_fd_names_the_stencil_point_at_which_f_fails():
+    # the stencil is finite at h = 1e200, but the pair's powers of x0 + step leave binary64 inside f
+    pt = EvalPoint(0.4, (0.9, 0.5, -0.3))
+    step = FDConfig(1e200).step(pt)
+    with pytest.raises(OverflowError) as info:
+        fd_cr_residual(axial_evaluator(gauss_fund_pair(3)), pt, FDConfig(1e200))
+    assert str(info.value) == (
+        f"f failed at the finite-difference stencil point x0 + step = (x0={0.4 + step!r}, xs=(0.9, 0.5, -0.3)) "
+        f"with step {step!r}: (34, 'Numerical result out of range')"
+    )
+
+    # an error of f's own keeps its type and is named by the shifted coordinate
+    def below(x0, xs):
+        if xs[1] < 0.5:
+            raise ValueError("x2 below 0.5")
+        return Multivector.scalar(3, x0, exact=False)
+
+    step = FDConfig().step(pt)
+    with pytest.raises(ValueError) as info:
+        fd_cr_residual(below, pt)
+    assert str(info.value) == (
+        f"f failed at the finite-difference stencil point x2 - step = (x0=0.4, xs=(0.9, {0.5 - step!r}, -0.3)) "
+        f"with step {step!r}: x2 below 0.5"
+    )
+
+
 def _coord_bits(x):
     """A coordinate by its type and bits: an int stays an int, -0.0 differs from 0.0."""
     return (type(x).__name__, x.hex() if type(x) is float else repr(x))
@@ -642,6 +668,9 @@ def test_decay_scan_validation():
         decay_scan(pair, K=0.0, r_min=3.0, r_max=8.0)
     with pytest.raises(ValueError):
         decay_scan(pair, K=1.0, r_min=8.0, r_max=3.0)
+    # the scan reads |F| on the ray, which holds only for P_k = 1
+    with pytest.raises(ValueError, match=r"^decay scan needs a pair with P_k = 1, got k=1$"):
+        decay_scan(fueter(seed("gauss"), 1, 3, default_pk(1, 3)), 1.0, 0.5, 3.0, 9, 9)
 
 
 def test_decay_scan_rejects_nan():
@@ -715,12 +744,16 @@ def test_axis_split_closed_form():
 
 
 def test_entire_part_probe_ignores_dps():
+    # nor does a 5-digit decimal context that rounds toward -inf change a bit
     radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
     for m in (3, 9, 15):
         for sp in (True, False):
             low = entire_part_probe(m, radii, subtract_pole=sp, dps=10).values
             high = entire_part_probe(m, radii, subtract_pole=sp, dps=60).values
-            assert [v.hex() for v in low] == [v.hex() for v in high], (m, sp)
+            with decimal.localcontext() as ctx:
+                ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+                floor = entire_part_probe(m, radii, subtract_pole=sp).values
+            assert [v.hex() for v in low] == [v.hex() for v in high] == [v.hex() for v in floor], (m, sp)
 
 
 def test_entire_part_probe_at_tiny_radii():
@@ -740,18 +773,6 @@ def test_entire_part_probe_control_reads_inf_past_binary64():
     report = entire_part_probe(11, (0.1, 1e-30), subtract_pole=False)
     assert report.values[0] == pytest.approx(1e11, rel=1e-15) and report.values[1] == math.inf
     assert not report.bounded
-
-
-def test_entire_part_probe_ignores_the_callers_decimal_context():
-    radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
-    want = {(m, sp): entire_part_probe(m, radii, subtract_pole=sp).values for m in (3, 5) for sp in (True, False)}
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
-        before = repr(ctx)
-        for (m, sp), values in want.items():
-            got = entire_part_probe(m, radii, subtract_pole=sp).values
-            assert [v.hex() for v in got] == [v.hex() for v in values], (m, sp)
-        assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
 def test_entire_part_probe_validation():
@@ -1145,13 +1166,11 @@ def _ref_decay_scan(pair, K, r_min, r_max, nx0, nr):
         (gauss_fund_pair, 2.0, 3.0, 8.0, 201, 201),
         (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 8.0, 21, 51),
         (lambda m: fueter(seed("inv_z"), 0, m), 2.0, 3.0, 12.0, 21, 51),
-        (lambda m: fueter(seed("gauss"), 1, m, default_pk(1, m)), 1.0, 0.5, 3.0, 9, 9),
     ],
-    ids=["gauss_fund_101", "gauss_fund_201", "inv_z_near", "inv_z_far", "gauss_k1"],
+    ids=["gauss_fund_101", "gauss_fund_201", "inv_z_near", "inv_z_far"],
 )
 def test_decay_scan_matches_brute_force(pair_of, K, r_min, r_max, nx0, nr):
-    # the grids of gauss_fund.decay_sup_stable and gauss_fund.decay_control_divergent, on P_0 pairs,
-    # and a P_1 pair, which goes through eval_axial
+    # the grids of gauss_fund.decay_sup_stable and gauss_fund.decay_control_divergent
     pair = pair_of(3)
     report = decay_scan(pair, K, r_min, r_max, nx0, nr)
     assert (report.sup_value, report.argmax_x0, report.argmax_r) == _ref_decay_scan(pair, K, r_min, r_max, nx0, nr)
@@ -1161,6 +1180,9 @@ def test_decay_scan_overflows_past_r_38():
     # exp(r^2/2) overflows binary64 beyond r ~ 37.7; the scan names the first such radius
     with pytest.raises(OverflowError, match=r"at r=38\.0$"):
         decay_scan(gauss_fund_pair(3), K=2.0, r_min=36.0, r_max=40.0, nx0=3, nr=3)
+    # a value that overflows is named by its grid point: x0 ** a leaves binary64 at x0 = -1e200
+    with pytest.raises(OverflowError, match=r"^decay scan value is out of range at \(x0=-1e\+200, r=3\.0\)$"):
+        decay_scan(gauss_fund_pair(3), 1e200, 3.0, 8.0, 3, 3)
 
 
 def test_series_bit_identical_to_per_term_powers():
@@ -1200,7 +1222,7 @@ def _bits(row):
     return [float(v).hex() for v in row]
 
 
-def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
+def test_sample_rows_bit_identical_to_eval_axial_rows():
     rng = random.Random(83)
     for target in numeric.SAMPLE_TARGETS:
         for m in (1, 3, 5, 7):
@@ -1212,23 +1234,29 @@ def test_sample_rows_bit_identical_to_eval_axial_rows(tmp_path):
             rows = sample_rows(target, m, x0_vals, r_vals)
             want = [_ref_sample_row(pair, EvalPoint(x0, (r,) + zeros)) for x0 in x0_vals for r in r_vals]
             assert list(map(_bits, rows)) == list(map(_bits, want)), (target, m)
-            # rows in general directions, with -0.0 components, through verify_sample_csv's row builder
-            ref_rows = []
-            for i in range(12):
-                d = [rng.gauss(0.0, 1.0) if j == 0 or rng.random() < 0.6 else (-0.0, 0.0)[i % 2] for j in range(m)]
-                norm = math.sqrt(sum(c * c for c in d))
-                r = 10 ** rng.uniform(-6.0, 0.6)
-                pt = EvalPoint((0.0, -0.0, rng.uniform(-2.0, 2.0))[i % 3], tuple(r * c / norm for c in d))
-                ref_rows.append(_ref_sample_row(pair, pt))
+
+
+def test_verify_sample_csv_recomputes_rows_on_the_e1_ray(tmp_path):
+    # each row is recomputed as `sample` writes it at its (x0, x1): a row that eval_axial gives off the
+    # e1 ray compares unequal, and one at x1 < 0 is refused, naming its line
+    for target in numeric.SAMPLE_TARGETS:
+        for m in (1, 3, 5):
+            pair = numeric.sample_pair(target, m)
+            zeros = (0.0,) * (m - 1)
             path = tmp_path / f"{target}_{m}.csv"
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows([numeric.sample_header(m)] + ref_rows)
-            assert verify_sample_csv(path, target) == (True, 12)
-            # a row at r = 0 still raises, as eval_axial does
-            with open(path, "a", newline="") as fh:
-                csv.writer(fh).writerow([0.5, *(-0.0,) * m, 0.0, *(1.0,) * (m + 2)])
-            with pytest.raises(EvalDomainError):
+            write_sample_csv(path, target, m, [0.5], [1.0, 2.0])
+            header, *lines = path.read_text().splitlines()
+            if m > 1:
+                off = _ref_sample_row(pair, EvalPoint(0.5, (0.6, 0.8, *zeros[1:])))
+                path.write_text("\n".join([header, lines[0], ",".join(map(repr, off)), lines[1]]) + "\n")
+                assert verify_sample_csv(path, target) == (False, 3)
+            negative = _ref_sample_row(pair, EvalPoint(0.5, (-1.0, *zeros)))
+            path.write_text("\n".join([header, ",".join(map(repr, negative)), *lines]) + "\n")
+            with pytest.raises(EvalDomainError) as info:
                 verify_sample_csv(path, target)
+            assert str(info.value) == (
+                "sample CSV line 2: point needs r > 0 with r * r > 0 in binary64 at (x0=0.5, r=-1.0)"
+            )
 
 
 def _ref_formula_row(values, x0, xs, r):

@@ -744,16 +744,12 @@ def test_axis_split_closed_form():
 
 
 def test_entire_part_probe_ignores_dps():
-    # nor does a 5-digit decimal context that rounds toward -inf change a bit
     radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
     for m in (3, 9, 15):
         for sp in (True, False):
             low = entire_part_probe(m, radii, subtract_pole=sp, dps=10).values
             high = entire_part_probe(m, radii, subtract_pole=sp, dps=60).values
-            with decimal.localcontext() as ctx:
-                ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
-                floor = entire_part_probe(m, radii, subtract_pole=sp).values
-            assert [v.hex() for v in low] == [v.hex() for v in high] == [v.hex() for v in floor], (m, sp)
+            assert [v.hex() for v in low] == [v.hex() for v in high], (m, sp)
 
 
 def test_entire_part_probe_at_tiny_radii():
@@ -773,6 +769,18 @@ def test_entire_part_probe_control_reads_inf_past_binary64():
     report = entire_part_probe(11, (0.1, 1e-30), subtract_pole=False)
     assert report.values[0] == pytest.approx(1e11, rel=1e-15) and report.values[1] == math.inf
     assert not report.bounded
+
+
+def test_entire_part_probe_ignores_the_callers_decimal_context():
+    radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
+    want = {(m, sp): entire_part_probe(m, radii, subtract_pole=sp).values for m in (3, 5) for sp in (True, False)}
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+        before = repr(ctx)
+        for (m, sp), values in want.items():
+            got = entire_part_probe(m, radii, subtract_pole=sp).values
+            assert [v.hex() for v in got] == [v.hex() for v in values], (m, sp)
+        assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
 def test_entire_part_probe_validation():

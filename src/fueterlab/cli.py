@@ -264,6 +264,16 @@ def _join_negative_values(argv):
     return out
 
 
+# exit code by error class, the first match winning: both subclasses of ValueError come before it
+EXIT_CODES = (
+    (EvenDimensionError, EXIT_EVEN_M),
+    (InvalidPkError, EXIT_BAD_PK),
+    (OSError, EXIT_IO),
+    (ValueError, EXIT_USAGE),
+    (OverflowError, EXIT_USAGE),  # an input whose floats leave binary64, as --x0 1e200 in a plan's x0 ** a
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(list(argv) if argv is not None else sys.argv[1:]))
@@ -271,21 +281,11 @@ def main(argv=None) -> int:
         if args.m is not None:  # every command has --m; only verify's is optional
             _check_dimension(args.m)
         return args.func(args)
-    except EvenDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVEN_M
-    except InvalidPkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PK
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:  # an input whose floats leave binary64, as --x0 1e200 in a plan's x0 ** a
-        print(f"error: binary64 overflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
+        cls, code = next(row for row in EXIT_CODES if isinstance(exc, row[0]))
+        prefix = "binary64 overflow: " if cls is OverflowError else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -132,14 +132,11 @@ class Multivector:
 
     def __init__(self, m: int, coeffs=None, exact: bool = True):
         _check_dimension(m)
-        conv = Fraction if exact else float
         clean = {}
         for mask, val in (coeffs or {}).items():
             if not 0 <= mask < (1 << m):
                 raise ValueError(f"blade mask {mask} invalid for m={m}")
-            if exact and type(val) is float:
-                raise MixedVariantError(f"float coefficient {val!r} in exact multivector; convert explicitly")
-            v = conv(val)
+            v = Fraction(exact_scalar(val)) if exact else float(val)
             if v:
                 clean[mask] = v
         object.__setattr__(self, "m", m)
@@ -186,13 +183,6 @@ class Multivector:
         if self.exact != other.exact:
             raise MixedVariantError("exact and numeric multivectors cannot mix; convert explicitly")
 
-    def _coerce_scalar(self, value):
-        if self.exact:
-            if isinstance(value, float):
-                raise MixedVariantError("float scalar on exact multivector; convert explicitly")
-            return Fraction(value)
-        return float(value)
-
     def __getitem__(self, mask: int):
         return self.coeffs.get(mask, Fraction(0) if self.exact else 0.0)
 
@@ -231,7 +221,7 @@ class Multivector:
         return Multivector._of(self.m, {mask: -v for mask, v in self.coeffs.items()}, self.exact)
 
     def scale(self, value) -> "Multivector":
-        c = self._coerce_scalar(value)
+        c = exact_scalar(value) if self.exact else float(value)
         return Multivector._of(self.m, {mask: c * v for mask, v in self.coeffs.items()}, self.exact)
 
     def __mul__(self, other):

@@ -90,11 +90,8 @@ class DecayReport:
 class ProbeReport:
     """Values of the pole-subtracted remainder along a ray toward the origin."""
 
-    m: int
-    radii: tuple
     values: tuple
     bounded: bool
-    subtract_pole: bool = True
 
 
 def _axial_value(m: int, values, pk, unit: bool, x0, xs: tuple, r: float) -> Multivector:
@@ -536,14 +533,16 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
     P(K, x) the regularized incomplete gamma function.  Each part is
     evaluated in binary64 with no negative power of r left to cancel, so the
     values hold to a few ulp at any radius.  Boundedness of the values is
-    the numerical signature that the remainder is entire.  Without the
+    the numerical signature that the remainder is entire: the report reads
+    bounded if every value is finite and at most max(1, 10 times the first).
+    At least two radii are needed, each finite and > 0.  Without the
     subtraction the values grow like r^-m and read inf once that leaves
     binary64.  `dps` has no effect; it stays for callers that pass it, until
     ROADMAP item 7 removes it.
     """
     radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if len(radii) < 2 or not all(0 < r < math.inf for r in radii):
+        raise ValueError(f"radii must be at least two finite numbers > 0, got {radii}")
     if list(radii) != sorted(radii, reverse=True):
         raise ValueError("radii must decrease toward 0")
     _check_dimension(m)  # the pairs build past MAX_DIMENSION; the probe keeps the numeric layer's cap
@@ -561,8 +560,8 @@ def entire_part_probe(m: int, radii, subtract_pole: bool = True, dps: int = 60) 
         ]
         values.append(math.hypot(*parts))
     cap = max(1.0, 10.0 * values[0])
-    bounded = all(v <= cap for v in values)
-    return ProbeReport(m, radii, tuple(values), bounded, subtract_pole)
+    bounded = all(math.isfinite(v) and v <= cap for v in values)
+    return ProbeReport(tuple(values), bounded)
 
 
 # --- CSV / JSON interchange -----------------------------------------------------

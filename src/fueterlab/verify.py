@@ -156,6 +156,13 @@ def measured(suite: str, ms: tuple | None = None):
     return register
 
 
+def _worst(errors, pick=max) -> float:
+    """pick(errors), max by default, or NaN if any error is NaN: the builtin max and min
+    drop a NaN unless it comes first, and a NaN error must fail its check."""
+    errors = list(errors)
+    return math.nan if any(e != e for e in errors) else pick(errors)
+
+
 def _numeric(check_id: str, err: float, tol: float, extra: str = "") -> CheckResult:
     detail = f"tol={tol:.1e}"
     if extra:
@@ -493,7 +500,7 @@ def _gauss_full_display(ctx):
 
 @measured("gauss", ms=(3, 5))
 def _gauss_series(ctx):
-    max_rel = 0.0
+    rel_errors = []
     tail_ok = True
     for m in ctx.ms:
         pair = gauss_ck_pair(m)
@@ -501,34 +508,34 @@ def _gauss_series(ctx):
             pt = _random_point(ctx.rng, m, 0.3)
             series = ck_gauss_series(pt, m, trunc=60)
             closed = eval_axial(pair, pt)
-            max_rel = max(max_rel, (series - closed).norm() / closed.norm())
+            rel_errors.append((series - closed).norm() / closed.norm())
             # one order further adds the first omitted term, up to rounding far below 1e-14
             tail_ok &= (ck_gauss_series(pt, m, trunc=61) - series).norm() <= 1e-14 * series.norm()
     return [
-        _numeric("gauss.series_vs_closed", max_rel, 1e-10, f"50 points per m, m in {set(ctx.ms)}"),
+        _numeric("gauss.series_vs_closed", _worst(rel_errors), 1e-10, f"50 points per m, m in {set(ctx.ms)}"),
         CheckResult("gauss.series_tail_bound", tail_ok, 0.0, "next term < 1e-14 * partial sum"),
     ]
 
 
 @measured("gauss")
 def _gauss_restriction_numeric(ctx):
-    max_rel = 0.0
+    rel_errors = []
     for m in ctx.ms:
         for x0 in [i / 10.0 for i in range(-10, 11)]:
             series = ck_gauss_series(EvalPoint(x0, (0.0,) * m), m, trunc=40)[0]
             closed = ck_gauss_restriction(x0, m)
-            max_rel = max(max_rel, abs(series - closed) / abs(closed))
-    return [_numeric("gauss.restriction_numeric", max_rel, 1e-12, "x_=0 axis, N=40")]
+            rel_errors.append(abs(series - closed) / abs(closed))
+    return [_numeric("gauss.restriction_numeric", _worst(rel_errors), 1e-12, "x_=0 axis, N=40")]
 
 
 @measured("gauss", ms=(3,))
 def _gauss_restriction_m3(ctx):
-    max_rel = 0.0
+    rel_errors = []
     for m, x0 in product(ctx.ms, [i / 10.0 for i in range(-10, 11)]):
         got = ck_gauss_restriction(x0, m)
         want = math.exp(x0 * x0 / 2.0) * (1.0 + x0 * x0)
-        max_rel = max(max_rel, abs(got - want) / abs(want))
-    return [_numeric("gauss.restriction_m3_formula", max_rel, 1e-12)]
+        rel_errors.append(abs(got - want) / abs(want))
+    return [_numeric("gauss.restriction_m3_formula", _worst(rel_errors), 1e-12)]
 
 
 @exact("gauss", "gauss.taylor_coeffs_exact")
@@ -552,7 +559,7 @@ def _remainder_vekua(ctx):
 @measured("gauss_fund", ms=PROBE_MS)
 def _pole_cancellation(ctx):
     reports = [entire_part_probe(m, PROBE_RADII) for m in ctx.ms]
-    worst = max(max(report.values) for report in reports)
+    worst = _worst(v for report in reports for v in report.values)
     passed = all(report.bounded for report in reports)
     return [CheckResult("gauss_fund.pole_cancellation", passed, worst, f"radii down to {PROBE_RADII[-1]:g}")]
 
@@ -571,22 +578,21 @@ FD_RESIDUALS = {3: ("gauss_fund.fd_two_sided", 1e-6), 5: ("gauss_fund.fd_two_sid
 
 @measured("gauss_fund", ms=tuple(FD_RESIDUALS))
 def _fd_residuals(ctx):
-    factor_lo, factor_hi = math.inf, -math.inf
-    residuals = dict.fromkeys(ctx.ms, 0.0)
+    factors = []
+    residuals = {m: [] for m in ctx.ms}
     for m in ctx.ms:
         f = axial_evaluator(gauss_fund_pair(m))
         for i in range(20):
             pt = _random_point(ctx.rng, m, 0.5)
             for side in ("left", "right"):
-                residuals[m] = max(residuals[m], fd_cr_residual(f, pt, FDConfig(), side))
+                residuals[m].append(fd_cr_residual(f, pt, FDConfig(), side))
             if i < 5:
-                fac = fd_convergence_factor(f, pt)
-                factor_lo = min(factor_lo, fac)
-                factor_hi = max(factor_hi, fac)
+                factors.append(fd_convergence_factor(f, pt))
+    factor_lo, factor_hi = _worst(factors, min), _worst(factors)
     results = []
-    for m, err in residuals.items():
+    for m, errors in residuals.items():
         check_id, tol = FD_RESIDUALS[m]
-        results.append(_numeric(check_id, err, tol, f"m={m}, 20 points, left and right"))
+        results.append(_numeric(check_id, _worst(errors), tol, f"m={m}, 20 points, left and right"))
     return results + [
         CheckResult(
             "gauss_fund.fd_convergence_order",

@@ -599,3 +599,17 @@ def test_is_zero_matches_reference_on_vekua_ladder():
         for res in (*vekua_residual(pair), *vekua_residual(bumped)):
             assert res.is_zero() == _ref_is_zero(dict(res.terms)), (m, k)
         assert not all(res.is_zero() for res in vekua_residual(bumped)), (m, k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AxialExpr({(0, 0, 0, 0, "tan"): 1}), "unknown trig tag 'tan'"),
+        (lambda: X0.diff("y"), "unknown variable 'y'"),
+        (lambda: trig_shift("tan", 1), "base must be cos or sin, got 'tan'"),
+    ],
+    ids=["trig_tag", "diff_variable", "trig_shift_base"],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

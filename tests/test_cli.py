@@ -12,6 +12,7 @@ import pytest
 
 from fueterlab import cli, verify
 from fueterlab.cli import main, parse_range
+from fueterlab.clifford import Multivector
 from fueterlab.numeric import sample_header
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.golden"
@@ -569,3 +570,44 @@ def test_dimension_out_of_range_is_named(capsys, tmp_path, monkeypatch, argv, m)
     assert (code, out) == (2, "")
     assert err == f"error: dimension m must be in 1..16, got {m}\n"
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cli.cmd_ck_gauss(argparse.Namespace(m=3, x0=0.0, r=-1.0, trunc=60)), "r must be nonnegative"),
+        (lambda: next(verify.iter_suite("nope")), "unknown suite 'nope'; choose from"),
+    ],
+    ids=["ck_gauss_negative_r", "unknown_suite"],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def _nan_on_call(fn, n, nan):
+    """fn, except that its n-th call returns nan."""
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return nan if calls == n else fn(*args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, n, nan, argv, check_id",
+    [
+        ("fd_cr_residual", 3, math.nan, ["--suite", "gauss_fund", "--m", "3"], "gauss_fund.fd_two_sided"),
+        ("ck_gauss_series", 5, Multivector.scalar(3, math.nan, exact=False), ["--suite", "gauss", "--m", "3"], "gauss.series_vs_closed"),
+    ],
+    ids=["fd_residual", "series_vs_closed"],
+)
+def test_a_nan_error_fails_its_check(capsys, monkeypatch, name, n, nan, argv, check_id):
+    # the builtin max drops a NaN that does not come first, so a running max once printed PASS here
+    monkeypatch.setattr(verify, name, _nan_on_call(getattr(verify, name), n, nan))
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert f"\n{check_id} FAIL nan " in "\n" + out

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -325,3 +326,32 @@ def test_store_int_scale_equals_fraction_scale():
     p = parse_poly("1/6*x1^2*e12 - 3/4*x0", 2)
     assert _store(p.scale(3)) == _store(p.scale(Fraction(3)))
     assert p.scale(3)._den == 4
+
+
+class _Float(float):
+    """A float subclass, as numpy.float64 is one."""
+
+
+def test_float_subclass_is_refused_in_exact_arithmetic():
+    # the constructor once tested `type(val) is float` and stored Fraction(0.1) = 3602879701896397/2**55
+    x = _Float(0.1)
+    for call in (
+        lambda: Multivector(3, {0: x}),
+        lambda: Multivector(3, {1: 1, 2: x}),
+        lambda: Multivector.scalar(3, 2).scale(x),
+        lambda: x * Multivector.scalar(3, 2),
+        lambda: AxialExpr.term(x),
+    ):
+        with pytest.raises(MixedVariantError, match=re.escape("float 0.1 in exact arithmetic")):
+            call()
+    assert Multivector(3, {0: x}, exact=False) == Multivector.scalar(3, 0.1, exact=False)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: Multivector.vector(3, (1, 2)), ValueError, "expected 3 vector components, got 2")],
+    ids=["vector_length"],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -506,3 +507,23 @@ def test_exponent_limit():
     CliffPoly(m, {(0, EXP_LIMIT - 1, 0): Multivector.scalar(m, 1)})
     with pytest.raises(ValueError):
         parse_poly(f"x1^{EXP_LIMIT}", m)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CliffPoly(3, {(0, 0, 0): Multivector.scalar(3, 1)}), ValueError, "exponent vector (0, 0, 0) invalid for m=3"),
+        (lambda: CliffPoly(3, {(0, 0, 0, 0): 1}), TypeError, "CliffPoly coefficients must be exact Multivectors"),
+        (lambda: CliffPoly(3, {(0, 0, 0, 0): Multivector.scalar(2, 1)}), ValueError, "coefficient m=2 vs poly m=3"),
+        (lambda: CliffPoly.variable(3, 4), ValueError, "variable index 4 outside 0..3"),
+        (lambda: CliffPoly.one(3).diff(-1), ValueError, "variable index -1 outside 0..3"),
+        (lambda: CliffPoly.one(3).eval(0.5, (1.0, 2.0)), ValueError, "expected 3 coordinates, got 2"),
+        (lambda: poly_mul(CliffPoly.one(3), CliffPoly.one(2)), ValueError, "m=3 vs m=2"),
+        (lambda: poly_sum(3, [(1, 0, CliffPoly.one(2))]), ValueError, "m=2 vs m=3"),
+        (lambda: hermite_closed(-1, 3), ValueError, "Hermite index must be nonnegative"),
+    ],
+    ids=["short_exponents", "bare_coefficient", "coefficient_dimension", "variable", "diff", "eval", "poly_mul", "poly_sum", "hermite_closed"],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

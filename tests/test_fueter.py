@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,20 @@ def test_vekua_residual_equals_composed_form():
             c1, c2 = _composed_residual(p)
             assert r1 == c1 and r2 == c2, (p.m, p.k)
             assert vekua_ok(p) is ok and (r1.is_zero() and r2.is_zero()) is ok, (p.m, p.k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fueter(seed("iz"), -1, 3), "degree k must be nonnegative"),
+        (lambda: fueter(seed("iz"), 0, 3) - fueter(seed("iz"), 1, 3), "axial pairs of different type"),
+        (lambda: fueter_via_laplacian(2, 0, 3, None), "this route needs a concrete P_k"),
+        (lambda: axial_to_poly(fueter(seed("iz"), 2, 3)), "axial_to_poly needs a concrete P_k"),  # no shipped P_2
+        (lambda: closed_form("e2"), "e2 needs n >= 0"),
+        (lambda: closed_form("ex1_full", k=0), "ex1_full needs m and k"),
+    ],
+    ids=["negative_k", "pair_difference", "laplacian_route", "axial_to_poly", "e2_without_n", "ex1_full_without_m"],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

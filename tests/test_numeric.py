@@ -771,6 +771,13 @@ def test_entire_part_probe_control_reads_inf_past_binary64():
     assert not report.bounded
 
 
+def test_entire_part_probe_infinite_control_reads_unbounded():
+    # r^-11 leaves binary64 at both radii: the cap 10 x inf would pass every value, but no inf is bounded
+    report = entire_part_probe(11, (1e-30, 1e-40), subtract_pole=False)
+    assert report.values == (math.inf, math.inf)
+    assert not report.bounded
+
+
 def test_entire_part_probe_ignores_the_callers_decimal_context():
     radii = (0.15, 1.5e-2, 1.5e-3, 1.5e-4)
     want = {(m, sp): entire_part_probe(m, radii, subtract_pole=sp).values for m in (3, 5) for sp in (True, False)}
@@ -790,6 +797,10 @@ def test_entire_part_probe_validation():
         entire_part_probe(3, (1e-3, 1e-2))
     with pytest.raises(ValueError):
         entire_part_probe(3, (-1.0,))
+    # one radius gives no trend to judge, and a radius that is not finite gives no value
+    for radii in ((1e-5,), (0.1, math.nan), (math.inf, 0.1), (0.1, 0.0)):
+        with pytest.raises(ValueError, match="at least two finite numbers > 0"):
+            entire_part_probe(3, radii, subtract_pole=False)
 
 
 def test_lin_range():
@@ -1491,3 +1502,16 @@ def test_restriction_bit_identical_to_running_float_product():
         for n in range(0, 25):
             got = restriction_taylor_coeff(n, m)
             assert type(got) is Fraction and got == _ref_restriction_taylor_coeff(n, m), (n, m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ck_gauss_series(numeric.EvalPoint(0.5, (1.0, 0.0)), 3), "point dimension 2 vs m=3"),
+        (lambda: numeric.sample_pair("nope", 3), "unknown sample target 'nope'; choose from ('ck-gauss', 'gauss-fund')"),
+    ],
+    ids=["series_point_dimension", "sample_target"],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

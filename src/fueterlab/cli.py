@@ -107,15 +107,17 @@ def cmd_verify(args) -> int:
         print(line)
     passed = all(r.passed for r in results)
     if args.json:
+        # JSON has no NaN or infinity: such an error is written as null, beside the check's own verdict
+        checks = [{**asdict(r), "max_error": r.max_error if math.isfinite(r.max_error) else None} for r in results]
         payload = {
             "suite": args.suite,
             "rng_seed": args.rng_seed,
             "passed": passed,
             **run_environment(),
-            "checks": [asdict(r) for r in results],
+            "checks": checks,
         }
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -237,75 +237,96 @@ def vekua_ok(pair: AxialPair) -> bool:
 
 # --- closed forms ------------------------------------------------------------
 
-RADIAL_FORM_IDS = ("e1", "e2", "e3", "e4", "e5", "e6", "e7")
-CLOSED_FORM_IDS = RADIAL_FORM_IDS + ("ex1_full", "ex2_full", "prop2_m3_A", "prop2_m3_B")
+
+@dataclass(frozen=True)
+class RadialIdentity:
+    """d(n, f) = rhs(n) for every order n >= first, d one of d_lower and d_upper."""
+
+    d: object
+    f: AxialExpr
+    first: int
+    rhs: object
 
 
-def _trig_sum(base: str, pairs) -> AxialExpr:
-    """Sum of coeff * x0^nu * r^(nu-2n) * trig(x0 r + nu pi/2) terms; each nu gives a distinct key."""
+def _trig_sum(base: str, n: int, s: int) -> AxialExpr:
+    """Sum over nu >= 1 - s of a_(nu+s)^(n+s) x0^nu r^(nu-2n) base(x0 r + nu pi/2); each nu gives a distinct key."""
     terms = {}
-    for coeff, nu, b in pairs:
+    for nu in range(1 - s, n + 1):
         sign, tag = trig_shift(base, nu)
-        terms[(nu, b, 0, 0, tag)] = sign * coeff
+        terms[(nu, nu - 2 * n, 0, 0, tag)] = sign * Fraction(coeff_a(n + s, nu + s))
     return AxialExpr(terms)
 
 
-def closed_form(ident: str, n: int | None = None, m: int | None = None, k: int | None = None):
-    """Right-hand sides of the tabulated radial-derivative identities.
+def _q_power(n: int, a: int, b: int) -> AxialExpr:
+    """(-1)^n 2^n n! x0^a r^b Q^-(n+1)."""
+    return AxialExpr.term(Fraction((-1) ** n * 2**n * math.factorial(n)), a=a, b=b, p=n + 1)
 
-    e1..e7 return an AxialExpr in n; ex1_full/ex2_full return the (A, B)
-    pair of the iz and 1/z transforms for given (m, k); prop2_m3_A/B are
-    the two components of the m = 3 Gaussian extension.
-    """
-    if ident in RADIAL_FORM_IDS and (n is None or n < 0):
+
+# the tabulated radial-derivative identities, in the order `verify` checks them
+RADIAL_IDENTITIES = {
+    # (1/r d/dr)^n r = (-1)^(n+1) (2n-3)!! r^(1-2n)
+    "e1": RadialIdentity(
+        d_lower, R, 1, lambda n: AxialExpr.term(Fraction((-1) ** (n + 1) * double_factorial(2 * n - 3)), b=1 - 2 * n)
+    ),
+    # (d/dr ./r)^n x0 = (-1)^n (2n-1)!! x0 r^-2n
+    "ex1.dupper_x0": RadialIdentity(
+        d_upper, X0, 0, lambda n: AxialExpr.term((-1) ** n * double_factorial(2 * n - 1), a=1, b=-2 * n)
+    ),
+    "e2": RadialIdentity(d_lower, X0 * q_inv(), 0, lambda n: _q_power(n, 1, 0)),
+    "e3": RadialIdentity(d_upper, R * q_inv(), 0, lambda n: _q_power(n, 0, 1)),
+    "e4": RadialIdentity(d_lower, E, 0, lambda n: AxialExpr.term(Fraction((-1) ** n), g=1)),
+    # the e5 and e6 sums are empty at n = 0, where d^0 is the identity
+    "e5": RadialIdentity(d_lower, COS, 1, lambda n: _trig_sum(TRIG_COS, n, 0)),
+    "e6": RadialIdentity(d_lower, SIN, 1, lambda n: _trig_sum(TRIG_SIN, n, 0)),
+    "e7": RadialIdentity(d_upper, SIN, 0, lambda n: _trig_sum(TRIG_SIN, n, 1)),
+}
+
+
+def closed_form(ident: str, n: int) -> AxialExpr:
+    """Right-hand side of the radial identity `ident` of RADIAL_IDENTITIES at order n >= 0."""
+    identity = RADIAL_IDENTITIES.get(ident)
+    if identity is None:
+        raise ValueError(f"unknown closed form {ident!r}; choose from {tuple(RADIAL_IDENTITIES)}")
+    if n < 0:
         raise ValueError(f"{ident} needs n >= 0")
-    if ident == "e1":
-        # (1/r d/dr)^n r = (-1)^(n+1) (2n-3)!! r^(1-2n), asserted for n >= 1
-        if n < 1:
-            raise ValueError("e1 is asserted only for n >= 1")
-        return AxialExpr.term(Fraction((-1) ** (n + 1) * double_factorial(2 * n - 3)), b=1 - 2 * n)
-    if ident == "e2":
-        return AxialExpr.term(Fraction((-1) ** n * 2 ** n * math.factorial(n)), a=1, p=n + 1)
-    if ident == "e3":
-        return AxialExpr.term(Fraction((-1) ** n * 2 ** n * math.factorial(n)), b=1, p=n + 1)
-    if ident == "e4":
-        return AxialExpr.term(Fraction((-1) ** n), g=1)
-    if ident in ("e5", "e6"):
-        # empty sum at n = 0; the identity itself is asserted from n >= 1
-        base = TRIG_COS if ident == "e5" else TRIG_SIN
-        return _trig_sum(base, ((Fraction(coeff_a(n, nu)), nu, nu - 2 * n) for nu in range(1, n + 1)))
-    if ident == "e7":
-        return _trig_sum(TRIG_SIN, ((Fraction(coeff_a(n + 1, nu + 1)), nu, nu - 2 * n) for nu in range(n + 1)))
-    if ident == "ex1_full":
-        if m is None or k is None:
-            raise ValueError("ex1_full needs m and k")
-        _require_odd(m)
-        if 2 * k + m - 4 < -1:
-            raise ValueError("ex1_full constant (2k+m-4)!! undefined for this (m, k)")
-        c = Fraction(
-            (-1) ** (k + (m - 1) // 2)
-            * double_factorial(2 * k + m - 1)
-            * double_factorial(2 * k + m - 4)
-        )
-        a_part = AxialExpr.term(c, b=-(2 * k + m - 2))
-        b_part = AxialExpr.term(c * (2 * k + m - 2), a=1, b=-(2 * k + m - 1))
-        return a_part, b_part
-    if ident == "ex2_full":
-        if m is None or k is None:
-            raise ValueError("ex2_full needs m and k")
-        _require_odd(m)
-        c = Fraction((-1) ** (k + (m - 1) // 2) * double_factorial(2 * k + m - 1) ** 2)
-        p = (2 * k + m + 1) // 2
-        return AxialExpr.term(c, a=1, p=p), AxialExpr.term(-c, b=1, p=p)
-    if ident == "prop2_m3_A":
-        return E * COS + AxialExpr.term(1, a=1, b=-1, g=1, t=TRIG_SIN)
-    if ident == "prop2_m3_B":
-        return (
-            E * SIN
-            + AxialExpr.term(1, b=-2, g=1, t=TRIG_SIN)
-            - AxialExpr.term(1, a=1, b=-1, g=1, t=TRIG_COS)
-        )
-    raise ValueError(f"unknown closed form {ident!r}; choose from {CLOSED_FORM_IDS}")
+    return identity.rhs(n)
+
+
+def transform_closed_form(seed_name: str, m: int, k: int) -> tuple[AxialExpr, AxialExpr] | None:
+    """(A, B) of the iz, inv_z or gauss transform at odd m and degree k, read off the radial identities.
+
+    Both components are (2k+m-1)!! times right-hand sides at order n = k + (m-1)/2:
+    iz = -r + i x0 gives (-e1, ex1.dupper_x0), 1/z = x0/Q - i r/Q gives (e2, -e3), and
+    exp(z^2/2) = E cos + i E sin gives the Leibniz sums of e4 against e5 and e7.  For iz
+    this is (-1)^n (2k+m-1)!! (2k+m-4)!! (r^-(2k+m-2), (2k+m-2) x0 r^-(2k+m-1)); None where
+    that constant is undefined, 2k+m-4 < -1, which is n below e1's first order (m = 1, k = 0).
+    """
+    _require_odd(m)
+    n = k + (m - 1) // 2
+    if seed_name == "iz":
+        if n < RADIAL_IDENTITIES["e1"].first:
+            return None
+        a, b = -closed_form("e1", n), closed_form("ex1.dupper_x0", n)
+    elif seed_name == "inv_z":
+        a, b = closed_form("e2", n), -closed_form("e3", n)
+    elif seed_name == "gauss":
+        # d^n(E f) = sum_nu C(n, nu) d_lower^(n-nu)(E) d^nu(f); d_lower^0 cos is cos, where e5 is not asserted
+        a = b = AxialExpr.zero()
+        for nu in range(n + 1):
+            e = closed_form("e4", n - nu).scale(math.comb(n, nu))
+            a = a + e * (closed_form("e5", nu) if nu else COS)
+            b = b + e * closed_form("e7", nu)
+    else:
+        raise ValueError(f"no transform closed form for seed {seed_name!r}; choose from ('iz', 'inv_z', 'gauss')")
+    const = double_factorial(2 * k + m - 1)
+    return a.scale(const), b.scale(const)
+
+
+# gauss_ck_pair(3): E (cos + x0 sin / r) and E (sin + sin / r^2 - x0 cos / r)
+GAUSS_M3 = (
+    E * COS + AxialExpr.term(1, a=1, b=-1, g=1, t=TRIG_SIN),
+    E * SIN + AxialExpr.term(1, b=-2, g=1, t=TRIG_SIN) - AxialExpr.term(1, a=1, b=-1, g=1, t=TRIG_COS),
+)
 
 
 def gauss_ck_pair(m: int) -> AxialPair:

@@ -19,11 +19,10 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
-from . import sampling
-from .axial import COS, E, R, SIN, X0, AxialExpr, d_lower, d_upper, q_inv
+from . import clifford, sampling
+from .axial import E, AxialExpr, d_lower, d_upper
 from .clifford import Multivector, _check_dimension, blade_product, blade_product_naive, indices_from_mask, sum_squares
 from .cliffpoly import (
     CliffPoly,
@@ -41,14 +40,16 @@ from .cliffpoly import (
     vector_power,
 )
 from .fueter import (
+    GAUSS_M3,
+    RADIAL_IDENTITIES,
     closed_form,
     coeff_a,
-    double_factorial,
     entire_remainder_pair,
     fueter,
     gauss_ck_pair,
     gauss_fund_pair,
     seed as make_seed,
+    transform_closed_form,
     triangle_check,
     vekua_ok,
 )
@@ -83,6 +84,7 @@ SUITE_NAMES = (*SUITE_MS, "all")
 CORE_CASES = 200
 OPERATOR_CASES = 50
 Z_MAX = 10
+RADIAL_N_MAX = 8
 HERMITE_N_MAX = 12
 
 
@@ -297,51 +299,40 @@ exact("operators", "op.iv")(_leibniz(d_upper))
 # --- examples ----------------------------------------------------------------
 
 
-def _radial_family(check_id, d, f, expect, ns):
-    """d^n(f) against its tabulated closed form expect(n) for each order n."""
-    exact("examples", check_id)(lambda ctx: ((n, d(n, f) == expect(n)) for n in ns))
+def _radial_identity(ident: str):
+    """d^n(f) against closed_form(ident, n) for each order n from the identity's first."""
+    identity = RADIAL_IDENTITIES[ident]
+    orders = range(identity.first, RADIAL_N_MAX + 1)
+    return lambda ctx: ((n, identity.d(n, identity.f) == closed_form(ident, n)) for n in orders)
 
 
-_radial_family("e1", d_lower, R, partial(closed_form, "e1"), range(1, 9))
-_radial_family(
-    "ex1.dupper_x0",
-    d_upper,
-    X0,
-    lambda n: AxialExpr.term((-1) ** n * double_factorial(2 * n - 1), a=1, b=-2 * n),
-    range(9),
-)
-_radial_family("e2", d_lower, X0 * q_inv(), partial(closed_form, "e2"), range(9))
-_radial_family("e3", d_upper, R * q_inv(), partial(closed_form, "e3"), range(9))
-_radial_family("e4", d_lower, E, partial(closed_form, "e4"), range(9))
-_radial_family("e5", d_lower, COS, partial(closed_form, "e5"), range(1, 9))
-_radial_family("e6", d_lower, SIN, partial(closed_form, "e6"), range(1, 9))
-_radial_family("e7", d_upper, SIN, partial(closed_form, "e7"), range(9))
+for _ident in RADIAL_IDENTITIES:
+    exact("examples", _ident)(_radial_identity(_ident))
 
 
 @exact("examples", "coeff_a.boundary")
 def _coeff_a_boundary(ctx):
     for n in range(1, 11):
         yield ("diag", n), coeff_a(n, n) == 1
-        yield ("first", n), coeff_a(n, 1) == (-1) ** (n + 1) * double_factorial(2 * n - 3)
+        # the first column is e1's constant
+        yield ("first", n), closed_form("e1", n) == AxialExpr.term(coeff_a(n, 1), b=1 - 2 * n)
 
 
-def _transform_closed(seed_name: str, ident: str, mks):
-    for m, k in mks:
-        pair = fueter(make_seed(seed_name), k, m)
-        a_expect, b_expect = closed_form(ident, m=m, k=k)
-        yield (m, k), pair.A == a_expect and pair.B == b_expect
+def _transform_closed(seed_name: str):
+    """The transform of a seed against transform_closed_form at each (m, k), k <= 2, where that is defined."""
+
+    def pairs(ctx):
+        for m, k in product(ctx.ms, (0, 1, 2)):
+            expect = transform_closed_form(seed_name, m, k)
+            if expect is not None:
+                pair = fueter(make_seed(seed_name), k, m)
+                yield (m, k), (pair.A, pair.B) == expect
+
+    return pairs
 
 
-@exact("examples", "example1.closed")
-def _example1(ctx):
-    # the constant (2k+m-4)!! is defined from 2k+m-4 = -1 on
-    mks = [(m, k) for m, k in product(ctx.ms, (0, 1, 2)) if 2 * k + m - 4 >= -1]
-    return _transform_closed("iz", "ex1_full", mks)
-
-
-@exact("examples", "example2.closed")
-def _example2(ctx):
-    return _transform_closed("inv_z", "ex2_full", product(ctx.ms, (0, 1, 2)))
+exact("examples", "example1.closed")(_transform_closed("iz"))
+exact("examples", "example2.closed")(_transform_closed("inv_z"))
 
 
 @measured("examples", ms=(3, 5))
@@ -460,12 +451,6 @@ def _ck_examples(ctx):
 # --- gauss ----------------------------------------------------------------------
 
 
-def _e_trig_sum(d, trig, n: int, c) -> AxialExpr:
-    """sum_nu c (-1)^(n-nu) C(n, nu) E d^nu(trig): d^n(E trig) by the product rule."""
-    terms = ((E * d(nu, trig)).scale(c * (-1) ** (n - nu) * math.comb(n, nu)) for nu in range(n + 1))
-    return sum(terms, AxialExpr.zero())
-
-
 @exact("gauss", "gauss.restriction_symbolic")
 def _gauss_restriction_symbolic(ctx):
     for m in ctx.ms:
@@ -477,25 +462,20 @@ def _gauss_restriction_symbolic(ctx):
 def _gauss_m3_closed_form(ctx):
     for m in ctx.ms:
         pair = gauss_ck_pair(m)
-        yield m, pair.A == closed_form("prop2_m3_A") and pair.B == closed_form("prop2_m3_B")
+        yield m, (pair.A, pair.B) == GAUSS_M3
 
 
 @exact("gauss", "gauss.product_rule")
 def _gauss_product_rule(ctx):
+    # at m = 1 and k = n the transform is (2n)!! times d_lower^n(E cos) and d_upper^n(E sin)
     for n in range(0, 6):
-        yield ("cos", n), d_lower(n, E * COS) == _e_trig_sum(d_lower, COS, n, 1)
-        yield ("sin", n), d_upper(n, E * SIN) == _e_trig_sum(d_upper, SIN, n, 1)
+        pair = fueter(make_seed("gauss"), n, 1)
+        a_expect, b_expect = transform_closed_form("gauss", 1, n)
+        yield ("cos", n), pair.A == a_expect
+        yield ("sin", n), pair.B == b_expect
 
 
-@exact("gauss", "gauss.full_display")
-def _gauss_full_display(ctx):
-    for m, k in product(ctx.ms, (0, 1, 2)):
-        pair = fueter(make_seed("gauss"), k, m)
-        order = k + (m - 1) // 2
-        const = double_factorial(2 * k + m - 1)
-        a_expect = _e_trig_sum(d_lower, COS, order, const)
-        b_expect = _e_trig_sum(d_upper, SIN, order, const)
-        yield (m, k), pair.A == a_expect and pair.B == b_expect
+exact("gauss", "gauss.full_display")(_transform_closed("gauss"))
 
 
 @measured("gauss", ms=(3, 5))
@@ -548,7 +528,8 @@ def _gauss_taylor_coeffs(ctx):
 # --- gauss_fund -------------------------------------------------------------------
 
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
-PROBE_MS = tuple(range(3, 16, 2))  # the probe evaluates in binary64 at every odd m up to MAX_DIMENSION
+# the probe evaluates in binary64 at every odd m up to the dimension cap
+PROBE_MS = tuple(range(3, clifford.MAX_DIMENSION + 1, 2))
 
 
 @exact("gauss_fund", "gauss_fund.remainder_vekua")

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,30 @@ def test_verify_json_environment_outside_checkout(monkeypatch, tmp_path):
     assert cli.run_environment()["git_revision"] is None
 
 
+def test_verify_json_is_strict_json_when_an_error_is_nan(capsys, tmp_path, monkeypatch):
+    # one NaN series value makes gauss.series_vs_closed fail with a NaN error, which JSON cannot hold
+    series = verify.ck_gauss_series
+    calls = []
+
+    def one_nan(pt, m, trunc=60):
+        calls.append(pt)
+        value = series(pt, m, trunc)
+        return value.scale(math.nan) if len(calls) == 1 else value
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    monkeypatch.setattr(verify, "ck_gauss_series", one_nan)
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--suite", "gauss", "--m", "3", "--json", str(path))
+    assert code == 1 and "gauss.series_vs_closed FAIL nan" in out
+    payload = json.loads(path.read_text(), parse_constant=refuse)
+    checks = {c["id"]: c for c in payload["checks"]}
+    assert checks["gauss.series_vs_closed"]["max_error"] is None
+    assert checks["gauss.series_vs_closed"]["passed"] is False and payload["passed"] is False
+    assert checks["gauss.restriction_numeric"]["max_error"] > 0.0
+
+
 def test_hermite_both(capsys):
     code, out, _ = run(capsys, "hermite", "--m", "3", "--n", "2", "--form", "both")
     assert code == 0
@@ -315,6 +340,19 @@ def test_fueter_z_pow_triangle(capsys):
     assert code == 0
     assert "TRIANGLE OK" in out
     assert "c=-8" in out
+
+
+def test_fueter_z_pow_triangle_failure_exits_1(capsys, monkeypatch):
+    # the Vekua system holds, so the exit code comes from the triangle verdict alone
+    check = cli.triangle_check
+
+    def failing(n, k, m, pk):
+        return replace(check(n, k, m, pk), ck_equal=False)
+
+    monkeypatch.setattr(cli, "triangle_check", failing)
+    code, out, _ = run(capsys, "fueter", "--seed", "z_pow", "--n", "5", "--m", "3", "--k", "0")
+    assert code == 1
+    assert "VEKUA OK" in out and "TRIANGLE FAIL c=-8" in out
 
 
 def test_negative_scientific_values(capsys):

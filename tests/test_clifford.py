@@ -207,6 +207,34 @@ def test_float_arithmetic_keeps_values_and_blade_order():
         assert all(type(v) is float for v in (a + b).coeffs.values())
 
 
+@pytest.mark.parametrize(
+    "value",
+    [Multivector.scalar(3, 2), AxialExpr.term(3, a=1), CliffPoly.one(3)],
+    ids=["multivector", "axial_expr", "cliff_poly"],
+)
+def test_values_refuse_attribute_assignment(value):
+    # the seed, P_k and vector_power memos hand the same object to every caller
+    text = str(value)
+    for name in ("m", "coeffs", "_num", "_den", "other"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    assert str(value) == text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Multivector.scalar(3, 2), AxialExpr.term(2), CliffPoly.constant(3, 2)],
+    ids=["multivector", "axial_expr", "cliff_poly"],
+)
+def test_foreign_operands(value):
+    # == with another type is False, not an error; + and - with another type raise TypeError
+    assert value != 2 and not value == 2 and value != "2"
+    with pytest.raises(TypeError):
+        value + 2
+    with pytest.raises(TypeError):
+        value - 2
+
+
 def test_text_roundtrip_exact():
     m = 3
     a = mv(m, "3 - 2*e1 + 1*e12")

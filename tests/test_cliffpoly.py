@@ -245,6 +245,14 @@ def test_text_zero_denominator_is_a_value_error():
         parse_poly("1/0*x1*e1", 3)
 
 
+def test_eval_drops_a_cancelled_blade():
+    # x1 e1 - x2 e1 cancels at x1 = x2, so e1 leaves the sum and comes back after e2 with x1^2 e1
+    p = parse_poly("1*x1*e1 - 1*x2*e1 + 1*x3*e2 + 1*x1^2*e1", 3)
+    value = p.eval(0.0, (1.0, 1.0, 1.0))
+    assert list(value.coeffs.items()) == [(0b10, 1.0), (0b01, 1.0)]
+    assert list(p.eval(0.0, (2.0, 1.0, 1.0)).coeffs.items()) == [(0b01, 5.0), (0b10, 1.0)]
+
+
 def test_sample_p1_requires_two_generators():
     with pytest.raises(ValueError):
         sample_p1(1)

@@ -8,6 +8,7 @@ from fueterlab.axial import COS, E, R, SIN, X0, AxialExpr, q_inv
 from fueterlab.clifford import Multivector
 from fueterlab.cliffpoly import CliffPoly, ck_extend_poly, poly_mul, sample_p1, vector_power
 from fueterlab.fueter import (
+    GAUSS_M3,
     AxialPair,
     EvenDimensionError,
     HoloSeed,
@@ -24,6 +25,7 @@ from fueterlab.fueter import (
     gauss_fund_pair,
     pole_pair,
     seed,
+    transform_closed_form,
     triangle_check,
     vekua_ok,
     vekua_residual,
@@ -178,37 +180,49 @@ def test_closed_form_values():
     assert closed_form("e5", 1) == term(-1, a=1, b=-1, t="sin")
     assert closed_form("e4", 3) == term(-1, g=1)
     assert closed_form("e7", 0) == SIN
-    assert closed_form("prop2_m3_A") == E * COS + term(1, a=1, b=-1, g=1, t="sin")
-    with pytest.raises(ValueError):
+    assert GAUSS_M3[0] == E * COS + term(1, a=1, b=-1, g=1, t="sin")
+    with pytest.raises(ValueError, match="double factorial undefined"):
         closed_form("e1", 0)
     with pytest.raises(ValueError):
         closed_form("nope", 1)
 
 
 def test_closed_form_ex1_rejects_undefined_constant():
-    with pytest.raises(ValueError):
-        closed_form("ex1_full", m=1, k=0)
-    a_part, b_part = closed_form("ex1_full", m=3, k=0)
+    # the iz constant (2k+m-4)!! is undefined at (m, k) = (1, 0) and defined from 2k+m-4 = -1 on
+    assert transform_closed_form("iz", 1, 0) is None
+    a_part, b_part = transform_closed_form("iz", 3, 0)
     assert a_part == term(-2, b=-1)
     assert b_part == term(-2, a=1, b=-2)
+    assert transform_closed_form("iz", 1, 1) == (a_part, b_part)
 
 
 def test_example1_matches_transform():
-    for m in (3, 5, 7):
+    # the paper's display, against the closed form read off e1 and the d_upper rule for x0
+    for m in (1, 3, 5, 7):
         for k in (0, 1, 2):
             if 2 * k + m - 4 < -1:
                 continue
+            c = (-1) ** (k + (m - 1) // 2) * double_factorial(2 * k + m - 1) * double_factorial(2 * k + m - 4)
+            display = term(c, b=-(2 * k + m - 2)), term(c * (2 * k + m - 2), a=1, b=-(2 * k + m - 1))
             pair = fueter(seed("iz"), k, m)
-            a_expect, b_expect = closed_form("ex1_full", m=m, k=k)
-            assert pair.A == a_expect and pair.B == b_expect
+            assert transform_closed_form("iz", m, k) == display == (pair.A, pair.B), (m, k)
 
 
 def test_example2_matches_transform():
-    for m in (3, 5, 7):
+    # the paper's display, against the closed form read off e2 and e3
+    for m in (1, 3, 5, 7):
         for k in (0, 1, 2):
+            c = (-1) ** (k + (m - 1) // 2) * double_factorial(2 * k + m - 1) ** 2
+            p = (2 * k + m + 1) // 2
+            display = term(c, a=1, p=p), term(-c, b=1, p=p)
             pair = fueter(seed("inv_z"), k, m)
-            a_expect, b_expect = closed_form("ex2_full", m=m, k=k)
-            assert pair.A == a_expect and pair.B == b_expect
+            assert transform_closed_form("inv_z", m, k) == display == (pair.A, pair.B), (m, k)
+
+
+def test_gauss_closed_form_is_the_m3_pair_at_m3():
+    # gauss_ck_pair(3) is the transform at k = 0 times (-1)^1 / 2!!
+    a, b = transform_closed_form("gauss", 3, 0)
+    assert (a.scale(Fraction(-1, 2)), b.scale(Fraction(-1, 2))) == GAUSS_M3
 
 
 def test_axial_to_poly_examples():
@@ -313,10 +327,19 @@ def test_vekua_residual_equals_composed_form():
         (lambda: fueter(seed("iz"), 0, 3) - fueter(seed("iz"), 1, 3), "axial pairs of different type"),
         (lambda: fueter_via_laplacian(2, 0, 3, None), "this route needs a concrete P_k"),
         (lambda: axial_to_poly(fueter(seed("iz"), 2, 3)), "axial_to_poly needs a concrete P_k"),  # no shipped P_2
-        (lambda: closed_form("e2"), "e2 needs n >= 0"),
-        (lambda: closed_form("ex1_full", k=0), "ex1_full needs m and k"),
+        (lambda: closed_form("e2", -1), "e2 needs n >= 0"),
+        (lambda: closed_form("ex1_full", 0), "unknown closed form 'ex1_full'"),
+        (lambda: transform_closed_form("z_pow", 3, 0), "no transform closed form for seed 'z_pow'"),
     ],
-    ids=["negative_k", "pair_difference", "laplacian_route", "axial_to_poly", "e2_without_n", "ex1_full_without_m"],
+    ids=[
+        "negative_k",
+        "pair_difference",
+        "laplacian_route",
+        "axial_to_poly",
+        "e2_negative_n",
+        "unknown_closed_form",
+        "unknown_transform_seed",
+    ],
 )
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -156,6 +156,12 @@ def test_fd_convergence_order():
     assert 3.5 <= factor <= 4.5
 
 
+def test_fd_convergence_factor_is_inf_when_the_finer_residual_is_zero():
+    # a constant has a zero residual at every step: no ratio, so the factor reads inf
+    const = lambda x0, xs: Multivector.scalar(3, 1.0, exact=False)
+    assert fd_convergence_factor(const, EvalPoint(0.5, (1.0, 0.0, 0.0))) == math.inf
+
+
 def test_fd_left_right_agree_for_degree_zero_outputs():
     """Degree-0 transforms are two-sided monogenic: both residuals vanish."""
     rng = random.Random(73)

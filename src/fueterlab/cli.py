@@ -12,8 +12,8 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
+import time
 from dataclasses import asdict
 
 from . import numeric, verify
@@ -102,7 +102,18 @@ def run_environment() -> dict:
 
 def cmd_verify(args) -> int:
     ms = (args.m,) if args.m is not None else None
-    results = verify.run_suite(args.suite, rng_seed=args.rng_seed, ms=ms, csv_from=args.from_csv)
+    # --from re-verifies its file once, before any check: a fault in it stops the run there;
+    # the result is printed last, as the last check of gauss_fund, the last suite of all
+    csv_results = []
+    if args.from_csv is not None:
+        if args.suite not in ("gauss_fund", "all"):
+            raise ValueError(f"suite {args.suite!r} re-verifies no sample CSV; only gauss_fund and all do")
+        start = time.perf_counter()
+        ok, nrows = numeric.verify_sample_csv(args.from_csv, "gauss-fund")
+        seconds = time.perf_counter() - start
+        detail = f"{nrows} rows re-verified"
+        csv_results.append(verify.CheckResult("gauss_fund.csv_roundtrip", ok, 0.0, detail, seconds=seconds))
+    results = verify.run_suite(args.suite, rng_seed=args.rng_seed, ms=ms) + csv_results
     for line in verify.report_lines(args.suite, results):
         print(line)
     passed = all(r.passed for r in results)
@@ -169,7 +180,11 @@ def cmd_ck_gauss(args) -> int:
         raise ValueError("r must be nonnegative")
     xs = (args.r,) + (0.0,) * (args.m - 1)
     pt = numeric.EvalPoint(args.x0, xs)
-    series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
+    where = f"at (x0={args.x0!r}, r={args.r!r})"
+    try:
+        series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
+    except OverflowError:  # a power of -r^2 leaves binary64
+        raise OverflowError(f"series is out of range {where}") from None
     # the closed form needs odd m, so it is computed before anything is printed;
     # the axis formula serves every point whose r * r is 0 or subnormal (r below about 1.49e-154):
     # off the axis, such a radius drives the closed form's negative powers of r and Q past binary64
@@ -182,12 +197,15 @@ def cmd_ck_gauss(args) -> int:
         try:
             closed_mv = numeric.eval_axial(pair, pt)
         except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN
-            raise ValueError(f"closed form is NaN at (x0={args.x0!r}, r={args.r!r})") from None
+            raise ValueError(f"closed form is NaN {where}") from None
+        except OverflowError:  # exp(x0^2/2) or a negative power of r leaves binary64
+            raise OverflowError(f"closed form is out of range {where}") from None
         closed_line = f"closed (axial):     {closed_mv}"
-        err = (series - closed_mv).norm() / max(closed_mv.norm(), 1e-300)
-    # a NaN or infinite value, or a norm that squares a finite value past binary64, leaves no deviation to print
-    if not math.isfinite(err):
-        raise OverflowError(f"relative deviation {err} is not finite at (x0={args.x0!r}, r={args.r!r})")
+        # hypot over the parts, where norm() squares them: below about 1e-154 the squares underflow
+        diff = series - closed_mv
+        err = math.hypot(*diff.coeffs.values()) / max(math.hypot(*closed_mv.coeffs.values()), 1e-300)
+    if not math.isfinite(err):  # a NaN or infinite value leaves no deviation to print
+        raise OverflowError(f"relative deviation {err} is not finite {where}")
     print(f"series (N={args.trunc}): {series}")
     print(closed_line)
     print(f"relative deviation: {err:.3e}")
@@ -248,21 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RANGE_FLAGS = ("--x0", "--r")
-_NEGATIVE_VALUE = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|nan)(?::.*)?$", re.IGNORECASE)
 
 
-def _join_negative_values(argv):
-    """Fold `--x0 -2:2:41` into `--x0=-2:2:41` so argparse keeps the value."""
+def _join_range_values(argv):
+    """Fold `--x0 -2:2:41` into `--x0=-2:2:41` so argparse keeps a value that starts with '-';
+    every value of the two flags is folded, since their types parse or refuse it either way."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _RANGE_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _RANGE_FLAGS:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -278,7 +292,7 @@ EXIT_CODES = (
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_values(list(argv) if argv is not None else sys.argv[1:]))
+    args = parser.parse_args(_join_range_values(list(argv) if argv is not None else sys.argv[1:]))
     try:
         if args.m is not None:  # every command has --m; only verify's is optional
             _check_dimension(args.m)

@@ -65,9 +65,7 @@ from .numeric import (
     fd_convergence_factor,
     fd_cr_residual,
     hermite_radial_coeffs,
-    read_sample_csv,
     restriction_taylor_coeff,
-    verify_sample_csv,
 )
 
 DEFAULT_SEED = 20090429
@@ -112,11 +110,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Context:
-    """What a check may use: the suite's random stream, the check's dimensions, a CSV to re-verify."""
+    """What a check may use: the suite's random stream and the check's dimensions."""
 
     rng: random.Random
     ms: tuple | None
-    csv_from: object = None
 
 
 # suite -> its checks in run order, as (function from Context to CheckResults, tied dimensions or None)
@@ -149,7 +146,7 @@ def exact(suite: str, check_id: str, ms: tuple | None = None):
 
 
 def measured(suite: str, ms: tuple | None = None):
-    """Register a function that returns its CheckResults itself, none to skip; tied to ms if given."""
+    """Register a function that returns its CheckResults itself; tied to ms if given."""
 
     def register(fn):
         CHECKS[suite].append((fn, ms))
@@ -606,18 +603,10 @@ def _decay_control_divergent(ctx):
     return [CheckResult("gauss_fund.decay_control_divergent", passed, far.sup_value, detail)]
 
 
-@measured("gauss_fund")
-def _csv_roundtrip(ctx):
-    if ctx.csv_from is None:
-        return []
-    ok, nrows = verify_sample_csv(ctx.csv_from, "gauss-fund")
-    return [CheckResult("gauss_fund.csv_roundtrip", ok, 0.0, f"{nrows} rows re-verified")]
-
-
 # --- driver --------------------------------------------------------------------
 
 
-def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
+def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None):
     """Yield the CheckResults of each check of a suite, one list per check, in table order.
 
     `all` runs every suite, each on its own stream seeded with rng_seed,
@@ -631,10 +620,6 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
         raise ValueError(f"suite {name!r} takes no dimension")
     for m in ms or ():
         _check_dimension(m)
-    if csv_from is not None:
-        if name not in ("gauss_fund", "all"):
-            raise ValueError(f"suite {name!r} re-verifies no sample CSV; only gauss_fund and all do")
-        read_sample_csv(csv_from)  # a missing or malformed file stops the run before any check
     for suite in CHECKS if name == "all" else (name,):
         suite_ms = tuple(ms) if ms and SUITE_MS[suite] else SUITE_MS[suite]
         rng = random.Random(rng_seed)
@@ -643,13 +628,13 @@ def iter_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None):
             if check_ms == ():
                 continue
             start = time.perf_counter()
-            results = check(Context(rng, check_ms, csv_from))
+            results = check(Context(rng, check_ms))
             seconds = time.perf_counter() - start
             yield [replace(res, seconds=seconds) for res in results]
 
 
-def run_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None, csv_from=None) -> list:
-    return [res for results in iter_suite(name, rng_seed, ms, csv_from) for res in results]
+def run_suite(name: str, rng_seed: int = DEFAULT_SEED, ms=None) -> list:
+    return [res for results in iter_suite(name, rng_seed, ms) for res in results]
 
 
 def report_lines(name: str, results) -> list:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fueterlab import cli, verify
+from fueterlab import cli, numeric, verify
 from fueterlab.cli import main, parse_range
 from fueterlab.clifford import Multivector
 from fueterlab.numeric import sample_header
@@ -94,15 +94,42 @@ def test_verify_suite_without_csv_rejects_from(capsys, suite):
     [("x0,r\n", 2), ("", 2), (None, 5), ("x0,r,scalar,|value|\n", 2), ("x0,x1,x2,r,scalar,e1,e2,|value|\n", 2)],
     ids=["bad_header", "empty", "missing", "no_x_columns", "even_m"],
 )
-def test_verify_reads_from_before_any_check(capsys, tmp_path, text, code):
+def test_verify_reads_from_before_any_check(capsys, tmp_path, checks_run, text, code):
     path = tmp_path / "bad.csv"
     if text is not None:
         path.write_text(text)
-    error = ValueError if text is not None else FileNotFoundError
     for suite in ("gauss_fund", "all"):
-        with pytest.raises(error):
-            next(verify.iter_suite(suite, csv_from=path))
         assert run(capsys, "verify", "--suite", suite, "--from", str(path))[:2] == (code, "")
+    assert checks_run == []
+
+
+def test_verify_from_reads_its_file_once(capsys, tmp_path, monkeypatch):
+    # the reader counted through each name it can be called by: numeric's, and verify's should the table read it
+    calls = []
+
+    def counted(read):
+        def read_once(path):
+            calls.append(path)
+            return read(path)
+
+        return read_once
+
+    read = numeric.read_sample_csv
+    monkeypatch.setattr(numeric, "read_sample_csv", counted(read))
+    monkeypatch.setattr(verify, "read_sample_csv", counted(read), raising=False)
+    path = tmp_path / "gf.csv"
+    numeric.write_sample_csv(path, "gauss-fund", 3, [-0.5, 0.5], [3.0, 4.0, 5.0])
+    report = tmp_path / "report.json"
+    argv = ["--suite", "gauss_fund", "--m", "7", "--from", str(path), "--json", str(report)]
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err, len(calls)) == (0, "", 1)
+    # the file's verdict comes last, is counted in the suite's, and has the record of every measured check
+    lines = out.splitlines()
+    assert lines[-2:] == ["gauss_fund.csv_roundtrip PASS 0 6 rows re-verified", "suite gauss_fund: PASS (4/4 checks)"]
+    record = json.loads(report.read_text())["checks"][-1]
+    assert record.keys() == {"id", "passed", "max_error", "detail", "instances", "first_failure", "seconds"}
+    assert record["id"] == "gauss_fund.csv_roundtrip" and record["instances"] is None
+    assert isinstance(record["seconds"], float) and record["seconds"] > 0.0
 
 
 # check ids each suite prints at every m it runs on
@@ -225,6 +252,13 @@ def test_verify_json_environment_outside_checkout(monkeypatch, tmp_path):
     # the revision is that of the checkout holding the package source; elsewhere it is null
     monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
     assert cli.run_environment()["git_revision"] is None
+
+
+def test_verify_json_environment_without_a_distribution_or_git(monkeypatch):
+    # a distribution that is not installed has no version; a git that cannot start gives no revision
+    assert cli._dist_version("fueterlab-no-such-distribution") is None
+    monkeypatch.setenv("PATH", "")
+    assert cli._git_revision() is None
 
 
 def test_verify_json_is_strict_json_when_an_error_is_nan(capsys, tmp_path, monkeypatch):
@@ -361,9 +395,10 @@ def test_negative_scientific_values(capsys):
     assert code == 0 and "closed (x_=0 axis)" in out
 
 
-@pytest.mark.parametrize("r", ["1", "0"])
+@pytest.mark.parametrize("r", ["1", "0", "1e-100"])
 def test_ck_gauss_even_m_prints_nothing(capsys, r):
-    # the closed form needs odd m; the series is not printed before that is known
+    # the closed form needs odd m; the series is not printed before that is known, and at r = 1e-100,
+    # where the closed form at m = 5 leaves binary64, the even m is refused before it is tried
     code, out, err = run(capsys, "ck-gauss", "--m", "4", "--r", r)
     assert code == 3
     assert out == "" and "odd" in err
@@ -433,11 +468,10 @@ def test_sample_rejects_nan_rows(capsys, tmp_path):
             ["sample", "--target", "gauss-fund", "--m", "3", "--x0", "0.5", "--r", "1e-160", "--out", "g.csv"],
             "binary64 overflow: sample value is out of range at (x0=0.5, r=1e-160)",
         ),
-        # NaN values; then a finite closed value (~ -4.8e196) whose norm squares it past binary64
+        # NaN values
         (["ck-gauss", "--m", "3", "--x0", "1e200"], "binary64 overflow"),
-        (["ck-gauss", "--m", "3", "--x0", "30", "--r", "1"], "binary64 overflow"),
     ],
-    ids=["trunc_171", "sample_x0_1e200", "sample_ck_gauss_r_1e-160", "sample_gauss_fund_r_1e-160", "ck_gauss_x0_1e200", "ck_gauss_norm"],
+    ids=["trunc_171", "sample_x0_1e200", "sample_ck_gauss_r_1e-160", "sample_gauss_fund_r_1e-160", "ck_gauss_x0_1e200"],
 )
 def test_overflow_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -445,6 +479,36 @@ def test_overflow_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, deviation",
+    [
+        # parts near 1e-196, whose squares underflow to 0: a norm of squares reads a deviation of 0 here
+        (["--x0", "0.5", "--r", "30"], (1e-11, 1e-10)),
+        # a closed value near -4.8e196, whose square overflows; the N = 60 series has not converged there
+        (["--x0", "30", "--r", "1"], (1.0, 1.0)),
+    ],
+    ids=["r_30", "x0_30"],
+)
+def test_ck_gauss_deviation_of_parts_whose_squares_leave_binary64(capsys, argv, deviation):
+    code, out, err = run(capsys, "ck-gauss", "--m", "3", *argv)
+    assert (code, err) == (0, "")
+    lo, hi = deviation
+    assert lo <= float(out.rsplit("relative deviation: ", 1)[1]) <= hi
+
+
+@pytest.mark.parametrize(
+    "m, x0, r, message",
+    [
+        ("5", "0.5", "1e-100", "closed form is out of range at (x0=0.5, r=1e-100)"),  # r^-m-scale powers
+        ("3", "700", "0.5", "closed form is out of range at (x0=700.0, r=0.5)"),  # exp(x0^2/2)
+        ("3", "0.5", "1e60", "series is out of range at (x0=0.5, r=1e+60)"),  # the series' powers of -r^2
+    ],
+    ids=["closed_small_r", "closed_large_x0", "series_large_r"],
+)
+def test_ck_gauss_overflow_names_the_point(capsys, m, x0, r, message):
+    assert run(capsys, "ck-gauss", "--m", m, "--x0", x0, "--r", r) == (2, "", f"error: binary64 overflow: {message}\n")
 
 
 def test_sample_io_failure_exit_code(capsys):
@@ -504,14 +568,17 @@ def test_verify_refuses_csv_with_no_rows(capsys, tmp_path):
         assert (code, out) == (2, "") and "no rows" in err
 
 
-def test_verify_from_names_the_row_that_overflows(capsys, tmp_path):
-    # r * r is subnormal, so the recomputed r^-2 leaves binary64: the error names the row's line, x0 and r
+def test_verify_from_names_the_row_that_overflows(capsys, tmp_path, checks_run):
+    # r * r is subnormal, so the recomputed r^-2 leaves binary64: the error names the row's line, x0 and r;
+    # the row parses, and it is refused before any check runs
     path = tmp_path / "t.csv"
     row = (0.5, 1e-160, 0.0, 0.0, 1e-160, 1.0, 0.0, 0.0, 0.0, 1.0)
     path.write_text(",".join(sample_header(3)) + "\n" + ",".join(map(repr, row)) + "\n")
-    code, out, err = run(capsys, "verify", "--suite", "gauss_fund", "--from", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: binary64 overflow: sample CSV line 2: value is out of range at (x0=0.5, r=1e-160)\n"
+    for suite in ("gauss_fund", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--from", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: binary64 overflow: sample CSV line 2: value is out of range at (x0=0.5, r=1e-160)\n"
+    assert checks_run == []
 
 
 @pytest.mark.parametrize("x1", [0.0, 1e-170])

@@ -235,6 +235,29 @@ def test_foreign_operands(value):
         value - 2
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Multivector.scalar(3, 2), "Multivector(m=3, '2', exact=True)"),
+        (AxialExpr.term(3, a=1), "AxialExpr('3*x0')"),
+        (CliffPoly.constant(3, 2), "CliffPoly(m=3, '2')"),
+    ],
+    ids=["multivector", "axial_expr", "cliff_poly"],
+)
+def test_repr_names_the_type_and_the_text(value, text):
+    assert repr(value) == text
+
+
+def test_multivector_truth_scalar_product_and_float_conversion():
+    # a multivector is true iff some part is nonzero; a scalar factor scales every part, on either side
+    a = mv(3, "3 - 2*e1 + 1*e12")
+    assert a and not Multivector.zero(3)
+    assert a * 2 == 2 * a == mv(3, "6 - 4*e1 + 2*e12")
+    # a binary64 value converts to itself
+    f = a.to_float()
+    assert f.to_float() is f and f * 0.5 == Multivector(3, {0: 1.5, 1: -1.0, 3: 0.5}, exact=False)
+
+
 def test_text_roundtrip_exact():
     m = 3
     a = mv(m, "3 - 2*e1 + 1*e12")

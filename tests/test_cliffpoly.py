@@ -253,6 +253,13 @@ def test_eval_drops_a_cancelled_blade():
     assert list(p.eval(0.0, (2.0, 1.0, 1.0)).coeffs.items()) == [(0b01, 5.0), (0b10, 1.0)]
 
 
+def test_scalar_product():
+    # a non-polynomial factor scales every coefficient, as scale does
+    p = parse_poly("1*x1*e1 - 1/2*x2*e2 + 3", 3)
+    assert p * 2 == p.scale(2) == parse_poly("2*x1*e1 - 1*x2*e2 + 6", 3)
+    assert p * Fraction(1, 3) == parse_poly("1/3*x1*e1 - 1/6*x2*e2 + 1", 3)
+
+
 def test_sample_p1_requires_two_generators():
     with pytest.raises(ValueError):
         sample_p1(1)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,15 @@ def test_triangle_with_degree_one_pk():
         res = triangle_check(n, 1, 3, sample_p1(3))
         assert res.ok
         assert res.constant is not None
+
+
+def test_triangle_restriction_without_the_base_monomial(monkeypatch):
+    # a transform whose x0 = 0 restriction lacks the first monomial of x_^d P_k has no constant to read off;
+    # the package root's `fueter` is the function, so the module is patched through sys.modules
+    module = sys.modules["fueterlab.fueter"]
+    monkeypatch.setattr(module, "axial_to_poly", lambda pair: CliffPoly.zero(pair.m))
+    res = triangle_check(5, 0, 3)
+    assert (res.routes_equal, res.ck_equal, res.constant) == (False, False, None)
 
 
 def test_gauss_pair_restriction():

@@ -221,8 +221,13 @@ class AxialExpr(ExactStore):
         return EvalPlan(self.terms).values(x0, r)[0]
 
     def evaluate_mp(self, x0, r):
-        """High-precision evaluation under the ambient mpmath precision."""
-        return EvalPlan(self.terms).values_mp(x0, r)[0]
+        """High-precision evaluation under the ambient mpmath precision, from the exact coefficients.
+
+        mpmath is imported when this is called, so importing fueterlab does not load it.
+        """
+        import mpmath
+
+        return EvalPlan(self.terms).values(mpmath.mpf(x0), mpmath.mpf(r), mpmath)[0]
 
     def __str__(self) -> str:
         return format_axial(self)
@@ -269,16 +274,21 @@ class EvalPlan:
         )
         self.float_rows = tuple(tuple((float(q), *idx) for q, *idx in rows) for rows in self.rows)
 
-    def values(self, x0, r, num=float, lib=math) -> list:
-        """Each expression's value at (x0, r); num converts a coefficient, lib gives exp/cos/sin."""
-        if r < 0:
+    def values(self, x0, r, lib=math) -> list:
+        """Each expression's value at (x0, r); lib gives exp/cos/sin.
+
+        Under `math` the sums read the coefficients converted once to binary64.
+        Under any other lib they read the exact coefficients and run in r's
+        number type, 1 being r**0: complex under `cmath`, mpf under `mpmath`.
+        """
+        if r.real < 0:
             raise EvalDomainError("radius r must be nonnegative")
-        if r == 0 and self.neg_r:
+        if r.real == 0 and self.neg_r:
             raise EvalDomainError("negative powers of r at r = 0")
         q_val = x0 * x0 + r * r
         if q_val == 0 and self.q_exps:
             raise EvalDomainError("negative powers of Q at the origin")
-        f = [num(1)]
+        f = [r**0]
         for a in self.x_exps:
             f.append(x0**a)
         for b in self.r_exps:
@@ -291,10 +301,7 @@ class EvalPlan:
             f.append(lib.cos(x0 * r))
         if self.has_sin:
             f.append(lib.sin(x0 * r))
-        # binary64 reads the coefficients converted once; any other num converts the exact ones per call
-        if num is float:
-            return _row_sums(self.float_rows, f, 0.0)
-        return _row_sums([[(num(q), *idx) for q, *idx in rows] for rows in self.rows], f, num(0))
+        return _row_sums(self.float_rows if lib is math else self.rows, f, 0.0 * f[0])
 
     def grid(self, x0s, rs):
         """`values(x0, r)` in binary64 for x0 in x0s for r in rs, row-major, bit for bit.
@@ -331,15 +338,6 @@ class EvalPlan:
                 if has_sin:
                     f.append(sin(x0 * r))
                 yield _row_sums(rows, f, 0.0)
-
-    def values_mp(self, x0, r) -> list:
-        """`values` under the ambient mpmath precision, from the exact coefficients.
-
-        mpmath is imported when this is called, so importing fueterlab does not load it.
-        """
-        import mpmath
-
-        return self.values(mpmath.mpf(x0), mpmath.mpf(r), lambda q: mpmath.mpf(q.numerator) / q.denominator, mpmath)
 
 
 def _row_sums(row_sets, f: list, zero) -> list:

@@ -178,6 +178,7 @@ def cmd_fueter(args) -> int:
 def cmd_ck_gauss(args) -> int:
     if args.r < 0:
         raise ValueError("r must be nonnegative")
+    pair = gauss_ck_pair(args.m)  # the closed form needs odd m: an even m raises here, before anything is evaluated
     xs = (args.r,) + (0.0,) * (args.m - 1)
     pt = numeric.EvalPoint(args.x0, xs)
     where = f"at (x0={args.x0!r}, r={args.r!r})"
@@ -185,7 +186,7 @@ def cmd_ck_gauss(args) -> int:
         series = numeric.ck_gauss_series(pt, args.m, trunc=args.trunc)
     except OverflowError:  # a power of -r^2 leaves binary64
         raise OverflowError(f"series is out of range {where}") from None
-    # the closed form needs odd m, so it is computed before anything is printed;
+    # the closed form is computed before anything is printed;
     # the axis formula serves every point whose r * r is 0 or subnormal (r below about 1.49e-154):
     # off the axis, such a radius drives the closed form's negative powers of r and Q past binary64
     if pt.r * pt.r < sys.float_info.min:
@@ -193,7 +194,6 @@ def cmd_ck_gauss(args) -> int:
         closed_line = f"closed (x_=0 axis): {closed!r}"
         err = abs(series[0] - closed) / max(abs(closed), 1e-300)
     else:
-        pair = gauss_ck_pair(args.m)  # an even m raises here, before the catch below
         try:
             closed_mv = numeric.eval_axial(pair, pt)
         except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN

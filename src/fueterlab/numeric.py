@@ -346,7 +346,8 @@ def _ray_grid(plan, x0_vals, r_vals):
 
     A and B are the plan's values at (x0, radius), radius = sqrt(r * r) as `EvalPoint` computes it,
     e1 = B (r / radius) and norm = sqrt(0.0 + A^2 + e1^2): the float `eval_axial(...).norm()` and its
-    parts.  A zero part (-0.0 too) reads 0.0, as the float Multivector drops it; the plan's sums
+    parts.  Outside [2^-500, 2^500], where a square can underflow or overflow, norm is hypot(A, e1)
+    instead.  A zero part (-0.0 too) reads 0.0, as the float Multivector drops it; the plan's sums
     start at +0.0, so A is never -0.0.  Each point is evaluated when it is asked for, so the first
     failing point in row-major order raises, naming its (x0, r): EvalDomainError where r <= 0 or
     r * r is 0 in binary64 (r below about 1.6e-162); OverflowError where a power leaves binary64
@@ -368,6 +369,8 @@ def _ray_grid(plan, x0_vals, r_vals):
                 norm = sqrt(0.0 + a_val * a_val + e1 * e1)
                 if norm != norm:  # cos(0 * inf), or a NaN x0 or r, gives NaN without raising
                     raise ValueError
+                if not 2.0**-500 <= norm <= 2.0**500:  # a square left the normal range
+                    norm = math.hypot(a_val, e1)
             except OverflowError:
                 raise OverflowError(f"value is out of range at (x0={x0!r}, r={r!r})") from None
             except ValueError:  # math's cos and sin refuse an infinite x0 * r, where IEEE 754 gives NaN

@@ -395,10 +395,11 @@ def test_negative_scientific_values(capsys):
     assert code == 0 and "closed (x_=0 axis)" in out
 
 
-@pytest.mark.parametrize("r", ["1", "0", "1e-100"])
+@pytest.mark.parametrize("r", ["1", "0", "1e-100", "1e60"])
 def test_ck_gauss_even_m_prints_nothing(capsys, r):
     # the closed form needs odd m; the series is not printed before that is known, and at r = 1e-100,
-    # where the closed form at m = 5 leaves binary64, the even m is refused before it is tried
+    # where the closed form at m = 5 leaves binary64, and r = 1e60, where the series' powers of -r^2 do,
+    # the even m is refused before anything is evaluated
     code, out, err = run(capsys, "ck-gauss", "--m", "4", "--r", r)
     assert code == 3
     assert out == "" and "odd" in err

@@ -1,5 +1,8 @@
+import cmath
 import csv
 import decimal
+import importlib.util
+import inspect
 import io
 import math
 import random
@@ -570,7 +573,61 @@ def test_pair_plan_matches_per_expression_evaluation():
                 got = pair.plan.values(x0, r)
                 assert [v.hex() for v in got] == [pair.A.evaluate(x0, r).hex(), pair.B.evaluate(x0, r).hex()], (m, x0, r)
                 with mpmath.workdps(60):
-                    assert pair.plan.values_mp(x0, r) == [pair.A.evaluate_mp(x0, r), pair.B.evaluate_mp(x0, r)]
+                    assert pair.plan.values(mpmath.mpf(x0), mpmath.mpf(r), mpmath) == [
+                        pair.A.evaluate_mp(x0, r),
+                        pair.B.evaluate_mp(x0, r),
+                    ]
+
+
+def _ref_mp_values(term_dicts, x0, r):
+    """Each expression's value as a term-by-term mpmath sum: mpf(numerator) / denominator times the factors."""
+    x0, r = mpmath.mpf(x0), mpmath.mpf(r)
+    q_val = x0 * x0 + r * r
+    e_val = mpmath.exp((x0 * x0 - r * r) / 2)
+    trig = {"": 1, "cos": mpmath.cos(x0 * r), "sin": mpmath.sin(x0 * r)}
+    out = []
+    for terms in term_dicts:
+        total = mpmath.mpf(0)
+        for (a, b, p, g, t), q in terms.items():
+            q = Fraction(q)
+            total += mpmath.mpf(q.numerator) / q.denominator * x0**a * r**b * q_val**-p * e_val**g * trig[t]
+        out.append(total)
+    return out
+
+
+def test_mpmath_values_match_the_term_by_term_sum():
+    rng = random.Random(67)
+    points = [(rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 5.0)) for _ in range(20)]
+    cases = [gauss_fund_pair(m) for m in (3, 5, 7, 9)] + [gauss_ck_pair(m) for m in (3, 7, 11)]
+    with mpmath.workdps(60):
+        for pair in cases:
+            plan = EvalPlan(pair.A.terms, pair.B.terms)
+            for x0, r in points:
+                got = plan.values(mpmath.mpf(x0), mpmath.mpf(r), mpmath)
+                assert got == _ref_mp_values((pair.A.terms, pair.B.terms), x0, r), (pair.m, x0, r)
+                assert all(isinstance(v, mpmath.mpf) for v in got)
+        # a plan whose terms are all constants still sums in r's number type
+        got = EvalPlan({(0, 0, 0, 0, ""): 3}, {}).values(mpmath.mpf(0.5), mpmath.mpf(2), mpmath)
+        assert got == [3, 0] and all(isinstance(v, mpmath.mpf) for v in got)
+
+
+@pytest.mark.parametrize("pair_of", [gauss_fund_pair, gauss_ck_pair])
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_complex_step_matches_the_exact_derivatives(pair_of, m):
+    """Im values(x0 + ih, r, cmath) / h, and the same in r, against the binary64 plans of the exact diffs."""
+    h = 1e-30
+    pair = pair_of(m)
+    plan = EvalPlan(pair.A.terms, pair.B.terms)
+    rng = random.Random(71)
+    points = [(0.0, 0.5), (0.7, 0.5)] + [(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)) for _ in range(10)]
+    for var in ("x0", "r"):
+        exact = EvalPlan(pair.A.diff(var).terms, pair.B.diff(var).terms)
+        for x0, r in points:
+            step = plan.values(x0 + 1j * h, r, cmath) if var == "x0" else plan.values(x0, r + 1j * h, cmath)
+            want = exact.values(x0, r)
+            scale = max(map(abs, want))
+            for got, w in zip(step, want):
+                assert abs(got.imag / h - w) <= 1e-11 * scale, (var, x0, r)
 
 
 def _point_outcome(evaluate):
@@ -705,11 +762,12 @@ def test_entire_part_probe_control_grows_like_pole():
 
 
 def _probe_reference(m: int, r: float, subtract_pole: bool) -> float:
-    """|A + w B| at (0, r) from `values_mp` at 40 + (m+1) max(1, |log10 r|) digits, which covers the cancellation."""
+    """|A + w B| at (0, r) from `values` under mpmath at 40 + (m+1) max(1, |log10 r|) digits, which covers
+    the cancellation."""
     pair = entire_remainder_pair(m) if subtract_pole else normalized_gauss_fund_pair(m)
     plan = EvalPlan(pair.A.restrict_x0().terms, pair.B.restrict_x0().terms)
     with mpmath.workdps(40 + (m + 1) * max(1, abs(math.log10(r)))):
-        av, bv = plan.values_mp(0, r)
+        av, bv = plan.values(mpmath.mpf(0), mpmath.mpf(r), mpmath)
         return float(mpmath.sqrt(av * av + bv * bv))
 
 
@@ -1210,6 +1268,18 @@ def test_decay_scan_overflows_past_r_38():
         decay_scan(gauss_fund_pair(3), 1e200, 3.0, 8.0, 3, 3)
 
 
+def test_ray_grid_norm_outside_the_normal_range(tmp_path):
+    # past r ~ 26 at x0 = 0.5 the squares of the parts underflow, and at x0 = 27 they overflow;
+    # there the norm is hypot over the parts, and the rows still round-trip bit for bit
+    for x0_vals, r_vals in (([0.5], [26.0, 28.0, 30.0]), ([27.0], [1.0])):
+        for row in sample_rows("gauss-fund", 3, x0_vals, r_vals):
+            assert row[-1] == math.hypot(row[5], row[6]), row
+            assert 0.0 < row[-1] < math.inf, row
+        write_sample_csv(tmp_path / "g.csv", "gauss-fund", 3, x0_vals, r_vals)
+        assert verify_sample_csv(tmp_path / "g.csv", "gauss-fund") == (True, len(r_vals))
+    assert decay_scan(gauss_fund_pair(3), 2, 28, 30, 5, 5).sup_value == pytest.approx(0.529, rel=1e-3)
+
+
 def test_series_bit_identical_to_per_term_powers():
     rng = random.Random(89)
     for m in (3, 5):
@@ -1415,6 +1485,30 @@ def test_package_root_has_every_name_the_benchmark_reads():
     assert "import fueterlab as fl\n" in source
     names = set(re.findall(r"\bfl\.(\w+)", source)) | {"gauss_fund_pair"}
     assert sorted(name for name in names if not callable(getattr(fueterlab, name, None))) == []
+
+
+def test_fueterlab_has_every_name_the_benchmark_tracer_binds():
+    """perfbench/tracing.py wraps these by name when it installs; a rename fails here, not only in the
+    benchmark's own tests.  Importing the file has no side effect, and `install` is not called."""
+    spec = importlib.util.spec_from_file_location("_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def module(name):
+        return importlib.import_module(f"fueterlab.{name}")
+
+    for mod, attr in tracing.FUNCTIONS:
+        assert callable(getattr(module(mod), attr, None)), (mod, attr)
+    for mod, cls, meth, _ in tracing.METHODS:
+        assert callable(getattr(getattr(module(mod), cls, None), meth, None)), (mod, cls, meth)
+    for mod, cls in tracing.ALLOCS:
+        assert isinstance(getattr(module(mod), cls, None), type), (mod, cls)
+    for _, mod, fn in tracing.LRU_CACHES:
+        assert callable(getattr(getattr(module(mod), fn, None), "cache_info", None)), (mod, fn)
+    # the names `install` reads directly
+    assert callable(module("clifford").gp) and callable(module("cliffpoly").vector_power)
+    assert isinstance(module("cliffpoly")._XPOW_CACHE, dict)
+    assert {"nx0", "nr"} <= set(inspect.signature(module("numeric").decay_scan).parameters)
 
 
 def test_fd_convergence_factor_is_the_ratio_of_two_left_residuals():
